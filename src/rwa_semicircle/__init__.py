@@ -33,7 +33,7 @@ from .moments import (
     rwa_moment_closed,
     rwa_moment_oracle,
 )
-from .rwa import RwaSpec, SampleBatch, rwa_batch, rwa_sample
+from .rwa import RwaSpec, SampleBatch, rwa_batch
 from .special import betainc
 
 __version__ = "0.1.0"
@@ -66,6 +66,5 @@ __all__ = [
     "rwa_batch",
     "rwa_moment_closed",
     "rwa_moment_oracle",
-    "rwa_sample",
     "sample_spacings",
 ]

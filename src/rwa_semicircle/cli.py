@@ -19,26 +19,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import HalfInteger, composition_count
-from .gof import ks_critical_one_sample, ks_statistic
 from .moments import (
-    MomentReport,
+    _rational_json,
     decimal_str,
-    empirical_moment,
+    exact_scale,
     lemma_lhs,
     lemma_rhs,
+    moment_report,
     oracle_term_count,
-    rwa_moment_closed,
     rwa_moment_oracle,
 )
-from .rwa import RwaSpec, rwa_batch
+from .rwa import RwaSpec, column_csv, rwa_batch, thread_cap
+from .verify import VerifyConfig, VerifyOutcome, run_verification  # re-exported here
 
 __all__ = ["VerifyConfig", "VerifyOutcome", "build_parser", "main", "run_verification"]
 
@@ -93,9 +91,12 @@ def _bin_count(text: str) -> int:
 
 def _float_any(text: str) -> float:
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
 
 
 def _positive_float(text: str) -> float:
@@ -150,122 +151,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_bytes(data.encode("ascii"))
 
 
-def _exact_scale(a: float) -> Fraction:
-    """The scale as an exact rational, read decimally: 2.5 -> 5/2, 0.1 -> 1/10.
-
-    Used only where exact scaled rationals are displayed; samplers of course
-    work with the float itself.
-    """
-    return Fraction(str(a))
-
-
-def _rational_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator), "decimal": decimal_str(q)}
-
-
-# ---------------------------------------------------------------------------
-# verify: one (n, a) instance against its target law
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Everything one verification run depends on."""
-
-    spec: RwaSpec
-    sample_count: int = 100_000
-    seed: int = 1234
-    max_moment_k: int = 3
-    alpha: float = 0.01
-    shards: int = 1
-    lambda_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 100:
-            raise ValueError(f"sample_count must be >= 100, got {self.sample_count}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.max_moment_k < 0:
-            raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "a": self.spec.a,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "max_moment_k": self.max_moment_k,
-            "alpha": self.alpha,
-            "shards": self.shards,
-            "lambda_override": self.lambda_override,
-        }
-
-
-@dataclass(frozen=True)
-class VerifyOutcome:
-    """KS verdict plus one MomentReport per even order."""
-
-    config: VerifyConfig
-    ks_statistic: float
-    ks_critical: float
-    moment_rows: tuple[MomentReport, ...]
-
-    @property
-    def ks_pass(self) -> bool:
-        return self.ks_statistic < self.ks_critical
-
-    @property
-    def overall_pass(self) -> bool:
-        return self.ks_pass and all(row.within_band() for row in self.moment_rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "ks_statistic": self.ks_statistic,
-            "ks_critical": self.ks_critical,
-            "ks_pass": self.ks_pass,
-            "moment_rows": [row.to_json_dict() for row in self.moment_rows],
-            "overall_pass": self.overall_pass,
-        }
-
-
-def run_verification(cfg: VerifyConfig) -> VerifyOutcome:
-    """Draw one batch and test it: one-sample KS against the target power
-    semicircle (exponent (n-1)/2, or the override for negative-control
-    testing), then a 4-standard-error band check of each empirical even
-    moment up to order 2*max_moment_k against the exact values.
-    """
-    n, a = cfg.spec.n, cfg.spec.a
-    batch = rwa_batch(cfg.spec, cfg.sample_count, cfg.seed, shards=cfg.shards)
-
-    lam = (n - 1) / 2.0 if cfg.lambda_override is None else cfg.lambda_override
-    law = PowerSemicircle(lam=lam, a=a)
-    d = ks_statistic(batch.values, law.cdf)
-    critical = ks_critical_one_sample(cfg.alpha, cfg.sample_count)
-
-    scale = Fraction(a)
-    rows = []
-    for k in range(0, cfg.max_moment_k + 1):
-        closed = rwa_moment_closed(n, k) * scale ** (2 * k)
-        oracle = rwa_moment_oracle(n, 2 * k) * scale ** (2 * k)
-        mean, se = empirical_moment(batch.values, k)
-        rows.append(
-            MomentReport(
-                n=n,
-                a=a,
-                k=k,
-                closed_form=closed,
-                oracle=oracle,
-                empirical=mean,
-                std_error=se,
-                mc_count=cfg.sample_count,
-                seed=cfg.seed,
-            )
-        )
-    return VerifyOutcome(
-        config=cfg, ks_statistic=d, ks_critical=critical, moment_rows=tuple(rows)
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -273,18 +158,18 @@ def run_verification(cfg: VerifyConfig) -> VerifyOutcome:
 def _cmd_moment(args: argparse.Namespace) -> int:
     total_terms = sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1))
     _warn_term_count(total_terms)
-    scale = _exact_scale(args.a)
+    spec = RwaSpec(n=args.n, a=args.a)
+    scale = exact_scale(args.a)
     rows = []
     for k in range(args.k_max + 1):
-        closed = rwa_moment_closed(args.n, k) * scale ** (2 * k)
-        oracle = rwa_moment_oracle(args.n, 2 * k) * scale ** (2 * k)
+        row = moment_report(spec, k)
         if args.literal_parity:
             literal = rwa_moment_oracle(args.n, 2 * k, literal_parity=True) * scale ** (2 * k)
-            if literal != oracle:
+            if literal != row.oracle:
                 print(f"literal-parity oracle disagrees at k={k}", file=sys.stderr)
                 return 1
-        rows.append((k, closed, oracle, closed == oracle))
-    all_equal = all(eq for _, _, _, eq in rows)
+        rows.append(row)
+    all_equal = all(row.consistent for row in rows)
 
     if args.json:
         payload = {
@@ -292,13 +177,13 @@ def _cmd_moment(args: argparse.Namespace) -> int:
             "a": args.a,
             "rows": [
                 {
-                    "k": k,
-                    "order": 2 * k,
-                    "closed_form": _rational_json(closed),
-                    "oracle": _rational_json(oracle),
-                    "equal": eq,
+                    "k": row.k,
+                    "order": 2 * row.k,
+                    "closed_form": _rational_json(row.closed_form),
+                    "oracle": _rational_json(row.oracle),
+                    "equal": row.consistent,
                 }
-                for k, closed, oracle, eq in rows
+                for row in rows
             ],
             "all_equal": all_equal,
         }
@@ -306,10 +191,10 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     else:
         print(f"moments of the weighted average: n = {args.n}, a = {args.a:g}")
         print(f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal")
-        for k, closed, oracle, eq in rows:
+        for row in rows:
             print(
-                f"{k:>3} {str(closed):>16} {str(oracle):>16} "
-                f"{decimal_str(closed):>32} {'yes' if eq else 'NO'}"
+                f"{row.k:>3} {str(row.closed_form):>16} {str(row.oracle):>16} "
+                f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
             )
     return 0 if all_equal else 1
 
@@ -355,23 +240,17 @@ def _matrix_csv(rows: np.ndarray, header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _column_csv(values: np.ndarray) -> str:
-    lines = ["value"]
-    lines.extend(repr(float(v)) for v in values)
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_sample_arcsine(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     values = Arcsine(a=args.a).sample(rng, args.count)
-    _emit(_column_csv(values), args.out)
+    _emit(column_csv(values).decode("ascii"), args.out)
     return 0
 
 
 def _cmd_sample_psc(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     values = PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)
-    _emit(_column_csv(values), args.out)
+    _emit(column_csv(values).decode("ascii"), args.out)
     return 0
 
 
@@ -413,13 +292,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{outcome.ks_critical:.5f} (alpha = {cfg.alpha:g}, N = {cfg.sample_count})"
     )
     for row in outcome.moment_rows:
-        gap = abs(row.empirical - float(row.closed_form))
-        z = gap / row.std_error if row.std_error > 0 else (0.0 if gap == 0 else math.inf)
-        ok = row.within_band()
         print(
-            f"[{'PASS' if ok else 'FAIL'}] moment order {2 * row.k}: "
+            f"[{'PASS' if row.within_band() else 'FAIL'}] moment order {2 * row.k}: "
             f"empirical {row.empirical:.6g} vs exact {decimal_str(row.closed_form, 8)} "
-            f"(z = {z:.2f} vs 4.0)"
+            f"(z = {row.z:.2f} vs 4.0)"
         )
     print(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
 
@@ -480,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arc = sample_sub.add_parser("arcsine", help="arcsine law on (-a, a)")
     p_arc.add_argument("--a", type=_positive_float, default=1.0)
     p_arc.add_argument("--count", type=_positive_int, required=True)
-    p_arc.add_argument("--seed", type=_int_any, required=True)
+    p_arc.add_argument("--seed", type=_nonneg_int, required=True)
     p_arc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_arc.set_defaults(func=_cmd_sample_arcsine)
 
@@ -488,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_psc.add_argument("--lambda", dest="lam", type=_nonneg_float, required=True, help="exponent (>= 0)")
     p_psc.add_argument("--a", type=_positive_float, default=1.0)
     p_psc.add_argument("--count", type=_positive_int, required=True)
-    p_psc.add_argument("--seed", type=_int_any, required=True)
+    p_psc.add_argument("--seed", type=_nonneg_int, required=True)
     p_psc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_psc.set_defaults(func=_cmd_sample_psc)
 
     p_spc = sample_sub.add_parser("spacings", help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_size, required=True, help="number of spacings per row (>= 2)")
     p_spc.add_argument("--count", type=_positive_int, required=True)
-    p_spc.add_argument("--seed", type=_int_any, required=True)
+    p_spc.add_argument("--seed", type=_nonneg_int, required=True)
     p_spc.add_argument("--method", choices=["sorted-uniforms", "exponential"], default="sorted-uniforms")
     p_spc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_spc.set_defaults(func=_cmd_sample_spacings)
@@ -504,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rwa.add_argument("--n", type=_size, required=True)
     p_rwa.add_argument("--a", type=_positive_float, default=1.0)
     p_rwa.add_argument("--count", type=_positive_int, required=True)
-    p_rwa.add_argument("--seed", type=_int_any, required=True)
+    p_rwa.add_argument("--seed", type=_nonneg_int, required=True)
     p_rwa.add_argument("--shards", type=_positive_int, default=1)
     p_rwa.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")
@@ -514,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_size, required=True)
     p_verify.add_argument("--a", type=_positive_float, default=1.0)
     p_verify.add_argument("--count", type=_sample_count, default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
-    p_verify.add_argument("--seed", type=_int_any, default=1234)
+    p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
     p_verify.add_argument("--alpha", type=_probability, default=0.01, help="KS significance level (default 0.01)")
     p_verify.add_argument("--shards", type=_positive_int, default=1)
@@ -526,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--n", type=_size, required=True)
     p_plot.add_argument("--a", type=_positive_float, default=1.0)
     p_plot.add_argument("--count", type=_positive_int, required=True)
-    p_plot.add_argument("--seed", type=_int_any, required=True)
+    p_plot.add_argument("--seed", type=_nonneg_int, required=True)
     p_plot.add_argument("--shards", type=_positive_int, default=1)
     p_plot.add_argument("--bins", type=_bin_count, default=None, help="histogram bins, >= 10 (default: Rice rule)")
     p_plot.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -538,6 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "shards" in vars(args) and args.shards > args.count:
+        parser.error(f"--shards {args.shards} exceeds --count {args.count}")
+    try:
+        thread_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except OSError as exc:

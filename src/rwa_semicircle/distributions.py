@@ -68,7 +68,6 @@ class Arcsine:
             raise ValueError(f"moment order must be >= 0, got {order}")
         if order % 2 == 1:
             return 0.0
-        m = order // 2
         return float(self.a**order * arcsine_moment(order))
 
 

@@ -32,13 +32,14 @@ from .exactmath import (
     multinomial,
     rising_gamma_ratio,
 )
-from .rwa import RwaSpec, rwa_batch
+from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
     "MomentReport",
     "decimal_str",
     "dirichlet_moment",
     "empirical_moment",
+    "exact_scale",
     "lemma_lhs",
     "lemma_rhs",
     "moment_report",
@@ -246,6 +247,15 @@ def _rational_json(q: Fraction) -> dict:
     }
 
 
+def exact_scale(a: float) -> Fraction:
+    """The scale as an exact rational, read decimally: 2.5 -> 5/2, 0.1 -> 1/10.
+
+    Used only where exact scaled rationals are reported; samplers of course
+    work with the float itself.
+    """
+    return Fraction(str(a))
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Everything known about one even moment order at one problem size."""
@@ -265,11 +275,19 @@ class MomentReport:
         """Exact agreement of the two symbolic routes."""
         return self.closed_form == self.oracle
 
-    def within_band(self, z: float = 4.0) -> bool:
-        """Is the Monte Carlo estimate within z standard errors of exact?"""
+    @property
+    def z(self) -> float:
+        """Distance of the Monte Carlo estimate from exact, in standard errors."""
         if self.empirical is None or self.std_error is None:
             raise ValueError("no Monte Carlo estimate attached to this report")
-        return abs(self.empirical - float(self.closed_form)) <= z * self.std_error
+        gap = abs(self.empirical - float(self.closed_form))
+        if self.std_error > 0:
+            return gap / self.std_error
+        return 0.0 if gap == 0 else math.inf
+
+    def within_band(self, z: float = 4.0) -> bool:
+        """Is the Monte Carlo estimate within z standard errors of exact?"""
+        return self.z <= z
 
     def to_json_dict(self) -> dict:
         out = {
@@ -289,26 +307,17 @@ class MomentReport:
         return out
 
 
-def moment_report(
-    spec: RwaSpec,
-    k: int,
-    mc_count: int | None = None,
-    seed: int | None = None,
-    *,
-    shards: int = 1,
-) -> MomentReport:
-    """Compute the order-2k moment both exact ways (scaled by a**(2k)),
-    optionally alongside a seeded Monte Carlo estimate."""
-    scale = Fraction(spec.a) ** (2 * k)
+def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> MomentReport:
+    """Compute the order-2k moment both exact ways, scaled by a**(2k) with a
+    read by :func:`exact_scale`, plus the empirical estimate from `batch`
+    (drawn at `spec`) when one is given."""
+    scale = exact_scale(spec.a) ** (2 * k)
     closed = rwa_moment_closed(spec.n, k) * scale
     oracle = rwa_moment_oracle(spec.n, 2 * k) * scale
-    if mc_count is None:
-        return MomentReport(
-            n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle
-        )
-    if seed is None:
-        raise ValueError("a Monte Carlo estimate needs an explicit seed")
-    batch = rwa_batch(spec, mc_count, seed, shards=shards)
+    if batch is None:
+        return MomentReport(n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle)
+    if batch.spec != spec:
+        raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     mean, se = empirical_moment(batch.values, k)
     return MomentReport(
         n=spec.n,
@@ -318,6 +327,6 @@ def moment_report(
         oracle=oracle,
         empirical=mean,
         std_error=se,
-        mc_count=mc_count,
-        seed=seed,
+        mc_count=batch.count,
+        seed=batch.seed,
     )

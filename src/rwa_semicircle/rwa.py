@@ -25,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["RwaSpec", "SampleBatch", "rwa_batch", "rwa_sample"]
+from .distributions import sample_spacings
+
+__all__ = ["RwaSpec", "SampleBatch", "column_csv", "rwa_batch", "thread_cap"]
 
 _THREADS_ENV = "RWA_THREADS"
 
@@ -44,42 +46,29 @@ class RwaSpec:
             raise ValueError(f"scale must be positive, got a={self.a}")
 
 
-def _sample_block(
-    spec: RwaSpec,
-    count: int,
-    rng: np.random.Generator,
-    x_fill: float | None = None,
-) -> np.ndarray:
-    """Draw `count` averages; weights block first, then the X block.
-
-    x_fill pins every X_i to a constant c (the X-block uniforms are still
-    consumed, and the scale does not apply), turning the average into
-    c * sum R_i for testing: the result equals c up to the rounding of the
-    weight sum.
-    """
-    u_w = rng.random((count, spec.n - 1))
-    u_w.sort(axis=1)
-    padded = np.empty((count, spec.n + 1))
-    padded[:, 0] = 0.0
-    padded[:, 1:-1] = u_w
-    padded[:, -1] = 1.0
-    weights = np.diff(padded, axis=1)
-
-    u_x = rng.random((count, spec.n))
-    if x_fill is None:
-        x = np.cos(math.pi * u_x)
-        return spec.a * (weights * x).sum(axis=1)
-    x = np.full((count, spec.n), float(x_fill))
-    return (weights * x).sum(axis=1)
+def _sample_block(spec: RwaSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` averages; weights block first, then the X block."""
+    weights = sample_spacings(spec.n, rng, size=count)
+    x = np.cos(math.pi * rng.random((count, spec.n)))
+    return spec.a * (weights * x).sum(axis=1)
 
 
 def _shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,)))
 
 
-def rwa_sample(spec: RwaSpec, rng: np.random.Generator) -> float:
-    """One draw of the weighted average (a count-1 block)."""
-    return float(_sample_block(spec, 1, rng)[0])
+def thread_cap() -> int | None:
+    """The worker cap from RWA_THREADS: a positive integer, or None if unset."""
+    text = os.environ.get(_THREADS_ENV)
+    if not text:
+        return None
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {text!r}")
+    return cap
 
 
 def _shard_counts(count: int, shards: int) -> list[int]:
@@ -87,14 +76,7 @@ def _shard_counts(count: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def rwa_batch(
-    spec: RwaSpec,
-    count: int,
-    seed: int,
-    *,
-    shards: int = 1,
-    x_fill: float | None = None,
-) -> "SampleBatch":
+def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "SampleBatch":
     """Draw `count` averages, reproducibly, split over `shards` streams.
 
     The per-shard streams depend only on (seed, shard index), so the output
@@ -111,19 +93,25 @@ def rwa_batch(
     counts = _shard_counts(count, shards)
 
     def draw(i: int) -> np.ndarray:
-        return _sample_block(spec, counts[i], _shard_rng(seed, i), x_fill)
+        return _sample_block(spec, counts[i], _shard_rng(seed, i))
 
     if shards == 1:
         pieces = [draw(0)]
     else:
-        cap = os.environ.get(_THREADS_ENV)
-        max_workers = min(shards, int(cap)) if cap else min(shards, os.cpu_count() or 1)
-        max_workers = max(max_workers, 1)
+        max_workers = min(shards, thread_cap() or os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             pieces = list(pool.map(draw, range(shards)))
 
     values = np.concatenate(pieces)
     return SampleBatch(values=values, spec=spec, seed=seed, count=count, shards=shards)
+
+
+def column_csv(values: np.ndarray) -> bytes:
+    """CSV with a single `value` column; floats rendered by repr so the
+    round-trip is exact, LF line endings."""
+    lines = ["value"]
+    lines.extend(repr(float(v)) for v in values)
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -137,11 +125,7 @@ class SampleBatch:
     shards: int
 
     def csv_bytes(self) -> bytes:
-        """CSV with a single `value` column; floats rendered by repr so the
-        round-trip is exact, LF line endings."""
-        lines = ["value"]
-        lines.extend(repr(float(v)) for v in self.values)
-        return ("\n".join(lines) + "\n").encode("ascii")
+        return column_csv(self.values)
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_bytes(self.csv_bytes())

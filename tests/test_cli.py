@@ -72,6 +72,36 @@ class TestUsageErrors:
             ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "5"]
         )
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({}, ["sample", "arcsine", "--a", "inf", "--count", "5", "--seed", "1"]),
+            ({}, ["sample", "psc", "--lambda", "inf", "--count", "5", "--seed", "1"]),
+            ({}, ["sample", "psc", "--lambda", "nan", "--count", "5", "--seed", "1"]),
+            ({}, ["verify", "--n", "3", "--a", "inf"]),
+            ({}, ["verify", "--n", "3", "--lambda-override", "inf"]),
+            ({}, ["moment", "--n", "3", "--k-max", "1", "--a", "1e999"]),
+            ({}, ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "-1"]),
+            ({}, ["sample", "spacings", "--n", "3", "--count", "5", "--seed", "-1"]),
+            ({}, ["verify", "--n", "3", "--seed", "-1"]),
+            ({}, ["plot-data", "--n", "3", "--count", "100", "--seed", "-1"]),
+            ({}, ["verify", "--n", "3", "--count", "100", "--shards", "200"]),
+            ({}, ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"]),
+            ({}, ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"]),
+            ({"RWA_THREADS": "abc"}, ["sample", "rwa", "--n", "3", "--count", "50", "--seed", "1", "--shards", "2"]),
+            ({"RWA_THREADS": "0"}, ["verify", "--n", "3", "--count", "100", "--shards", "2"]),
+        ],
+    )
+    def test_bad_value_is_one_line_usage_error(self, env, argv, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        _usage_error(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.startswith("rwa") and ": error: " in message
+        assert "Traceback" not in captured.err
+
 
 def test_term_count_warning_threshold(capsys):
     from rwa_semicircle.cli import _warn_term_count
@@ -249,6 +279,11 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), max_moment_k=-1)
 
+    @pytest.mark.parametrize("shards", [0, 101])
+    def test_rejects_shards_outside_one_to_count(self, shards):
+        with pytest.raises(ValueError):
+            VerifyConfig(spec=RwaSpec(n=3, a=1.0), sample_count=100, shards=shards)
+
 
 class TestRunVerification:
     def test_outcome_structure(self):
@@ -328,6 +363,18 @@ class TestVerifyCommand:
         main(argv + ["--json", str(second)])
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    def test_exact_rows_match_the_moment_command(self, capsys, tmp_path):
+        # both commands read a = 0.1 as 1/10, so E S^2 = (1/4)(1/100) = 1/400
+        assert main(["moment", "--n", "3", "--k-max", "1", "--a", "0.1", "--json"]) == 0
+        moment_row = json.loads(capsys.readouterr().out)["rows"][1]
+        report = tmp_path / "v.json"
+        main(["verify", "--n", "3", "--a", "0.1", "--count", "1000", "--seed", "3",
+              "--k-max", "1", "--json", str(report)])
+        capsys.readouterr()
+        verify_row = json.loads(report.read_text())["moment_rows"][1]
+        assert verify_row["closed_form"] == moment_row["closed_form"]
+        assert (verify_row["closed_form"]["num"], verify_row["closed_form"]["den"]) == ("1", "400")
 
     def test_human_output_lists_each_moment(self, capsys):
         main(["verify", "--n", "3", "--count", "2000", "--seed", "5", "--k-max", "2"])

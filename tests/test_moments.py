@@ -11,6 +11,7 @@ from rwa_semicircle.moments import (
     decimal_str,
     dirichlet_moment,
     empirical_moment,
+    exact_scale,
     lemma_lhs,
     lemma_rhs,
     moment_report,
@@ -19,7 +20,7 @@ from rwa_semicircle.moments import (
     rwa_moment_closed,
     rwa_moment_oracle,
 )
-from rwa_semicircle.rwa import RwaSpec
+from rwa_semicircle.rwa import RwaSpec, rwa_batch
 
 H = HalfInteger
 
@@ -259,13 +260,34 @@ class TestMomentReport:
         assert rep.closed_form == Fraction(1, 8) * Fraction(5, 2) ** 4
 
     def test_monte_carlo_report_lands_in_band(self):
-        rep = moment_report(RwaSpec(3, 1.0), 1, mc_count=50_000, seed=42)
+        batch = rwa_batch(RwaSpec(3, 1.0), 50_000, seed=42)
+        rep = moment_report(RwaSpec(3, 1.0), 1, batch)
         assert rep.within_band(4.0)
-        assert rep.mc_count == 50_000
+        assert rep.z <= 4.0
+        assert (rep.mc_count, rep.seed) == (50_000, 42)
 
-    def test_mc_requires_seed(self):
+    def test_batch_must_match_spec(self):
+        batch = rwa_batch(RwaSpec(3, 2.0), 100, seed=1)
         with pytest.raises(ValueError):
-            moment_report(RwaSpec(3, 1.0), 1, mc_count=100)
+            moment_report(RwaSpec(3, 1.0), 1, batch)
+
+    def test_scale_is_read_decimally(self):
+        assert exact_scale(0.1) == Fraction(1, 10)
+        rep = moment_report(RwaSpec(3, 0.1), 1)
+        assert rep.closed_form == rep.oracle == Fraction(1, 400)
+
+    def test_z_is_the_gap_in_standard_errors(self):
+        rep = MomentReport(
+            n=3, a=1.0, k=1, closed_form=Fraction(1, 4), oracle=Fraction(1, 4),
+            empirical=0.26, std_error=0.005,
+        )
+        assert rep.z == pytest.approx(2.0)
+        assert rep.within_band(2.5) and not rep.within_band(1.5)
+        exact = MomentReport(
+            n=3, a=1.0, k=0, closed_form=Fraction(1), oracle=Fraction(1),
+            empirical=1.0, std_error=0.0,
+        )
+        assert exact.z == 0.0
 
     def test_band_check_requires_mc(self):
         rep = moment_report(RwaSpec(3, 1.0), 1)

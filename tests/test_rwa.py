@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rwa_semicircle.rwa import RwaSpec, SampleBatch, rwa_batch, rwa_sample
+from rwa_semicircle.rwa import RwaSpec, SampleBatch, rwa_batch
 
 
 class TestRwaSpec:
@@ -48,12 +48,6 @@ class TestReproducibility:
         b2 = rwa_batch(RwaSpec(3, 1.0), 4000, seed=9, shards=4)
         assert b1.csv_bytes() == b2.csv_bytes()
 
-    def test_single_draw_agrees_with_count_one_batch(self):
-        spec = RwaSpec(5, 1.0)
-        one = rwa_sample(spec, np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(0,))))
-        batch = rwa_batch(spec, 1, seed=3)
-        assert one == batch.values[0]
-
 
 class TestScaleProperty:
     @pytest.mark.parametrize("n", [2, 5])
@@ -69,13 +63,6 @@ class TestSupportAndHooks:
         for a in (1.0, 2.5):
             batch = rwa_batch(RwaSpec(3, a), 20_000, seed=1)
             assert float(np.max(np.abs(batch.values))) < a
-
-    def test_x_fill_makes_weight_sum_visible(self):
-        """Pinning every X to a constant c turns the average into
-        c * (sum of weights); the result must be c up to rounding of the
-        weight sum (the weights themselves are float)."""
-        batch = rwa_batch(RwaSpec(6, 1.0), 500, seed=2, x_fill=2.5)
-        np.testing.assert_allclose(batch.values, 2.5, rtol=1e-14)
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):
