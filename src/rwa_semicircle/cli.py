@@ -16,7 +16,6 @@ I/O problem, 2 bad usage (argparse handles this).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -26,16 +25,15 @@ import numpy as np
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import HalfInteger, composition_count
 from .moments import (
-    _rational_json,
-    decimal_str,
-    exact_scale,
     lemma_lhs,
     lemma_rhs,
     moment_report,
     oracle_term_count,
+    rwa_moment_closed,
     rwa_moment_oracle,
 )
-from .rwa import RwaSpec, column_csv, rwa_batch, thread_cap
+from .render import csv_bytes, decimal_str, json_bytes, rational_json
+from .rwa import RwaSpec, rwa_batch, thread_cap
 from .verify import VerifyConfig, VerifyOutcome, run_verification  # re-exported here
 
 __all__ = ["VerifyConfig", "VerifyOutcome", "build_parser", "main", "run_verification"]
@@ -143,12 +141,17 @@ def _warn_term_count(count: int) -> None:
         )
 
 
-def _emit(text: str, out: str | None) -> None:
-    data = text if text.endswith("\n") else text + "\n"
+def _moment_term_count(n: int, k_max: int) -> int:
+    """Compositions the oracle walks for the rows k = 0..k_max."""
+    return sum(oracle_term_count(n, 2 * k) for k in range(k_max + 1))
+
+
+def _emit(data: bytes, out: str | None) -> None:
+    """Write one rendered artifact to stdout, or to the file `out`."""
     if out is None:
-        sys.stdout.write(data)
+        sys.stdout.write(data.decode("ascii"))
     else:
-        Path(out).write_bytes(data.encode("ascii"))
+        Path(out).write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +159,26 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    total_terms = sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1))
-    _warn_term_count(total_terms)
+    _warn_term_count(_moment_term_count(args.n, args.k_max))
     spec = RwaSpec(n=args.n, a=args.a)
-    scale = exact_scale(args.a)
     rows = []
     for k in range(args.k_max + 1):
-        row = moment_report(spec, k)
         if args.literal_parity:
-            literal = rwa_moment_oracle(args.n, 2 * k, literal_parity=True) * scale ** (2 * k)
-            if literal != row.oracle:
+            literal = rwa_moment_oracle(args.n, 2 * k, literal_parity=True)
+            if literal != rwa_moment_closed(args.n, k):
                 print(f"literal-parity oracle disagrees at k={k}", file=sys.stderr)
                 return 1
-        rows.append(row)
+        rows.append(moment_report(spec, k))
     all_equal = all(row.consistent for row in rows)
 
     if args.json:
         payload = {
             "n": args.n,
             "a": args.a,
-            "rows": [
-                {
-                    "k": row.k,
-                    "order": 2 * row.k,
-                    "closed_form": _rational_json(row.closed_form),
-                    "oracle": _rational_json(row.oracle),
-                    "equal": row.consistent,
-                }
-                for row in rows
-            ],
+            "rows": [row.to_json_dict() for row in rows],
             "all_equal": all_equal,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(json_bytes(payload), None)
     else:
         print(f"moments of the weighted average: n = {args.n}, a = {args.a:g}")
         print(f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal")
@@ -216,15 +207,15 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
             "rows": [
                 {
                     "r": r,
-                    "lhs": {"num": str(lhs.numerator), "den": str(lhs.denominator)},
-                    "rhs": {"num": str(rhs.numerator), "den": str(rhs.denominator)},
+                    "lhs": rational_json(lhs),
+                    "rhs": rational_json(rhs),
                     "equal": eq,
                 }
                 for r, lhs, rhs, eq in rows
             ],
             "all_equal": all_equal,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(json_bytes(payload), None)
     else:
         print(f"identity check for params = [{', '.join(str(p) for p in params)}]")
         print(f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal")
@@ -233,24 +224,17 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
     return 0 if all_equal else 1
 
 
-def _matrix_csv(rows: np.ndarray, header: list[str]) -> str:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_sample_arcsine(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     values = Arcsine(a=args.a).sample(rng, args.count)
-    _emit(column_csv(values).decode("ascii"), args.out)
+    _emit(csv_bytes(["value"], values), args.out)
     return 0
 
 
 def _cmd_sample_psc(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     values = PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)
-    _emit(column_csv(values).decode("ascii"), args.out)
+    _emit(csv_bytes(["value"], values), args.out)
     return 0
 
 
@@ -258,7 +242,7 @@ def _cmd_sample_spacings(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     rows = sample_spacings(args.n, rng, size=args.count, method=args.method)
     header = [f"w{i + 1}" for i in range(args.n)]
-    _emit(_matrix_csv(rows, header), args.out)
+    _emit(csv_bytes(header, *rows.T), args.out)
     return 0
 
 
@@ -266,15 +250,16 @@ def _cmd_sample_rwa(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
     if args.out is None:
-        sys.stdout.write(batch.csv_bytes().decode("ascii"))
+        _emit(batch.csv_bytes(), None)
     else:
         batch.write_csv(args.out)
     if args.envelope is not None:
-        batch.write_envelope(args.envelope)
+        _emit(batch.envelope_bytes(), args.envelope)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _warn_term_count(_moment_term_count(args.n, args.k_max))
     cfg = VerifyConfig(
         spec=RwaSpec(n=args.n, a=args.a),
         sample_count=args.count,
@@ -300,10 +285,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
 
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
-        )
+        _emit(json_bytes(outcome.to_json_dict()), args.json)
     return 0 if outcome.overall_pass else 1
 
 
@@ -314,11 +296,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     density, edges = np.histogram(batch.values, bins=bins, range=(-args.a, args.a), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     law = PowerSemicircle(lam=(args.n - 1) / 2.0, a=args.a)
-    theoretical = law.pdf(centers)
-    lines = ["bin_center,empirical_density,theoretical_density"]
-    for center, emp, tgt in zip(centers, density, theoretical):
-        lines.append(f"{repr(float(center))},{repr(float(emp))},{repr(float(tgt))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    header = ["bin_center", "empirical_density", "theoretical_density"]
+    _emit(csv_bytes(header, centers, density, law.pdf(centers)), args.out)
     return 0
 
 
@@ -350,39 +329,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--json", action="store_true", help="emit the result as JSON")
     p_lemma.set_defaults(func=_cmd_lemma_check)
 
+    # Options shared by every subcommand that draws and writes a CSV.
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--count", type=_positive_int, required=True)
+    draws.add_argument("--seed", type=_nonneg_int, required=True)
+    draws.add_argument("--out", default=None, help="CSV path (default: stdout)")
+
     p_sample = sub.add_parser("sample", help="draw from one of the laws involved")
     sample_sub = p_sample.add_subparsers(dest="source", required=True)
 
-    p_arc = sample_sub.add_parser("arcsine", help="arcsine law on (-a, a)")
+    p_arc = sample_sub.add_parser("arcsine", parents=[draws], help="arcsine law on (-a, a)")
     p_arc.add_argument("--a", type=_positive_float, default=1.0)
-    p_arc.add_argument("--count", type=_positive_int, required=True)
-    p_arc.add_argument("--seed", type=_nonneg_int, required=True)
-    p_arc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_arc.set_defaults(func=_cmd_sample_arcsine)
 
-    p_psc = sample_sub.add_parser("psc", help="power semicircle law on (-a, a)")
+    p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
     p_psc.add_argument("--lambda", dest="lam", type=_nonneg_float, required=True, help="exponent (>= 0)")
     p_psc.add_argument("--a", type=_positive_float, default=1.0)
-    p_psc.add_argument("--count", type=_positive_int, required=True)
-    p_psc.add_argument("--seed", type=_nonneg_int, required=True)
-    p_psc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_psc.set_defaults(func=_cmd_sample_psc)
 
-    p_spc = sample_sub.add_parser("spacings", help="uniform spacing weights (flat Dirichlet rows)")
+    p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_size, required=True, help="number of spacings per row (>= 2)")
-    p_spc.add_argument("--count", type=_positive_int, required=True)
-    p_spc.add_argument("--seed", type=_nonneg_int, required=True)
     p_spc.add_argument("--method", choices=["sorted-uniforms", "exponential"], default="sorted-uniforms")
-    p_spc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_spc.set_defaults(func=_cmd_sample_spacings)
 
-    p_rwa = sample_sub.add_parser("rwa", help="the randomly weighted average itself")
+    p_rwa = sample_sub.add_parser("rwa", parents=[draws], help="the randomly weighted average itself")
     p_rwa.add_argument("--n", type=_size, required=True)
     p_rwa.add_argument("--a", type=_positive_float, default=1.0)
-    p_rwa.add_argument("--count", type=_positive_int, required=True)
-    p_rwa.add_argument("--seed", type=_nonneg_int, required=True)
     p_rwa.add_argument("--shards", type=_positive_int, default=1)
-    p_rwa.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")
     p_rwa.set_defaults(func=_cmd_sample_rwa)
 
@@ -398,14 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda-override", type=_nonneg_float, default=None, help="(testing only) force this exponent as the KS null instead of (n-1)/2")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_plot = sub.add_parser("plot-data", help="histogram vs target density, as CSV")
+    p_plot = sub.add_parser("plot-data", parents=[draws], help="histogram vs target density, as CSV")
     p_plot.add_argument("--n", type=_size, required=True)
     p_plot.add_argument("--a", type=_positive_float, default=1.0)
-    p_plot.add_argument("--count", type=_positive_int, required=True)
-    p_plot.add_argument("--seed", type=_nonneg_int, required=True)
     p_plot.add_argument("--shards", type=_positive_int, default=1)
     p_plot.add_argument("--bins", type=_bin_count, default=None, help="histogram bins, >= 10 (default: Rice rule)")
-    p_plot.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_plot.set_defaults(func=_cmd_plot_data)
 
     return parser

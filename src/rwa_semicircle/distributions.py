@@ -39,8 +39,8 @@ class Arcsine:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.a > 0):
-            raise ValueError(f"scale must be positive, got a={self.a}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"scale must be positive and finite, got a={self.a}")
 
     def pdf(self, x):
         xs = _as_float_array(x)
@@ -97,10 +97,10 @@ class PowerSemicircle:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.lam >= 0):
-            raise ValueError(f"exponent must be >= 0, got lam={self.lam}")
-        if not (self.a > 0):
-            raise ValueError(f"scale must be positive, got a={self.a}")
+        if not (0 <= self.lam < math.inf):
+            raise ValueError(f"exponent must be finite and >= 0, got lam={self.lam}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"scale must be positive and finite, got a={self.a}")
 
     @property
     def _log_norm(self) -> float:

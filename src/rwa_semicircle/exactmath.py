@@ -90,16 +90,15 @@ def rising_gamma_ratio(q: HalfInteger | Fraction | int, m: int) -> Fraction:
     if m < 0:
         raise ValueError(f"rising factorial needs m >= 0, got {m}")
     if isinstance(q, HalfInteger):
-        t = q.twice_value
-        prod = 1
-        for j in range(m):
-            prod *= t + 2 * j
-        return Fraction(prod, 2**m)
-    base = Fraction(q)
-    out = Fraction(1)
+        p, d = q.twice_value, 2
+    else:
+        base = Fraction(q)
+        p, d = base.numerator, base.denominator
+    # q + j = (p + j d) / d, so the whole product has one integer numerator.
+    prod = 1
     for j in range(m):
-        out *= base + j
-    return out
+        prod *= p + j * d
+    return Fraction(prod, d**m)
 
 
 def multinomial(r: int, parts: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .exactmath import (
     multinomial,
     rising_gamma_ratio,
 )
+from .render import decimal_str, rational_json
 from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
@@ -232,21 +232,6 @@ def empirical_moment(values: np.ndarray, k: int) -> tuple[float, float]:
     return mean, se
 
 
-def decimal_str(q: Fraction, digits: int = 30) -> str:
-    """Decimal rendering of an exact rational to `digits` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-
-
-def _rational_json(q: Fraction) -> dict:
-    return {
-        "num": str(q.numerator),
-        "den": str(q.denominator),
-        "decimal": decimal_str(q),
-    }
-
-
 def exact_scale(a: float) -> Fraction:
     """The scale as an exact rational, read decimally: 2.5 -> 5/2, 0.1 -> 1/10.
 
@@ -295,8 +280,8 @@ class MomentReport:
             "a": self.a,
             "k": self.k,
             "order": 2 * self.k,
-            "closed_form": _rational_json(self.closed_form),
-            "oracle": _rational_json(self.oracle),
+            "closed_form": rational_json(self.closed_form),
+            "oracle": rational_json(self.oracle),
             "consistent": self.consistent,
         }
         if self.empirical is not None:

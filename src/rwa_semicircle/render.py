@@ -1,0 +1,49 @@
+"""Byte formats of every artifact: CSV tables, JSON documents, exact rationals.
+
+Each format is decided here and nowhere else, so a digest pinned on one
+artifact pins the rendering of every artifact of the same kind.
+"""
+
+from __future__ import annotations
+
+import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+__all__ = ["csv_bytes", "decimal_str", "json_bytes", "rational_json"]
+
+
+def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
+    """CSV of equal-length float64 columns under one header line.
+
+    Each value is rendered by repr, so it parses back bit-identical; LF line
+    endings, one trailing newline.
+    """
+    cells = [map(repr, np.asarray(col, dtype=np.float64).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def json_bytes(payload) -> bytes:
+    """A JSON document with sorted keys, two-space indent and a final newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def rational_json(q: Fraction) -> dict:
+    """An exact rational as JSON: numerator and denominator as strings (no
+    precision limit) plus a 30-digit decimal reading."""
+    return {
+        "num": str(q.numerator),
+        "den": str(q.denominator),
+        "decimal": decimal_str(q),
+    }
+
+
+def decimal_str(q: Fraction, digits: int = 30) -> str:
+    """Decimal rendering of an exact rational to `digits` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(q.numerator) / Decimal(q.denominator))

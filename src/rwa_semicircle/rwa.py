@@ -16,7 +16,6 @@ same seed and shard count.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import render
 from .distributions import sample_spacings
 
-__all__ = ["RwaSpec", "SampleBatch", "column_csv", "rwa_batch", "thread_cap"]
+__all__ = ["RwaSpec", "SampleBatch", "rwa_batch", "thread_cap"]
 
 _THREADS_ENV = "RWA_THREADS"
 
@@ -42,8 +42,8 @@ class RwaSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"need an integer n >= 2, got {self.n!r}")
-        if not (self.a > 0):
-            raise ValueError(f"scale must be positive, got a={self.a}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"scale must be positive and finite, got a={self.a}")
 
 
 def _sample_block(spec: RwaSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,14 +106,6 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     return SampleBatch(values=values, spec=spec, seed=seed, count=count, shards=shards)
 
 
-def column_csv(values: np.ndarray) -> bytes:
-    """CSV with a single `value` column; floats rendered by repr so the
-    round-trip is exact, LF line endings."""
-    lines = ["value"]
-    lines.extend(repr(float(v)) for v in values)
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """A reproducible batch of draws plus everything needed to re-derive it."""
@@ -125,7 +117,7 @@ class SampleBatch:
     shards: int
 
     def csv_bytes(self) -> bytes:
-        return column_csv(self.values)
+        return render.csv_bytes(["value"], self.values)
 
     def write_csv(self, path: str | Path) -> None:
         Path(path).write_bytes(self.csv_bytes())
@@ -143,7 +135,7 @@ class SampleBatch:
         }
 
     def envelope_bytes(self) -> bytes:
-        return (json.dumps(self.envelope(), indent=2, sort_keys=True) + "\n").encode("ascii")
+        return render.json_bytes(self.envelope())
 
     def write_envelope(self, path: str | Path) -> None:
         Path(path).write_bytes(self.envelope_bytes())

@@ -112,6 +112,26 @@ def test_term_count_warning_threshold(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
+    from rwa_semicircle import cli
+
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 0)
+    main(["verify", "--n", "3", "--count", "200", "--seed", "1", "--k-max", "1"])
+    assert "warning: this enumeration visits 4 compositions" in capsys.readouterr().err
+
+
+def test_json_rows_and_rationals_share_one_form(capsys):
+    from rwa_semicircle.moments import moment_report
+
+    assert main(["moment", "--n", "3", "--k-max", "2", "--a", "0.5", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [moment_report(RwaSpec(n=3, a=0.5), k).to_json_dict() for k in range(3)]
+    assert main(["lemma-check", "--params", "1/2,5/2", "--r-max", "2", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][2]
+    assert row["lhs"] == {"num": "12", "den": "1", "decimal": "12"}
+    assert row["rhs"] == row["lhs"]
+
+
 # ---------------------------------------------------------------------------
 # moment
 
@@ -145,7 +165,7 @@ class TestMomentCommand:
         assert payload["rows"][1]["closed_form"]["num"] == "1"
         assert payload["rows"][1]["closed_form"]["den"] == "4"
         assert payload["rows"][2]["oracle"]["den"] == "8"
-        assert payload["rows"][2]["equal"] is True
+        assert payload["rows"][2]["consistent"] is True
         assert payload["rows"][1]["closed_form"]["decimal"].startswith("0.25")
 
     def test_scale_enters_exactly(self, capsys):

@@ -72,6 +72,8 @@ class TestArcsine:
             Arcsine(a=0.0)
         with pytest.raises(ValueError):
             Arcsine(a=-1.0)
+        with pytest.raises(ValueError):
+            Arcsine(a=math.inf)
 
 
 class TestPowerSemicircle:
@@ -137,6 +139,8 @@ class TestPowerSemicircle:
             PowerSemicircle(lam=-0.5, a=1.0)
         with pytest.raises(ValueError):
             PowerSemicircle(lam=1.0, a=0.0)
+        with pytest.raises(ValueError):
+            PowerSemicircle(lam=math.inf, a=1.0)
 
     @pytest.mark.parametrize("lam,a", [(0.0, 1.0), (0.5, 1.0), (1.0, 2.5), (2.0, 1.0)])
     def test_sampling_distribution(self, lam, a):

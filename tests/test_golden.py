@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from rwa_semicircle.cli import VerifyConfig, run_verification
+from rwa_semicircle.cli import VerifyConfig, main, run_verification
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 
 
@@ -50,3 +50,33 @@ def test_verify_json_digest(a, expected):
     cfg = VerifyConfig(spec=RwaSpec(n=4, a=a), sample_count=5_000, seed=1234, max_moment_k=3)
     text = json.dumps(run_verification(cfg).to_json_dict(), indent=2, sort_keys=True) + "\n"
     _check(hashlib.sha256(text.encode("ascii")).hexdigest(), expected, f"verify JSON n=4 a={a}")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sample", "arcsine", "--a", "2", "--count", "3000", "--seed", "9"],
+         "2bbd9cc1263b191db87eef11cdac6a28a9044a60007e8cd60c7316c0347baef9"),
+        (["sample", "psc", "--lambda", "1.5", "--count", "3000", "--seed", "4"],
+         "b9a6a33f11c69f6a01cc65b525529415fb191d49875b2ddd36af1ee14fa30000"),
+        (["sample", "spacings", "--n", "4", "--count", "2000", "--seed", "5"],
+         "f0041bd97b94675e31aea329a5015220c6c9fd1a50ae5f769d08e5974ae812ed"),
+        (["sample", "spacings", "--n", "4", "--count", "2000", "--seed", "5", "--method", "exponential"],
+         "06b8e4a66fb66afaa1a34360caff6d476e2d2b58f812b8f6b24355e814492950"),
+        (["plot-data", "--n", "4", "--a", "2.5", "--count", "3000", "--seed", "13"],
+         "3881bf343c119b4c45e154a0bcd58d9a928f1b7fcb503c95b6ab3aa52ca8f0bc"),
+    ],
+)
+def test_cli_artifact_digest(argv, expected, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _check(hashlib.sha256(out.read_bytes()).hexdigest(), expected, " ".join(argv))
+
+
+def test_cli_envelope_digest(tmp_path):
+    envelope = tmp_path / "draws.json"
+    argv = ["sample", "rwa", "--n", "3", "--count", "4000", "--seed", "2", "--shards", "2",
+            "--out", str(tmp_path / "draws.csv"), "--envelope", str(envelope)]
+    assert main(argv) == 0
+    _check(hashlib.sha256(envelope.read_bytes()).hexdigest(),
+           "6ed86b48e4353ad9255883ef356d15fac4709193f5777f42ac8ad6f0dc44de1d", "sample rwa envelope")

@@ -1,5 +1,6 @@
 import json
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ class TestRwaSpec:
             RwaSpec(n=2, a=0.0)
         with pytest.raises(ValueError):
             RwaSpec(n=2.0, a=1.0)  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            RwaSpec(n=3, a=math.inf)
 
     def test_frozen(self):
         spec = RwaSpec(n=3)
