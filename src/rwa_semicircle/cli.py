@@ -141,9 +141,15 @@ def _warn_term_count(count: int) -> None:
         )
 
 
-def _moment_term_count(n: int, k_max: int) -> int:
-    """Compositions the oracle walks for the rows k = 0..k_max."""
-    return sum(oracle_term_count(n, 2 * k) for k in range(k_max + 1))
+def _moment_term_count(n: int, k_max: int, *, literal_parity: bool = False) -> int:
+    """Compositions the oracle walks for the rows k = 0..k_max, plus the
+    literal-parity walk of every order 2k when that route is checked too."""
+    routes = (False, True) if literal_parity else (False,)
+    return sum(
+        oracle_term_count(n, 2 * k, literal_parity=route)
+        for k in range(k_max + 1)
+        for route in routes
+    )
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -159,7 +165,7 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    _warn_term_count(_moment_term_count(args.n, args.k_max))
+    _warn_term_count(_moment_term_count(args.n, args.k_max, literal_parity=args.literal_parity))
     spec = RwaSpec(n=args.n, a=args.a)
     rows = []
     for k in range(args.k_max + 1):

@@ -105,16 +105,13 @@ def multinomial(r: int, parts: Sequence[int]) -> int:
     """Multinomial coefficient r! / (i_1! ... i_n!) for parts summing to r."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    total = 0
-    out = 1
-    for p in parts:
-        if p < 0:
-            raise ValueError(f"composition parts must be >= 0, got {p}")
-        total += p
-        out *= math.comb(total, p)
+    lowest = min(parts, default=0)
+    if lowest < 0:
+        raise ValueError(f"composition parts must be >= 0, got {lowest}")
+    total = sum(parts)
     if total != r:
         raise ValueError(f"parts sum to {total}, expected {r}")
-    return out
+    return math.factorial(r) // math.prod(map(math.factorial, parts))
 
 
 def composition_count(r: int, n: int) -> int:
@@ -130,20 +127,26 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
     """Yield all compositions of r into exactly n non-negative parts.
 
     Order is lexicographically decreasing, e.g. for r=2, n=2:
-    (2, 0), (1, 1), (0, 2).  The stream is generated recursively so the
-    full set is never materialised.
+    (2, 0), (1, 1), (0, 2).  The stream is generated lazily by a successor
+    step on one list of parts, so the full set is never materialised.
     """
     if n < 1:
         raise ValueError(f"need at least one part, got n={n}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    if n == 1:
-        yield (r,)
-        return
-    if n == 2:
-        for first in range(r, -1, -1):
-            yield (first, r - first)
-        return
-    for first in range(r, -1, -1):
-        for rest in compositions(r - first, n - 1):
-            yield (first, *rest)
+    parts = [0] * n
+    parts[0] = r
+    last = n - 1
+    while True:
+        yield tuple(parts)
+        # Successor: one unit of the rightmost non-zero part before the last,
+        # plus the whole last part, moves to the place right after it.
+        j = last - 1
+        while j >= 0 and not parts[j]:
+            j -= 1
+        if j < 0:
+            return
+        tail = parts[last]
+        parts[last] = 0
+        parts[j] -= 1
+        parts[j + 1] = tail + 1

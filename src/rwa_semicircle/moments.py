@@ -9,17 +9,20 @@ kept deliberately separate so they can police each other:
 * :func:`rwa_moment_oracle` -- brute composition sum: expand the power of
   the average multinomially, take expectations factor by factor (flat
   Dirichlet joint moments in factorial form, arcsine moments in central
-  binomial form), and add everything up.
+  binomial form), and add everything up as integer numerators over one
+  common denominator.
 
 Both are exact rationals, so "agree" means ``==``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,16 +85,21 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
 
     sum over compositions (i_1, ..., i_n) of r of
     multinomial(r; i) * prod_j Gamma(a_j + i_j)/Gamma(a_j).
+
+    Each rising factorial is kept as the integer 2^i Gamma(a + i)/Gamma(a)
+    = 2a (2a + 2) ... (2a + 2i - 2); the exponents of every term add up to
+    r, so the whole sum is an integer over 2^r.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    total = Fraction(0)
+    tables = []
+    for a in params:
+        factors = range(a.twice_value, a.twice_value + 2 * r, 2)
+        tables.append(list(itertools.accumulate(factors, operator.mul, initial=1)))
+    total = 0
     for comp in compositions(r, len(params)):
-        term = Fraction(multinomial(r, comp))
-        for a_j, i_j in zip(params, comp):
-            term *= rising_gamma_ratio(a_j, i_j)
-        total += term
-    return total
+        total += multinomial(r, comp) * math.prod(map(list.__getitem__, tables, comp))
+    return Fraction(total, 2**r)
 
 
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
@@ -126,71 +134,49 @@ def rwa_moment_closed(n: int, k: int) -> Fraction:
     return reduced
 
 
-def _arcsine_moment_binomial(order: int) -> Fraction:
-    """Unit arcsine moment in central binomial form: C(2m, m) / 4^m.
-
-    Lives here (not in distributions) so the oracle shares no moment code
-    with the closed form.
-    """
-    if order % 2 == 1:
-        return Fraction(0)
-    m = order // 2
-    return Fraction(math.comb(2 * m, m), 4**m)
-
-
-def _flat_dirichlet_moment(n: int, exponents: Composition) -> Fraction:
-    """E(prod R_j^(i_j)) for flat Dirichlet weights, in factorial form:
-    (n-1)! * prod i_j! / (r + n - 1)!."""
-    r = sum(exponents)
-    num = math.factorial(n - 1)
-    for i_j in exponents:
-        num *= math.factorial(i_j)
-    return Fraction(num, math.factorial(r + n - 1))
-
-
 def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fraction:
     """E S^r by direct expansion over compositions.
+
+    Each composition i of r contributes multinomial(r; i) times the flat
+    Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
+    prod C(i_j, i_j/2) / 2^(i_j).  All terms share the denominator
+    (r+n-1)! 2^r, so the walk adds integer numerators and divides once.
 
     Default mode: odd r returns 0 outright (every term carries an odd
     arcsine moment), and even r = 2k enumerates only the surviving
     compositions, i.e. the doubled compositions of k.
 
-    literal_parity=True instead walks every composition of r and applies
-    the parity factor prod_j (1 + (-1)^(i_j)) / 2 term by term -- much
-    slower, but it verifies rather than assumes the odd cancellation.
+    literal_parity=True instead walks every composition of r and drops a
+    term as soon as one of its parts is odd -- much slower, but it verifies
+    rather than assumes the odd cancellation.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 variables, got {n}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-
     if literal_parity:
-        total = Fraction(0)
-        for comp in compositions(r, n):
-            parity = Fraction(1)
-            for i_j in comp:
-                parity *= Fraction(1 + (-1) ** i_j, 2)
-                if parity == 0:
-                    break
-            if parity == 0:
-                continue
-            term = parity * multinomial(r, comp) * _flat_dirichlet_moment(n, comp)
-            for i_j in comp:
-                term *= _arcsine_moment_binomial(i_j)
-            total += term
-        return total
+        walk = _all_parts_even(compositions(r, n))
+    elif r % 2 == 0:
+        walk = (tuple(2 * m for m in half) for half in compositions(r // 2, n))
+    else:
+        walk = ()
+    # i! C(i, i/2) per part: the Dirichlet numerator's factorial times the
+    # arcsine numerator's central binomial (odd entries are never read).
+    weights = [math.factorial(i) * math.comb(i, i // 2) for i in range(r + 1)]
+    total = sum(multinomial(r, comp) * math.prod(map(weights.__getitem__, comp)) for comp in walk)
+    # (n-1)! is common to every numerator, so it is applied once.
+    return Fraction(math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
 
-    if r % 2 == 1:
-        return Fraction(0)
-    k = r // 2
-    total = Fraction(0)
-    for half in compositions(k, n):
-        comp = tuple(2 * m for m in half)
-        term = Fraction(multinomial(r, comp)) * _flat_dirichlet_moment(n, comp)
-        for i_j in comp:
-            term *= _arcsine_moment_binomial(i_j)
-        total += term
-    return total
+
+def _all_parts_even(walk: Iterator[Composition]) -> Iterator[Composition]:
+    """The compositions of `walk` whose parts are all even, each tested part
+    by part and dropped at its first odd part."""
+    for comp in walk:
+        for part in comp:
+            if part & 1:
+                break
+        else:
+            yield comp
 
 
 def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:

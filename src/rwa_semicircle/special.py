@@ -50,13 +50,16 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         h *= delta
         if np.all(np.abs(delta - 1.0) < _EPS):
             break
+    else:
+        raise ArithmeticError(f"betainc: no convergence in {_MAXIT} iterations at a={a}, b={b}")
     return h
 
 
 def betainc(a: float, b: float, x) -> np.ndarray | float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
 
-    Scalar x in, scalar out; array x in, array out.
+    Scalar x in, scalar out; array x in, array out.  Raises ArithmeticError
+    rather than return a value whose continued fraction has not converged.
     """
     if a <= 0 or b <= 0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")

@@ -120,6 +120,18 @@ def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
     assert "warning: this enumeration visits 4 compositions" in capsys.readouterr().err
 
 
+def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
+    from rwa_semicircle import cli
+
+    # n = 3, k = 0..2: the even rows walk 1 + 3 + 6 = 10 compositions, the
+    # literal walks of orders 0, 2, 4 another 1 + 6 + 15 = 22.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 20)
+    assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
+    assert "warning: this enumeration visits 32 compositions" in capsys.readouterr().err
+
+
 def test_json_rows_and_rationals_share_one_form(capsys):
     from rwa_semicircle.moments import moment_report
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -146,6 +147,19 @@ class TestCompositions:
         # every tuple really is a composition, and none repeat
         assert all(len(c) == n and sum(c) == r and min(c) >= 0 for c in seen)
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("r", range(0, 8))
+    def test_matches_filtered_product_reference(self, r, n):
+        reference = sorted(
+            (c for c in itertools.product(range(r + 1), repeat=n) if sum(c) == r),
+            reverse=True,
+        )
+        assert list(compositions(r, n)) == reference
+
+    def test_stream_is_lazy(self):
+        # C(10^6 + 49, 49) compositions: only a lazy stream returns at once
+        assert next(compositions(10**6, 50)) == (10**6,) + (0,) * 49
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rwa_semicircle.exactmath import HalfInteger
+from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial
 from rwa_semicircle.moments import (
     MomentReport,
     decimal_str,
@@ -72,8 +72,6 @@ class TestDirichletMoment:
     def test_matches_factorial_form_for_flat_weights(self):
         """For Dirichlet(1,...,1) the moment collapses to
         (n-1)! prod i_j! / (r+n-1)! — the form the oracle uses."""
-        from rwa_semicircle.exactmath import compositions
-
         n = 4
         for comp in compositions(3, n):
             r = sum(comp)
@@ -123,6 +121,30 @@ class TestClosedForm:
             rwa_moment_closed(3, -1)
 
 
+def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
+    """E S^(2k) for n = 2..n_max and k = 0..k_max by a third exact route.
+
+    multinomial(r; i) times the flat Dirichlet moment of i is the constant
+    r!(n-1)!/(r+n-1)! for every composition i of r, so with r = 2k
+    E S^r = r!(n-1)!/(r+n-1)! 4^-k [u^k] (sum_j C(2j, j) u^j)^n.
+    The power is built by one truncated convolution per extra factor.
+    """
+    series = [math.comb(2 * j, j) for j in range(k_max + 1)]
+    power = [1] + [0] * k_max
+    out = {}
+    for n in range(1, n_max + 1):
+        power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(k_max + 1)]
+        if n >= 2:
+            out[n] = [
+                Fraction(
+                    math.factorial(2 * k) * math.factorial(n - 1) * power[k],
+                    math.factorial(2 * k + n - 1) * 4**k,
+                )
+                for k in range(k_max + 1)
+            ]
+    return out
+
+
 class TestOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -146,6 +168,26 @@ class TestOracle:
         assert oracle_term_count(3, 4) == 6  # compositions of 2 into 3 parts
         assert oracle_term_count(3, 5) == 0  # odd: fast path skips entirely
         assert oracle_term_count(3, 5, literal_parity=True) == math.comb(7, 2)
+
+    def test_multinomial_times_flat_dirichlet_is_constant(self):
+        """The fact behind the convolution route: every composition of r
+        carries the same weight r!(n-1)!/(r+n-1)!."""
+        for n in range(2, 6):
+            for r in range(0, 7):
+                weights = {
+                    multinomial(r, c) * dirichlet_moment((H(2),) * n, c)
+                    for c in compositions(r, n)
+                }
+                expected = Fraction(
+                    math.factorial(r) * math.factorial(n - 1), math.factorial(r + n - 1)
+                )
+                assert weights == {expected}
+
+    def test_convolution_route_matches_closed_form(self):
+        moments = _convolution_moments(64, 40)
+        for n in range(2, 41):
+            assert moments[n] == [rwa_moment_closed(n, k) for k in range(41)]
+        assert moments[64][:4] == [rwa_moment_closed(64, k) for k in range(4)]
 
     def test_n_two_reduces_to_uniform_moments(self):
         # at n=2 the average is uniform on (-1,1), whose even moments are

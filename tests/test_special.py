@@ -65,3 +65,10 @@ class TestBetaincStructure:
     def test_uniform_case_is_identity(self):
         x = np.linspace(0, 1, 101)
         np.testing.assert_allclose(betainc(1.0, 1.0, x), x, atol=1e-15)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        from rwa_semicircle import special
+
+        monkeypatch.setattr(special, "_MAXIT", 1)
+        with pytest.raises(ArithmeticError):
+            betainc(4.0, 4.0, np.array([0.2, 0.3]))
