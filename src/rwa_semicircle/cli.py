@@ -9,8 +9,9 @@ Subcommands:
 * ``verify``      -- KS + moment-band verification of one (n, a) instance.
 * ``plot-data``   -- histogram-vs-target-density table for external plotting.
 
-Exit codes: 0 all checks passed / output written, 1 a check failed or an
-I/O problem, 2 bad usage (argparse handles this).
+Exit codes: 0 all checks passed / output written, 1 a check failed, an
+I/O problem or a numeric failure (an input too large or too small for
+floating point), 2 bad usage (argparse handles this).
 """
 
 from __future__ import annotations
@@ -52,41 +53,6 @@ def _int_any(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    v = _int_any(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return v
-
-
-def _nonneg_int(text: str) -> int:
-    v = _int_any(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return v
-
-
-def _size(text: str) -> int:
-    v = _int_any(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"the average needs n >= 2, got {text!r}")
-    return v
-
-
-def _sample_count(text: str) -> int:
-    v = _int_any(text)
-    if v < 100:
-        raise argparse.ArgumentTypeError(f"verification needs at least 100 draws, got {text!r}")
-    return v
-
-
-def _bin_count(text: str) -> int:
-    v = _int_any(text)
-    if v < 10:
-        raise argparse.ArgumentTypeError(f"need at least 10 bins, got {text!r}")
-    return v
-
-
 def _float_any(text: str) -> float:
     try:
         v = float(text)
@@ -97,25 +63,24 @@ def _float_any(text: str) -> float:
     return v
 
 
-def _positive_float(text: str) -> float:
-    v = _float_any(text)
-    if not (v > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return v
+def _bounded(parse, ok, expected: str):
+    """A converter: `parse` the text, then reject a value failing `ok` with
+    "<expected>, got '<text>'"."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _nonneg_float(text: str) -> float:
-    v = _float_any(text)
-    if not (v >= 0):
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
-    return v
-
-
-def _probability(text: str) -> float:
-    v = _float_any(text)
-    if not (0.0 < v < 1.0):
-        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {text!r}")
-    return v
+_positive_int = _bounded(_int_any, lambda v: v >= 1, "expected a positive integer")
+_nonneg_int = _bounded(_int_any, lambda v: v >= 0, "expected an integer >= 0")
+_size = _bounded(_int_any, lambda v: v >= 2, "the average needs n >= 2")
+_positive_float = _bounded(_float_any, lambda v: v > 0, "expected a positive number")
+_nonneg_float = _bounded(_float_any, lambda v: v >= 0, "expected a number >= 0")
 
 
 def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
@@ -230,16 +195,9 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
     return 0 if all_equal else 1
 
 
-def _cmd_sample_arcsine(args: argparse.Namespace) -> int:
+def _cmd_sample_law(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    values = Arcsine(a=args.a).sample(rng, args.count)
-    _emit(csv_bytes(["value"], values), args.out)
-    return 0
-
-
-def _cmd_sample_psc(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    values = PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)
+    values = args.law(args).sample(rng, args.count)
     _emit(csv_bytes(["value"], values), args.out)
     return 0
 
@@ -346,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_arc = sample_sub.add_parser("arcsine", parents=[draws], help="arcsine law on (-a, a)")
     p_arc.add_argument("--a", type=_positive_float, default=1.0)
-    p_arc.set_defaults(func=_cmd_sample_arcsine)
+    p_arc.set_defaults(func=_cmd_sample_law, law=lambda args: Arcsine(a=args.a))
 
     p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
     p_psc.add_argument("--lambda", dest="lam", type=_nonneg_float, required=True, help="exponent (>= 0)")
     p_psc.add_argument("--a", type=_positive_float, default=1.0)
-    p_psc.set_defaults(func=_cmd_sample_psc)
+    p_psc.set_defaults(func=_cmd_sample_law, law=lambda args: PowerSemicircle(lam=args.lam, a=args.a))
 
     p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_size, required=True, help="number of spacings per row (>= 2)")
@@ -368,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="KS + moment-band verification of one (n, a) instance")
     p_verify.add_argument("--n", type=_size, required=True)
     p_verify.add_argument("--a", type=_positive_float, default=1.0)
-    p_verify.add_argument("--count", type=_sample_count, default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
+    p_verify.add_argument("--count", type=_bounded(_int_any, lambda v: v >= 100, "verification needs at least 100 draws"), default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
     p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
-    p_verify.add_argument("--alpha", type=_probability, default=0.01, help="KS significance level (default 0.01)")
+    p_verify.add_argument("--alpha", type=_bounded(_float_any, lambda v: 0 < v < 1, "expected a value in (0, 1)"), default=0.01, help="KS significance level (default 0.01)")
     p_verify.add_argument("--shards", type=_positive_int, default=1)
     p_verify.add_argument("--json", default=None, help="also write the full outcome as JSON to this path")
     p_verify.add_argument("--lambda-override", type=_nonneg_float, default=None, help="(testing only) force this exponent as the KS null instead of (n-1)/2")
@@ -381,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--n", type=_size, required=True)
     p_plot.add_argument("--a", type=_positive_float, default=1.0)
     p_plot.add_argument("--shards", type=_positive_int, default=1)
-    p_plot.add_argument("--bins", type=_bin_count, default=None, help="histogram bins, >= 10 (default: Rice rule)")
+    p_plot.add_argument("--bins", type=_bounded(_int_any, lambda v: v >= 10, "need at least 10 bins"), default=None, help="histogram bins, >= 10 (default: Rice rule)")
     p_plot.set_defaults(func=_cmd_plot_data)
 
     return parser
@@ -398,6 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -130,8 +130,7 @@ class PowerSemicircle:
         out[inner] = norm * (self.a * self.a - xs[inner] ** 2) ** (self.lam - 0.5)
         if self.lam == 0.5:
             out[at_edge] = norm
-        result = out
-        return float(result) if np.isscalar(x) else result
+        return float(out) if np.isscalar(x) else out
 
     def cdf(self, x):
         """CDF via the regularized incomplete beta: the law is the affine

@@ -3,9 +3,9 @@
 Two independent routes to the moments of the randomly weighted average are
 kept deliberately separate so they can police each other:
 
-* :func:`rwa_moment_closed` -- the closed form, a single ratio of rising
-  factorials (itself computed twice internally, once via an intermediate
-  factorial expression, once fully reduced).
+* :func:`rwa_moment_closed` -- the closed form, a factorial expression
+  derived from the average itself, checked internally against the power
+  semicircle moment :func:`psc_moment` at exponent (n-1)/2.
 * :func:`rwa_moment_oracle` -- brute composition sum: expand the power of
   the average multinomially, take expectations factor by factor (flat
   Dirichlet joint moments in factorial form, arcsine moments in central
@@ -112,8 +112,9 @@ def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
-    Computed two ways -- an intermediate factorial expression and the fully
-    reduced ratio of rising factorials -- and cross-checked before return.
+    The factorial expression derived from the average is checked against
+    the power semicircle moment at exponent (n-1)/2 -- the theorem itself --
+    before that moment is returned.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 variables, got {n}")
@@ -123,15 +124,13 @@ def rwa_moment_closed(n: int, k: int) -> Fraction:
         math.factorial(2 * k) * math.factorial(n - 1),
         math.factorial(2 * k + n - 1) * math.factorial(k),
     ) * rising_gamma_ratio(Fraction(n, 2), k)
-    reduced = rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(
-        Fraction(n + 1, 2), k
-    )
-    if intermediate != reduced:
+    law = psc_moment(Fraction(n - 1, 2), k)
+    if intermediate != law:
         raise ArithmeticError(
             f"internal moment forms disagree at n={n}, k={k}: "
-            f"{intermediate} vs {reduced}"
+            f"{intermediate} vs {law}"
         )
-    return reduced
+    return law
 
 
 def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fraction:

@@ -7,6 +7,7 @@ exact rows of :func:`~rwa_semicircle.moments.moment_report`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import PowerSemicircle
@@ -39,6 +40,10 @@ class VerifyConfig:
         if not (1 <= self.shards <= self.sample_count):
             raise ValueError(
                 f"shards must be in 1..sample_count={self.sample_count}, got {self.shards}"
+            )
+        if self.lambda_override is not None and not (0 <= self.lambda_override < math.inf):
+            raise ValueError(
+                f"lambda_override must be finite and >= 0, got {self.lambda_override}"
             )
 
     def to_json_dict(self) -> dict:

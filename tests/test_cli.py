@@ -102,6 +102,57 @@ class TestUsageErrors:
         assert message.startswith("rwa") and ": error: " in message
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["moment", "--n", "x", "--k-max", "1"],
+             "rwa moment: error: argument --n: expected an integer, got 'x'"),
+            (["sample", "arcsine", "--count", "0", "--seed", "1"],
+             "rwa sample arcsine: error: argument --count: expected a positive integer, got '0'"),
+            (["moment", "--n", "3", "--k-max", "-1"],
+             "rwa moment: error: argument --k-max: expected an integer >= 0, got '-1'"),
+            (["sample", "spacings", "--n", "1", "--count", "5", "--seed", "1"],
+             "rwa sample spacings: error: argument --n: the average needs n >= 2, got '1'"),
+            (["verify", "--n", "3", "--count", "50"],
+             "rwa verify: error: argument --count: verification needs at least 100 draws, got '50'"),
+            (["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "5"],
+             "rwa plot-data: error: argument --bins: need at least 10 bins, got '5'"),
+            (["verify", "--n", "3", "--alpha", "x"],
+             "rwa verify: error: argument --alpha: expected a number, got 'x'"),
+            (["moment", "--n", "3", "--k-max", "1", "--a", "1e999"],
+             "rwa moment: error: argument --a: expected a finite number, got '1e999'"),
+            (["sample", "arcsine", "--a", "-2", "--count", "5", "--seed", "1"],
+             "rwa sample arcsine: error: argument --a: expected a positive number, got '-2'"),
+            (["sample", "psc", "--lambda", "-1", "--count", "5", "--seed", "1"],
+             "rwa sample psc: error: argument --lambda: expected a number >= 0, got '-1'"),
+            (["verify", "--n", "3", "--alpha", "1.0"],
+             "rwa verify: error: argument --alpha: expected a value in (0, 1), got '1.0'"),
+            (["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
+             "rwa: error: --shards 6 exceeds --count 5"),
+            (["lemma-check", "--params", "1/3", "--r-max", "3"],
+             "rwa lemma-check: error: argument --params: Fraction(1, 3) is not a half-integer"),
+        ],
+    )
+    def test_bounded_argument_message(self, argv, message, capsys):
+        _usage_error(argv)
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
+        ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e308"],
+    ],
+)
+def test_numeric_failure_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
+
 
 def test_term_count_warning_threshold(capsys):
     from rwa_semicircle.cli import _warn_term_count
@@ -315,6 +366,11 @@ class TestVerifyConfig:
     def test_rejects_shards_outside_one_to_count(self, shards):
         with pytest.raises(ValueError):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), sample_count=100, shards=shards)
+
+    @pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
+    def test_rejects_lambda_override_outside_finite_nonnegative(self, lam):
+        with pytest.raises(ValueError):
+            VerifyConfig(spec=RwaSpec(n=3, a=1.0), lambda_override=lam)
 
 
 class TestRunVerification:
