@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -357,5 +358,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        command = " ".join(filter(None, (args.command, vars(args).get("source"))))
+        print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)
         return 1
+
+
+def _failing_function(exc: BaseException) -> str:
+    """`module.function` of the innermost traceback frame inside this package."""
+    where = ""
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith(f"{__package__}."):
+            where = f"{module[len(__package__) + 1:]}.{frame.f_code.co_name}"
+    return where

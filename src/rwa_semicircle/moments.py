@@ -156,7 +156,8 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     if literal_parity:
         walk = _all_parts_even(compositions(r, n))
     elif r % 2 == 0:
-        walk = (tuple(2 * m for m in half) for half in compositions(r // 2, n))
+        double = list(range(0, r + 1, 2))
+        walk = (tuple(map(double.__getitem__, half)) for half in compositions(r // 2, n))
     else:
         walk = ()
     # i! C(i, i/2) per part: the Dirichlet numerator's factorial times the

@@ -152,6 +152,10 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
+    # The line names the subcommand and the innermost package function.
+    where = {"1e300": "moments.z", "1e-320": "distributions.pdf", "1e308": "special.betainc"}[argv[-1]]
+    assert errors[0].startswith(f"error: {argv[0]}: ")
+    assert errors[0].endswith(f" (in {where})")
 
 
 def test_term_count_warning_threshold(capsys):

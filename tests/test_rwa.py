@@ -1,11 +1,29 @@
 import json
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rwa_semicircle import rwa
+from rwa_semicircle.distributions import sample_spacings
 from rwa_semicircle.rwa import RwaSpec, SampleBatch, rwa_batch
+
+
+def _whole_block_batch(spec: RwaSpec, count: int, seed: int, shards: int) -> np.ndarray:
+    """Draw contract v1 read literally: each shard draws its whole (count, n-1)
+    weight block, then its whole (count, n) arcsine block, from its own
+    stream; the shards are concatenated in order."""
+    base, extra = divmod(count, shards)
+    pieces = []
+    for i in range(shards):
+        rows = base + (1 if i < extra else 0)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        weights = sample_spacings(spec.n, rng, size=rows)
+        x = np.cos(math.pi * rng.random((rows, spec.n)))
+        pieces.append(spec.a * (weights * x).sum(axis=1))
+    return np.concatenate(pieces)
 
 
 class TestRwaSpec:
@@ -50,6 +68,38 @@ class TestReproducibility:
         monkeypatch.setenv("RWA_THREADS", "4")
         b2 = rwa_batch(RwaSpec(3, 1.0), 4000, seed=9, shards=4)
         assert b1.csv_bytes() == b2.csv_bytes()
+
+
+class TestChunkedDraw:
+    """The chunked sampler reads each chunk from stream offsets; whatever the
+    chunk size, worker count and shard count, its bytes are the whole-block
+    draw's."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 10_000])
+    @pytest.mark.parametrize(("n", "a", "count"), [(2, 1.0, 10), (5, 2.5, 1000), (64, 0.5, 1000)])
+    def test_bitwise_equal_to_whole_block_draw(self, monkeypatch, n, a, count, chunk_rows, threads, shards):
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", chunk_rows * n)
+        monkeypatch.setenv("RWA_THREADS", threads)
+        spec = RwaSpec(n, a)
+        batch = rwa_batch(spec, count, 2024, shards=shards)
+        reference = _whole_block_batch(spec, count, 2024, shards)
+        assert batch.values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, threads):
+        """The whole-block draw of this batch peaks near 300 MB; the chunked
+        one holds the result plus a few chunk-sized arrays per worker."""
+        monkeypatch.setenv("RWA_THREADS", threads)
+        count = 200_000
+        tracemalloc.start()
+        try:
+            rwa_batch(RwaSpec(64), count, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * count + 32 * 2**20
 
 
 class TestScaleProperty:
