@@ -6,7 +6,7 @@ computes the moments of both sides exactly, checks the combinatorial
 identity underneath, and verifies the match by seeded Monte Carlo.
 """
 
-from .distributions import Arcsine, PowerSemicircle, arcsine_moment, sample_spacings
+from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import (
     Composition,
     HalfInteger,
@@ -15,16 +15,9 @@ from .exactmath import (
     multinomial,
     rising_gamma_ratio,
 )
-from .gof import (
-    ks_coefficient,
-    ks_critical_one_sample,
-    ks_critical_two_sample,
-    ks_statistic,
-    ks_statistic_two_sample,
-)
+from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import (
     MomentReport,
-    dirichlet_moment,
     empirical_moment,
     lemma_lhs,
     lemma_rhs,
@@ -46,17 +39,13 @@ __all__ = [
     "PowerSemicircle",
     "RwaSpec",
     "SampleBatch",
-    "arcsine_moment",
     "betainc",
     "composition_count",
     "compositions",
-    "dirichlet_moment",
     "empirical_moment",
     "ks_coefficient",
     "ks_critical_one_sample",
-    "ks_critical_two_sample",
     "ks_statistic",
-    "ks_statistic_two_sample",
     "lemma_lhs",
     "lemma_rhs",
     "moment_report",

@@ -10,8 +10,9 @@ Subcommands:
 * ``plot-data``   -- histogram-vs-target-density table for external plotting.
 
 Exit codes: 0 all checks passed / output written, 1 a check failed, an
-I/O problem or a numeric failure (an input too large or too small for
-floating point), 2 bad usage (argparse handles this).
+I/O problem, a numeric failure (an input too large or too small for
+floating point) or a --count too large to allocate, 2 bad usage (argparse
+handles this).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .moments import (
     rwa_moment_oracle,
 )
 from .render import csv_bytes, decimal_str, json_bytes, rational_json
-from .rwa import RwaSpec, rwa_batch, thread_cap
+from .rwa import RwaSpec, rwa_batch
 from .verify import VerifyConfig, VerifyOutcome, run_verification  # re-exported here
 
 __all__ = ["VerifyConfig", "VerifyOutcome", "build_parser", "main", "run_verification"]
@@ -352,12 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     if "shards" in vars(args) and args.shards > args.count:
         parser.error(f"--shards {args.shards} exceeds --count {args.count}")
     try:
-        thread_cap()
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
         return args.func(args)
-    except (OSError, ArithmeticError) as exc:
+    except (OSError, ArithmeticError, MemoryError) as exc:
         command = " ".join(filter(None, (args.command, vars(args).get("source"))))
         print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)
         return 1

@@ -2,28 +2,21 @@
 
 Arcsine(-a, a) is the input law of the averaged variables; the power
 semicircle family is the target law that the randomly weighted average is
-checked against.  Both are given as small frozen dataclasses with pdf / cdf /
-sampling, and the power semicircle pdf handles its endpoint by the continuous
-limit where that limit exists.
+checked against.  Both are small frozen dataclasses: the arcsine law with
+pdf and sampling, the power semicircle with pdf, cdf and sampling, its pdf
+handling the endpoint by the continuous limit where that limit exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import rising_gamma_ratio
 from .special import betainc
 
-__all__ = [
-    "Arcsine",
-    "PowerSemicircle",
-    "arcsine_moment",
-    "sample_spacings",
-]
+__all__ = ["Arcsine", "PowerSemicircle", "sample_spacings"]
 
 _SPACING_METHODS = ("sorted-uniforms", "exponential")
 
@@ -49,40 +42,12 @@ class Arcsine:
         out = 1.0 / (math.pi * np.sqrt(self.a * self.a - xs * xs))
         return float(out) if np.isscalar(x) else out
 
-    def cdf(self, x):
-        xs = _as_float_array(x)
-        if xs.size and np.max(np.abs(xs)) > self.a:
-            raise ValueError(f"support is [-a, a] with a = {self.a}")
-        out = 0.5 + np.arcsin(xs / self.a) / math.pi
-        return float(out) if np.isscalar(x) else out
-
     def sample(self, rng: np.random.Generator, size=None):
         """Draw via x = a cos(pi U); scaling acts on the draw itself, so
         samples at scale a are exactly a times the unit-scale samples from
         the same generator state."""
         u = rng.random(size)
         return self.a * np.cos(math.pi * u)
-
-    def moment(self, order: int) -> float:
-        if order < 0:
-            raise ValueError(f"moment order must be >= 0, got {order}")
-        if order % 2 == 1:
-            return 0.0
-        return float(self.a**order * arcsine_moment(order))
-
-
-def arcsine_moment(order: int) -> Fraction:
-    """Exact moment E X^order of the unit arcsine law.
-
-    Even moments are (1/2)(3/2)...((2m-1)/2) / m!  for order = 2m; odd
-    moments vanish by symmetry.
-    """
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
-    if order % 2 == 1:
-        return Fraction(0)
-    m = order // 2
-    return rising_gamma_ratio(Fraction(1, 2), m) / math.factorial(m)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "ks_coefficient",
-    "ks_critical_one_sample",
-    "ks_critical_two_sample",
-    "ks_statistic",
-    "ks_statistic_two_sample",
-]
+__all__ = ["ks_coefficient", "ks_critical_one_sample", "ks_statistic"]
 
 
 def ks_statistic(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -33,18 +27,6 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     return float(max(d_plus, d_minus))
 
 
-def ks_statistic_two_sample(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample KS distance sup |F_X - F_Y| between empirical CDFs."""
-    xs = np.sort(np.asarray(x, dtype=np.float64))
-    ys = np.sort(np.asarray(y, dtype=np.float64))
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("both samples must be non-empty")
-    support = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, support, side="right") / xs.size
-    fy = np.searchsorted(ys, support, side="right") / ys.size
-    return float(np.max(np.abs(fx - fy)))
-
-
 def ks_coefficient(alpha: float) -> float:
     """c(alpha) = sqrt(-ln(alpha / 2) / 2), the asymptotic KS quantile factor."""
     if not (0.0 < alpha < 1.0):
@@ -57,10 +39,3 @@ def ks_critical_one_sample(alpha: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return ks_coefficient(alpha) / math.sqrt(n)
-
-
-def ks_critical_two_sample(alpha: float, n: int, m: int) -> float:
-    """Asymptotic threshold c(alpha) sqrt((n + m) / (n m)) for two samples."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    return ks_coefficient(alpha) * math.sqrt((n + m) / (n * m))

@@ -34,13 +34,11 @@ from .exactmath import (
     multinomial,
     rising_gamma_ratio,
 )
-from .render import decimal_str, rational_json
+from .render import rational_json
 from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
     "MomentReport",
-    "decimal_str",
-    "dirichlet_moment",
     "empirical_moment",
     "exact_scale",
     "lemma_lhs",
@@ -51,24 +49,6 @@ __all__ = [
     "rwa_moment_closed",
     "rwa_moment_oracle",
 ]
-
-
-def dirichlet_moment(params: Sequence[HalfInteger], exponents: Composition) -> Fraction:
-    """Joint moment E(prod V_j^{i_j}) of a Dirichlet(params) vector.
-
-    Equals prod_j Gamma(a_j + i_j)/Gamma(a_j) over Gamma(A + r)/Gamma(A)
-    with A the parameter total and r the exponent total.
-    """
-    if len(params) != len(exponents):
-        raise ValueError(
-            f"{len(params)} parameters but {len(exponents)} exponents"
-        )
-    r = sum(exponents)
-    total = _param_total(params)
-    num = Fraction(1)
-    for a_j, i_j in zip(params, exponents):
-        num *= rising_gamma_ratio(a_j, i_j)
-    return num / rising_gamma_ratio(total, r)
 
 
 def _param_total(params: Sequence[HalfInteger]) -> HalfInteger:

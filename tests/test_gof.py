@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rwa_semicircle.gof import (
-    ks_coefficient,
-    ks_critical_one_sample,
-    ks_critical_two_sample,
-    ks_statistic,
-    ks_statistic_two_sample,
-)
+from rwa_semicircle.gof import ks_coefficient, ks_critical_one_sample, ks_statistic
+from twosample import ks_critical_two_sample, ks_statistic_two_sample
 
 
 class TestOneSampleKS:

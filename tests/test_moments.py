@@ -8,8 +8,6 @@ import pytest
 from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial
 from rwa_semicircle.moments import (
     MomentReport,
-    decimal_str,
-    dirichlet_moment,
     empirical_moment,
     exact_scale,
     lemma_lhs,
@@ -20,6 +18,7 @@ from rwa_semicircle.moments import (
     rwa_moment_closed,
     rwa_moment_oracle,
 )
+from rwa_semicircle.render import decimal_str
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 
 H = HalfInteger
@@ -54,36 +53,6 @@ class TestLemma:
     def test_mixed_parameters(self, r):
         params = (H(1), H(2), H(3), H(5))
         assert lemma_lhs(params, r) == lemma_rhs(params, r)
-
-
-class TestDirichletMoment:
-    def test_flat_dirichlet_square(self):
-        # E V_1^2 for Dirichlet(1,1,1) is 2!/(3*4/2) ... = 1/6
-        assert dirichlet_moment((H(2), H(2), H(2)), (2, 0, 0)) == Fraction(1, 6)
-
-    def test_flat_dirichlet_cross(self):
-        # E V_1 V_2 for Dirichlet(1,1,1) = 1/12
-        assert dirichlet_moment((H(2), H(2), H(2)), (1, 1, 0)) == Fraction(1, 12)
-
-    def test_mean_is_parameter_share(self):
-        # E V_1 = a_1 / (a_1 + a_2)
-        assert dirichlet_moment((H(1), H(3)), (1, 0)) == Fraction(1, 4)
-
-    def test_matches_factorial_form_for_flat_weights(self):
-        """For Dirichlet(1,...,1) the moment collapses to
-        (n-1)! prod i_j! / (r+n-1)! — the form the oracle uses."""
-        n = 4
-        for comp in compositions(3, n):
-            r = sum(comp)
-            num = math.factorial(n - 1)
-            for i in comp:
-                num *= math.factorial(i)
-            expected = Fraction(num, math.factorial(r + n - 1))
-            assert dirichlet_moment((H(2),) * n, comp) == expected
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            dirichlet_moment((H(2), H(2)), (1, 0, 0))
 
 
 class TestClosedForm:
@@ -171,11 +140,16 @@ class TestOracle:
 
     def test_multinomial_times_flat_dirichlet_is_constant(self):
         """The fact behind the convolution route: every composition of r
-        carries the same weight r!(n-1)!/(r+n-1)!."""
+        carries the same weight r!(n-1)!/(r+n-1)!.  The flat Dirichlet
+        moment E prod V_j^(i_j) is (n-1)! prod i_j! / (r+n-1)!."""
         for n in range(2, 6):
             for r in range(0, 7):
                 weights = {
-                    multinomial(r, c) * dirichlet_moment((H(2),) * n, c)
+                    multinomial(r, c)
+                    * Fraction(
+                        math.factorial(n - 1) * math.prod(map(math.factorial, c)),
+                        math.factorial(r + n - 1),
+                    )
                     for c in compositions(r, n)
                 }
                 expected = Fraction(
@@ -208,10 +182,9 @@ class TestPscMoment:
             assert psc_moment(Fraction(1, 2), k) == Fraction(1, 2 * k + 1)
 
     def test_arcsine_moments_at_lam_zero(self):
-        from rwa_semicircle.distributions import arcsine_moment
-
+        """E X^(2k) of the unit arcsine law is C(2k, k) / 4^k."""
         for k in range(10):
-            assert psc_moment(0, k) == arcsine_moment(2 * k)
+            assert psc_moment(0, k) == Fraction(math.comb(2 * k, k), 4**k)
 
     def test_accepts_half_integer_inputs_of_all_spellings(self):
         assert psc_moment(Fraction(3, 2), 2) == psc_moment(1.5, 2)

@@ -1,6 +1,7 @@
 import json
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -63,11 +64,36 @@ class TestReproducibility:
         assert b1.values_digest() == b2.values_digest()
 
     def test_thread_cap_does_not_change_output(self, monkeypatch):
-        monkeypatch.setenv("RWA_THREADS", "1")
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 1)
         b1 = rwa_batch(RwaSpec(3, 1.0), 4000, seed=9, shards=4)
-        monkeypatch.setenv("RWA_THREADS", "4")
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 4)
         b2 = rwa_batch(RwaSpec(3, 1.0), 4000, seed=9, shards=4)
         assert b1.csv_bytes() == b2.csv_bytes()
+
+
+class TestWorkers:
+    """The worker count is the number of cores the process may run on."""
+
+    def test_core_count_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert rwa._available_cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert rwa._available_cores() == 1
+
+    def test_one_core_draws_on_the_calling_thread(self, monkeypatch):
+        spec = RwaSpec(5, 2.5)
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", 7 * spec.n)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 3)
+        pooled = rwa_batch(spec, 100, 2024, shards=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one core must not start a thread pool")
+
+        monkeypatch.setattr(rwa, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 1)
+        inline = rwa_batch(spec, 100, 2024, shards=2)
+        assert inline.values.tobytes() == pooled.values.tobytes()
 
 
 class TestChunkedDraw:
@@ -76,22 +102,22 @@ class TestChunkedDraw:
     draw's."""
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 10_000])
     @pytest.mark.parametrize(("n", "a", "count"), [(2, 1.0, 10), (5, 2.5, 1000), (64, 0.5, 1000)])
     def test_bitwise_equal_to_whole_block_draw(self, monkeypatch, n, a, count, chunk_rows, threads, shards):
         monkeypatch.setattr(rwa, "_CHUNK_VALUES", chunk_rows * n)
-        monkeypatch.setenv("RWA_THREADS", threads)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: threads)
         spec = RwaSpec(n, a)
         batch = rwa_batch(spec, count, 2024, shards=shards)
         reference = _whole_block_batch(spec, count, 2024, shards)
         assert batch.values.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, threads):
         """The whole-block draw of this batch peaks near 300 MB; the chunked
         one holds the result plus a few chunk-sized arrays per worker."""
-        monkeypatch.setenv("RWA_THREADS", threads)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: threads)
         count = 200_000
         tracemalloc.start()
         try:
@@ -165,7 +191,7 @@ class TestSampleBatchSerialization:
 class TestDistributionalProperties:
     def test_law_is_symmetric(self):
         """S and -S have the same law; two-sample KS on a 10^5 batch."""
-        from rwa_semicircle.gof import ks_critical_two_sample, ks_statistic_two_sample
+        from twosample import ks_critical_two_sample, ks_statistic_two_sample
 
         values = rwa_batch(RwaSpec(n=4, a=1.0), 100_000, 97).values
         d = ks_statistic_two_sample(values, -values)
@@ -175,7 +201,7 @@ class TestDistributionalProperties:
         """The average and the beta-based sampler of its target law must be
         indistinguishable: a cross-implementation two-sample KS check."""
         from rwa_semicircle.distributions import PowerSemicircle
-        from rwa_semicircle.gof import ks_critical_two_sample, ks_statistic_two_sample
+        from twosample import ks_critical_two_sample, ks_statistic_two_sample
 
         for n in (2, 3, 5):
             values = rwa_batch(RwaSpec(n=n, a=1.0), 100_000, 31).values
