@@ -37,9 +37,9 @@ from .moments import (
 )
 from .render import csv_bytes, decimal_str, json_bytes, rational_json
 from .rwa import RwaSpec, rwa_batch
-from .verify import VerifyConfig, VerifyOutcome, run_verification  # re-exported here
+from .verify import VerifyConfig, run_verification
 
-__all__ = ["VerifyConfig", "VerifyOutcome", "build_parser", "main", "run_verification"]
+__all__ = ["build_parser", "main"]
 
 _TERM_WARN_LIMIT = 10_000_000
 
@@ -237,18 +237,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     outcome = run_verification(cfg)
 
-    ks_tag = "PASS" if outcome.ks_pass else "FAIL"
-    print(
-        f"[{ks_tag}] ks: D = {outcome.ks_statistic:.5f} vs critical "
+    # Every line is formatted before any is printed, so a row whose z-score
+    # cannot be computed leaves stdout empty.
+    lines = [
+        f"[{'PASS' if outcome.ks_pass else 'FAIL'}] ks: D = {outcome.ks_statistic:.5f} vs critical "
         f"{outcome.ks_critical:.5f} (alpha = {cfg.alpha:g}, N = {cfg.sample_count})"
-    )
+    ]
     for row in outcome.moment_rows:
-        print(
+        lines.append(
             f"[{'PASS' if row.within_band() else 'FAIL'}] moment order {2 * row.k}: "
             f"empirical {row.empirical:.6g} vs exact {decimal_str(row.closed_form, 8)} "
             f"(z = {row.z:.2f} vs 4.0)"
         )
-    print(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
+    lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
+    print("\n".join(lines))
 
     if args.json is not None:
         _emit(json_bytes(outcome.to_json_dict()), args.json)
@@ -281,10 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_moment = sub.add_parser("moment", help="exact moment table, both routes side by side")
-    p_moment.add_argument("--n", type=_size, required=True, help="number of averaged variables (>= 2)")
+    # Options shared by every subcommand that acts on one (n, a) instance.
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=_size, required=True, help="number of averaged variables (>= 2)")
+    instance.add_argument("--a", type=_positive_float, default=1.0, help="arcsine scale (default 1)")
+
+    # Options shared by every subcommand that draws and writes a CSV.
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--count", type=_positive_int, required=True)
+    draws.add_argument("--seed", type=_nonneg_int, required=True)
+    draws.add_argument("--out", default=None, help="CSV path (default: stdout)")
+
+    # The worker-shard count of every subcommand that draws the average.
+    sharded = argparse.ArgumentParser(add_help=False)
+    sharded.add_argument("--shards", type=_positive_int, default=1)
+
+    p_moment = sub.add_parser("moment", parents=[instance], help="exact moment table, both routes side by side")
     p_moment.add_argument("--k-max", type=_nonneg_int, required=True, help="table covers E S^(2k) for k = 0..k_max")
-    p_moment.add_argument("--a", type=_positive_float, default=1.0, help="arcsine scale (default 1)")
     p_moment.add_argument("--literal-parity", action="store_true", help="re-check each row without the odd-term shortcut (slow)")
     p_moment.add_argument("--json", action="store_true", help="emit the table as JSON")
     p_moment.set_defaults(func=_cmd_moment)
@@ -294,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--r-max", type=_nonneg_int, required=True, help="check every exponent r = 0..r_max")
     p_lemma.add_argument("--json", action="store_true", help="emit the result as JSON")
     p_lemma.set_defaults(func=_cmd_lemma_check)
-
-    # Options shared by every subcommand that draws and writes a CSV.
-    draws = argparse.ArgumentParser(add_help=False)
-    draws.add_argument("--count", type=_positive_int, required=True)
-    draws.add_argument("--seed", type=_nonneg_int, required=True)
-    draws.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     p_sample = sub.add_parser("sample", help="draw from one of the laws involved")
     sample_sub = p_sample.add_subparsers(dest="source", required=True)
@@ -318,29 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_spc.add_argument("--method", choices=["sorted-uniforms", "exponential"], default="sorted-uniforms")
     p_spc.set_defaults(func=_cmd_sample_spacings)
 
-    p_rwa = sample_sub.add_parser("rwa", parents=[draws], help="the randomly weighted average itself")
-    p_rwa.add_argument("--n", type=_size, required=True)
-    p_rwa.add_argument("--a", type=_positive_float, default=1.0)
-    p_rwa.add_argument("--shards", type=_positive_int, default=1)
+    p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, sharded], help="the randomly weighted average itself")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")
     p_rwa.set_defaults(func=_cmd_sample_rwa)
 
-    p_verify = sub.add_parser("verify", help="KS + moment-band verification of one (n, a) instance")
-    p_verify.add_argument("--n", type=_size, required=True)
-    p_verify.add_argument("--a", type=_positive_float, default=1.0)
+    p_verify = sub.add_parser("verify", parents=[instance, sharded], help="KS + moment-band verification of one (n, a) instance")
     p_verify.add_argument("--count", type=_bounded(_int_any, lambda v: v >= 100, "verification needs at least 100 draws"), default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
     p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
     p_verify.add_argument("--alpha", type=_bounded(_float_any, lambda v: 0 < v < 1, "expected a value in (0, 1)"), default=0.01, help="KS significance level (default 0.01)")
-    p_verify.add_argument("--shards", type=_positive_int, default=1)
     p_verify.add_argument("--json", default=None, help="also write the full outcome as JSON to this path")
     p_verify.add_argument("--lambda-override", type=_nonneg_float, default=None, help="(testing only) force this exponent as the KS null instead of (n-1)/2")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_plot = sub.add_parser("plot-data", parents=[draws], help="histogram vs target density, as CSV")
-    p_plot.add_argument("--n", type=_size, required=True)
-    p_plot.add_argument("--a", type=_positive_float, default=1.0)
-    p_plot.add_argument("--shards", type=_positive_int, default=1)
+    p_plot = sub.add_parser("plot-data", parents=[draws, instance, sharded], help="histogram vs target density, as CSV")
     p_plot.add_argument("--bins", type=_bounded(_int_any, lambda v: v >= 10, "need at least 10 bins"), default=None, help="histogram bins, >= 10 (default: Rice rule)")
     p_plot.set_defaults(func=_cmd_plot_data)
 

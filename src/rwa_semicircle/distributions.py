@@ -81,20 +81,14 @@ class PowerSemicircle:
         xs = _as_float_array(x)
         if xs.size and np.max(np.abs(xs)) > self.a:
             raise ValueError(f"support is [-a, a] with a = {self.a}")
-        at_edge = np.abs(xs) == self.a
-        if np.any(at_edge):
-            if self.lam < 0.5:
-                raise ValueError(
-                    f"density is unbounded at |x| = a when lam < 1/2 (lam={self.lam})"
-                )
-            # lam >= 1/2: continuous limit at the boundary (positive only for
-            # the uniform case lam = 1/2).
-        norm = math.exp(self._log_norm)
-        out = np.zeros_like(xs)
-        inner = ~at_edge
-        out[inner] = norm * (self.a * self.a - xs[inner] ** 2) ** (self.lam - 0.5)
-        if self.lam == 0.5:
-            out[at_edge] = norm
+        if self.lam < 0.5 and np.any(np.abs(xs) == self.a):
+            raise ValueError(f"density is unbounded at |x| = a when lam < 1/2 (lam={self.lam})")
+        # At |x| = a the base is 0, and 0.0**0.0 == 1, 0.0**p == 0 give the
+        # continuous limit for lam >= 1/2.  np.power, not **, so a scalar x
+        # takes the same ufunc loop as an array and gets the same bits.
+        out = math.exp(self._log_norm) * np.power(self.a * self.a - xs**2, self.lam - 0.5)
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError(f"density overflows at scale a={self.a:g}")
         return float(out) if np.isscalar(x) else out
 
     def cdf(self, x):
@@ -116,7 +110,7 @@ class PowerSemicircle:
         g1 = rng.standard_gamma(s, size)
         g2 = rng.standard_gamma(s, size)
         b = g1 / (g1 + g2)
-        return 2.0 * self.a * b - self.a
+        return self.a * (2.0 * b - 1.0)
 
 
 def sample_spacings(
@@ -152,11 +146,7 @@ def sample_spacings(
     else:
         u = rng.random((count, n - 1))
         u.sort(axis=1)
-        padded = np.empty((count, n + 1))
-        padded[:, 0] = 0.0
-        padded[:, 1:-1] = u
-        padded[:, -1] = 1.0
-        out = np.diff(padded, axis=1)
+        out = np.diff(u, axis=1, prepend=0.0, append=1.0)
 
     if size is None:
         return out[0]

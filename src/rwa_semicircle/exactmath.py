@@ -27,12 +27,13 @@ __all__ = [
 Composition = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInteger:
-    """A positive half-integer q >= 1/2, stored as 2q to stay in the integers.
+    """A parsed parameter of the gamma-ratio lemma: a half-integer q >= 1/2,
+    stored as 2q to stay in the integers.
 
-    These are the only gamma arguments the moment formulas ever need, and
-    keeping them integral makes every downstream product exact.
+    It is a parameter, not a number type: arithmetic on these values is done
+    with :class:`fractions.Fraction`, e.g. ``Fraction(p.twice_value, 2)``.
     """
 
     twice_value: int
@@ -44,35 +45,16 @@ class HalfInteger:
             raise ValueError(f"half-integer must be >= 1/2, got {self.twice_value}/2")
 
     @classmethod
-    def from_value(cls, value) -> "HalfInteger":
-        """Build from a number equal to k/2 for some integer k >= 1."""
-        q = Fraction(value)
-        doubled = q * 2
-        if doubled.denominator != 1:
-            raise ValueError(f"{value!r} is not a half-integer")
-        return cls(int(doubled))
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInteger":
         """Parse '1/2', '2', or '2.5' style strings."""
         try:
             q = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as a half-integer") from exc
-        return cls.from_value(q)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice_value, 2)
-
-    def __add__(self, other) -> "HalfInteger":
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.twice_value + other.twice_value)
-        if isinstance(other, int):
-            return HalfInteger(self.twice_value + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
+        doubled = 2 * q
+        if doubled.denominator != 1:
+            raise ValueError(f"{q!r} is not a half-integer")
+        return cls(int(doubled))
 
     def __str__(self) -> str:
         if self.twice_value % 2 == 0:
@@ -80,7 +62,7 @@ class HalfInteger:
         return f"{self.twice_value}/2"
 
 
-def rising_gamma_ratio(q: HalfInteger | Fraction | int, m: int) -> Fraction:
+def rising_gamma_ratio(q: Fraction | int, m: int) -> Fraction:
     """Gamma(q + m) / Gamma(q) as an exact rational, for integer m >= 0.
 
     This is the rising factorial q (q+1) ... (q+m-1); the gamma pieces (and
@@ -89,11 +71,8 @@ def rising_gamma_ratio(q: HalfInteger | Fraction | int, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"rising factorial needs m >= 0, got {m}")
-    if isinstance(q, HalfInteger):
-        p, d = q.twice_value, 2
-    else:
-        base = Fraction(q)
-        p, d = base.numerator, base.denominator
+    base = Fraction(q)
+    p, d = base.numerator, base.denominator
     # q + j = (p + j d) / d, so the whole product has one integer numerator.
     prod = 1
     for j in range(m):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -51,15 +51,6 @@ __all__ = [
 ]
 
 
-def _param_total(params: Sequence[HalfInteger]) -> HalfInteger:
-    if not params:
-        raise ValueError("need at least one Dirichlet parameter")
-    total = params[0]
-    for p in params[1:]:
-        total = total + p
-    return total
-
-
 def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     """Composition-sum side of the gamma-ratio identity.
 
@@ -86,7 +77,9 @@ def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     """Closed side of the same identity: Gamma(A + r)/Gamma(A), A = sum a_j."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    return rising_gamma_ratio(_param_total(params), r)
+    if not params:
+        raise ValueError("need at least one Dirichlet parameter")
+    return rising_gamma_ratio(Fraction(sum(p.twice_value for p in params), 2), r)
 
 
 def rwa_moment_closed(n: int, k: int) -> Fraction:
@@ -265,19 +258,10 @@ def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> Mo
     scale = exact_scale(spec.a) ** (2 * k)
     closed = rwa_moment_closed(spec.n, k) * scale
     oracle = rwa_moment_oracle(spec.n, 2 * k) * scale
+    exact = MomentReport(n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle)
     if batch is None:
-        return MomentReport(n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle)
+        return exact
     if batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     mean, se = empirical_moment(batch.values, k)
-    return MomentReport(
-        n=spec.n,
-        a=spec.a,
-        k=k,
-        closed_form=closed,
-        oracle=oracle,
-        empirical=mean,
-        std_error=se,
-        mc_count=batch.count,
-        seed=batch.seed,
-    )
+    return replace(exact, empirical=mean, std_error=se, mc_count=batch.count, seed=batch.seed)

@@ -33,21 +33,20 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     h = d.copy()
     for m in range(1, _MAXIT + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # One Lentz half-step per coefficient, the odd one last: its delta is
+        # the one the convergence test reads.
+        for num, den in (
+            (m * (b - m), (qam + m2) * (a + m2)),
+            (-(a + m) * (qab + m), (a + m2) * (qap + m2)),
+        ):
+            aa = num * x / den
+            d = 1.0 + aa * d
+            np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
+            c = 1.0 + aa / c
+            np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if np.all(np.abs(delta - 1.0) < _EPS):
             break
     else:
@@ -68,37 +67,30 @@ def betainc(a: float, b: float, x) -> np.ndarray | float:
     if xs.size and (np.min(xs) < 0.0 or np.max(xs) > 1.0):
         raise ValueError("x must lie in [0, 1]")
 
-    out = np.empty_like(xs, dtype=np.float64)
-    at_zero = xs == 0.0
-    at_one = xs == 1.0
-    out[at_zero] = 0.0
-    out[at_one] = 1.0
-    interior = ~(at_zero | at_one)
-
-    if np.any(interior):
-        xi = xs[interior]
-        # log of the prefactor x^a (1-x)^b / (a B(a, b)); the fraction below
-        # absorbs the leading 1/a.
+    # log of the prefactor x^a (1-x)^b / (a B(a, b)); the fraction below
+    # absorbs the leading 1/a.  At x = 0 or 1 a log is -inf, the prefactor
+    # is 0, and the result is exactly 0 or 1.
+    with np.errstate(divide="ignore"):
         log_pref = (
             math.lgamma(a + b)
             - math.lgamma(a)
             - math.lgamma(b)
-            + a * np.log(xi)
-            + b * np.log1p(-xi)
+            + a * np.log(xs)
+            + b * np.log1p(-xs)
         )
-        bt = np.exp(log_pref)
-        pivot = (a + 1.0) / (a + b + 2.0)
-        direct = xi < pivot
-        res = np.empty_like(xi)
-        if np.any(direct):
-            res[direct] = bt[direct] * _betacf(a, b, xi[direct]) / a
-        if np.any(~direct):
-            res[~direct] = 1.0 - bt[~direct] * _betacf(b, a, 1.0 - xi[~direct]) / b
-        if a == b:
-            # symmetric case: the midpoint is exactly 1/2, and enforcing it
-            # keeps CDF(0) of a symmetric law honest to the last bit.
-            res[xi == 0.5] = 0.5
-        out[interior] = np.clip(res, 0.0, 1.0)
+    bt = np.exp(log_pref)
+    pivot = (a + 1.0) / (a + b + 2.0)
+    direct = xs < pivot
+    out = np.empty_like(xs)
+    if np.any(direct):
+        out[direct] = bt[direct] * _betacf(a, b, xs[direct]) / a
+    if np.any(~direct):
+        out[~direct] = 1.0 - bt[~direct] * _betacf(b, a, 1.0 - xs[~direct]) / b
+    if a == b:
+        # symmetric case: the midpoint is exactly 1/2, and enforcing it
+        # keeps CDF(0) of a symmetric law honest to the last bit.
+        out[xs == 0.5] = 0.5
+    np.clip(out, 0.0, 1.0, out=out)
 
     if scalar:
         return float(out)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rwa_semicircle.cli import VerifyConfig, run_verification
+from rwa_semicircle.verify import VerifyConfig, run_verification
 from rwa_semicircle.distributions import Arcsine, PowerSemicircle
 from rwa_semicircle.gof import ks_critical_one_sample, ks_statistic
 from rwa_semicircle.exactmath import HalfInteger

@@ -14,8 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from rwa_semicircle.cli import VerifyConfig, VerifyOutcome, main, run_verification
+from rwa_semicircle.cli import main
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
+from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
 
 
 def _usage_error(argv: list[str]) -> None:
@@ -145,18 +146,26 @@ class TestUsageErrors:
         ["sample", "rwa", "--n", "3", "--seed", "1", "--count", str(10**15)],
         ["verify", "--n", "3", "--count", str(10**15)],
         ["plot-data", "--n", "3", "--seed", "1", "--count", str(10**15)],
+        # Written 1e+300 so the `where` table below has a key of its own.
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e+300"],
+        # The KS test fails here, so the verdict alone would not reach row.z.
+        ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "3"],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
     where = {
         "1e300": "moments.z",
+        "3": "moments.z",
         "1e-320": "distributions.pdf",
+        "1e+300": "distributions.pdf",
         "1e308": "special.betainc",
         str(10**15): "rwa.rwa_batch",
     }[argv[-1]]

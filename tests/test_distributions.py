@@ -77,6 +77,17 @@ class TestPowerSemicircle:
                 total, err = scipy.integrate.quad(integrand, -math.pi / 2, math.pi / 2)
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_sample_scale_is_bitwise(self):
+        x1 = PowerSemicircle(lam=1.0, a=1.0).sample(np.random.default_rng(5), 1000)
+        x3 = PowerSemicircle(lam=1.0, a=3.0).sample(np.random.default_rng(5), 1000)
+        assert np.array_equal(3.0 * x1, x3)
+
+    def test_sample_at_huge_scale_is_finite(self):
+        a = 1e308
+        x = PowerSemicircle(lam=1.0, a=a).sample(np.random.default_rng(1), 1000)
+        assert np.all(np.isfinite(x))
+        assert np.all(np.abs(x) <= a)
+
     def test_cdf_matches_scipy_beta(self):
         # the law is the affine image of Beta(lam + 1/2, lam + 1/2)
         for lam, a in [(0.0, 1.0), (1.0, 1.0), (2.0, 2.5), (3.5, 0.7)]:

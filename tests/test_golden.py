@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from rwa_semicircle.cli import VerifyConfig, main, run_verification
+from rwa_semicircle.cli import main
+from rwa_semicircle.verify import VerifyConfig, run_verification
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 
 
