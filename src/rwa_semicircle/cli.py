@@ -353,7 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     if "shards" in vars(args) and args.shards > args.count:
         parser.error(f"--shards {args.shards} exceeds --count {args.count}")
     try:
-        return args.func(args)
+        # A non-finite NumPy result raises FloatingPointError where it first
+        # arises, so it is reported by the one error line below.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (OSError, ArithmeticError, MemoryError) as exc:
         command = " ".join(filter(None, (args.command, vars(args).get("source"))))
         print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)

@@ -21,6 +21,71 @@ __all__ = ["Arcsine", "PowerSemicircle", "sample_spacings"]
 _SPACING_METHODS = ("sorted-uniforms", "exponential")
 
 
+# Largest p = 2*lam that `PowerSemicircle.cdf` evaluates by the Wallis form.
+# The form costs about p/2 Horner passes per point (2p in the far tail), so
+# the bound caps its work; an exponent past it, such as a huge
+# --lambda-override, goes to betainc instead of an unbounded loop.
+_WALLIS_MAX_P = 1000
+
+
+def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_m coefs[m] x^m, elementwise."""
+    acc = np.full_like(x, coefs[-1])
+    for coef in coefs[-2::-1]:
+        acc *= x
+        acc += coef
+    return acc
+
+
+def _wallis_cdf(s: np.ndarray, p: int) -> np.ndarray:
+    """CDF at s in [-1, 1] of the unit power semicircle law with 2*lam = p.
+
+    With theta = arcsin s the density is proportional to cos^p theta, so
+    F = 1/2 + J_p(theta) / (2 W_p), where J_p(theta) is the integral of cos^p
+    over [0, theta] and W_p = J_p(pi/2) is Wallis's integral.  The reduction
+    J_p = cos^(p-1) sin / p + (p-1)/p J_(p-2), run down to J_0 = theta or
+    J_1 = sin theta, unrolls for u = |s|, c^2 = (1-u)(1+u), r = p mod 2 and
+    M = p // 2 into the lower tail G(u) = F(-u):
+
+        G = arccos(u)/pi - u sqrt(c^2) sum_{m<M} b_m c^(2m)    (p even)
+        G = (1 - u)/2    - u c^2       sum_{m<M} b_m c^(2m)    (p odd)
+
+    with b_m = 1 / (2 q W_q), q = 2m + 2 + r, so b_0 = 1/pi or 1/4 and
+    b_m = b_(m-1) (2m + r) / (2m + r + 1).  The two terms of that difference
+    are of order c while G is of order c^(p+1), so in the far tail rounding
+    would leave G negative or decreasing.  There the same sum continued past
+    m = M is used instead (J_q / W_q -> 1 as q grows): G = u sqrt(c^2) or
+    u c^2, times sum_{m>=M} b_m c^(2m), every term positive.  Where
+    c^(2M) <= 2^-20 its first 3M terms leave out about c^(6M) <= 2^-60 of G.
+
+    F is G(|s|) for s <= 0 and 1 - G(|s|) for s > 0, so F(-x) + F(x) = 1 to
+    one rounding, F(0) = 1/2 and F(-1) = 0, F(1) = 1 exactly.
+    """
+    r = p % 2
+    m_head = p // 2
+    u = np.abs(s)
+    c2 = (1.0 - u) * (1.0 + u)
+    if r:
+        g = 0.5 * (1.0 - u)
+        factor = c2
+    else:
+        g = np.arccos(u) / math.pi
+        factor = np.sqrt(c2)
+    if m_head:
+        j = np.arange(1.0, 4 * m_head)
+        b = np.cumprod(np.concatenate(([0.25 if r else 1.0 / math.pi], (2 * j + r) / (2 * j + r + 1))))
+        head = _horner(c2, b[:m_head])
+        head *= u
+        head *= factor
+        g -= head
+        tail = c2 <= 2.0 ** (-20 / m_head)
+        if tail.any():
+            ct = c2[tail]
+            g[tail] = u[tail] * factor[tail] * ct**m_head * _horner(ct, b[m_head:])
+    np.subtract(1.0, g, out=g, where=s > 0)
+    return g
+
+
 def _as_float_array(x):
     return np.asarray(x, dtype=np.float64)
 
@@ -92,15 +157,25 @@ class PowerSemicircle:
         return float(out) if np.isscalar(x) else out
 
     def cdf(self, x):
-        """CDF via the regularized incomplete beta: the law is the affine
-        image 2aB - a of B ~ Beta(lam + 1/2, lam + 1/2)."""
+        """CDF, computed from the unit variable s = x/a.
+
+        When 2*lam is an integer p <= _WALLIS_MAX_P (every exponent (n-1)/2
+        the theorem produces) the law is specified directly by the Wallis
+        form of `_wallis_cdf`: no iteration, nothing that can fail to
+        converge.  Any other lam goes through the regularized incomplete
+        beta, the law being the image 2B - 1 of B ~ Beta(lam + 1/2, lam + 1/2).
+        """
         xs = _as_float_array(x)
         if xs.size and np.max(np.abs(xs)) > self.a:
             raise ValueError(f"support is [-a, a] with a = {self.a}")
-        s = self.lam + 0.5
-        t = np.clip((xs + self.a) / (2.0 * self.a), 0.0, 1.0)
-        out = betainc(s, s, t)
-        return float(out) if np.isscalar(x) else out
+        s = np.atleast_1d(xs / self.a)
+        twice = 2.0 * float(self.lam)
+        if twice.is_integer() and twice <= _WALLIS_MAX_P:
+            out = _wallis_cdf(s, int(twice))
+        else:
+            shape = self.lam + 0.5
+            out = betainc(shape, shape, 0.5 * (1.0 + s))
+        return float(out[0]) if xs.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw through the Beta(lam+1/2, lam+1/2) representation, itself

@@ -10,10 +10,15 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwa_semicircle
 from rwa_semicircle.cli import main
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
@@ -150,6 +155,9 @@ class TestUsageErrors:
         ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e+300"],
         # The KS test fails here, so the verdict alone would not reach row.z.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "3"],
+        # 2*lam past the Wallis bound: the exponent goes to betainc, whose
+        # continued fraction does not converge.
+        ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e6"],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
@@ -162,16 +170,37 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
     where = {
-        "1e300": "moments.z",
-        "3": "moments.z",
-        "1e-320": "distributions.pdf",
+        "1e300": "moments.empirical_moment",
+        "3": "moments.empirical_moment",
+        "1e-320": "cli._cmd_plot_data",
         "1e+300": "distributions.pdf",
         "1e308": "special.betainc",
+        "1e6": "special._betacf",
         str(10**15): "rwa.rwa_batch",
     }[argv[-1]]
     command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
     assert errors[0].startswith(f"error: {command}: ")
     assert errors[0].endswith(f" (in {where})")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e300"],
+        ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
+    ],
+)
+def test_numeric_failure_prints_no_warning(argv):
+    # pytest captures NumPy's RuntimeWarnings in-process, so run the module
+    # as a user would and read all of stderr.
+    env = {**os.environ, "PYTHONPATH": str(Path(rwa_semicircle.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwa_semicircle", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {argv[0]}: ")
 
 
 def test_term_count_warning_threshold(capsys):

@@ -5,8 +5,13 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from rwa_semicircle import distributions
 from rwa_semicircle.distributions import Arcsine, PowerSemicircle, sample_spacings
 from rwa_semicircle.gof import ks_critical_one_sample, ks_statistic
+from rwa_semicircle.special import betainc
+
+# The sizes n whose exponents (n - 1)/2 the Wallis form is checked at.
+THEOREM_SIZES = [2, 3, 4, 5, 8, 9, 16, 33, 64, 65, 200]
 
 
 class TestArcsine:
@@ -88,13 +93,65 @@ class TestPowerSemicircle:
         assert np.all(np.isfinite(x))
         assert np.all(np.abs(x) <= a)
 
-    def test_cdf_matches_scipy_beta(self):
-        # the law is the affine image of Beta(lam + 1/2, lam + 1/2)
-        for lam, a in [(0.0, 1.0), (1.0, 1.0), (2.0, 2.5), (3.5, 0.7)]:
-            law = PowerSemicircle(lam=lam, a=a)
-            x = np.linspace(-a, a, 201)
-            ref = scipy.stats.beta(lam + 0.5, lam + 0.5, loc=-a, scale=2 * a).cdf(x)
-            np.testing.assert_allclose(law.cdf(x), ref, atol=1e-13)
+    @pytest.mark.parametrize(
+        "lam, a, atol",
+        [(0.0, 1.0, 1e-13), (2.0, 2.5, 1e-13), (3.5, 0.7, 1e-13)]
+        # the theorem's exponents (n - 1)/2, and p = 2 lam = 1000, the last
+        # one the Wallis form takes
+        + [((n - 1) / 2, 1.0, 1e-14) for n in THEOREM_SIZES]
+        + [(500.0, 1.0, 1e-14)]
+        # exponents that go through betainc
+        + [(0.3, 1.0, 1e-13), (1.25, 2.5, 1e-13), (500.5, 1.0, 1e-12), (600.5, 1.0, 1e-12)],
+    )
+    def test_cdf_matches_scipy_beta(self, lam, a, atol):
+        # the law is the affine image of Beta(lam + 1/2, lam + 1/2); the grid
+        # includes both edges and the points 1e-7 inside them
+        law = PowerSemicircle(lam=lam, a=a)
+        x = a * np.concatenate([np.linspace(-1.0, 1.0, 2001), [-(1 - 1e-7), 1 - 1e-7]])
+        ref = scipy.stats.beta(lam + 0.5, lam + 0.5, loc=-a, scale=2 * a).cdf(x)
+        np.testing.assert_allclose(law.cdf(x), ref, atol=atol, rtol=0)
+
+    @pytest.mark.parametrize("n", THEOREM_SIZES)
+    def test_wallis_cdf_matches_betainc(self, n):
+        """The continued fraction is the second, independent CDF route."""
+        lam = (n - 1) / 2
+        s = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-(1 - 1e-7), 1 - 1e-7]])
+        ref = betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + s))
+        np.testing.assert_allclose(PowerSemicircle(lam=lam, a=2.5).cdf(2.5 * s), ref, atol=5e-14, rtol=0)
+
+    @pytest.mark.parametrize("n", THEOREM_SIZES)
+    def test_wallis_cdf_properties(self, n):
+        a = 2.5
+        law = PowerSemicircle(lam=(n - 1) / 2, a=a)
+        assert law.cdf(0.0) == 0.5
+        assert (law.cdf(-a), law.cdf(a)) == (0.0, 1.0)
+        assert isinstance(law.cdf(0.3), float)
+        x = np.linspace(-a, a, 100_001)
+        f = law.cdf(x)
+        assert np.all(np.diff(f) >= 0.0)
+        np.testing.assert_allclose(f + law.cdf(-x), 1.0, atol=1e-15, rtol=0)
+
+    def test_cdf_route_follows_the_exponent(self, monkeypatch):
+        """2 lam an integer up to 1000 takes the Wallis form; any other
+        exponent, huge ones included, takes betainc."""
+        calls = []
+        monkeypatch.setattr(distributions, "betainc", lambda p, q, t: calls.append(p) or np.zeros_like(t))
+        x = np.linspace(-1.0, 1.0, 11)
+        for lam in (0.0, 0.5, 3.0, 500.0):
+            PowerSemicircle(lam=lam).cdf(x)
+        assert calls == []
+        for lam in (0.3, 500.5, 1e6, 1e307):
+            PowerSemicircle(lam=lam).cdf(x)
+        assert calls == [0.8, 501.0, 1e6 + 0.5, 1e307]
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_cdf_at_huge_scale(self, lam):
+        # x/a is formed first, so 2a never overflows
+        x = np.array([0.0, 5e307, -5e307])
+        a = 1e308
+        out = PowerSemicircle(lam=lam, a=a).cdf(x)
+        np.testing.assert_array_equal(out, PowerSemicircle(lam=lam, a=1.0).cdf(x / a))
+        assert out[0] == 0.5
 
     def test_endpoint_rules(self):
         # lam >= 1/2: the density extends continuously to the edge

@@ -43,8 +43,8 @@ def test_batch_csv_digest(n, a, seed, shards, expected):
 @pytest.mark.parametrize(
     "a, expected",
     [
-        (1.0, "88b7170aae82b492305da3cbea971948085ba094f44513ff009d3ef8112e8315"),
-        (2.5, "404163fb6a3fec9715f82878dc241db6be92a823e6f9ada8e49e07b6dee8a850"),
+        (1.0, "2932be55b8271c00b7bcb034fbfe81727476b5fda02ff3c3a76b565c342e02d0"),
+        (2.5, "bd9d6cd9ef2f5b5484e7b0f1624957a2764ff3c21710e562c99428b2be26e9c8"),
     ],
 )
 def test_verify_json_digest(a, expected):
