@@ -1,16 +1,18 @@
-"""The two distribution families, plus Dirichlet spacings sampling.
+"""The power semicircle family, plus Dirichlet spacings sampling.
 
-Arcsine(-a, a) is the input law of the averaged variables; the power
-semicircle family is the target law that the randomly weighted average is
-checked against.  Both are small frozen dataclasses: the arcsine law with
-pdf and sampling, the power semicircle with pdf, cdf and sampling, its pdf
-handling the endpoint by the continuous limit where that limit exists.
+The power semicircle family is the target law that the randomly weighted
+average is checked against, and its lam = 0 member, Arcsine(-a, a), is the
+input law of the averaged variables.  Both are small frozen dataclasses;
+`Arcsine` subclasses `PowerSemicircle` and adds only its cosine sampler.
+The pdf and the cdf work in the unit variable s = x/a, formed in one place,
+and the pdf handles the endpoint by the continuous limit where that limit
+exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,41 +88,15 @@ def _wallis_cdf(s: np.ndarray, p: int) -> np.ndarray:
     return g
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Arcsine:
-    """Arcsine law on (-a, a): density 1 / (pi sqrt(a^2 - x^2))."""
-
-    a: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.a < math.inf):
-            raise ValueError(f"scale must be positive and finite, got a={self.a}")
-
-    def pdf(self, x):
-        xs = _as_float_array(x)
-        if xs.size and np.max(np.abs(xs)) >= self.a:
-            raise ValueError(f"arcsine density diverges at |x| >= a = {self.a}")
-        out = 1.0 / (math.pi * np.sqrt(self.a * self.a - xs * xs))
-        return float(out) if np.isscalar(x) else out
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw via x = a cos(pi U); scaling acts on the draw itself, so
-        samples at scale a are exactly a times the unit-scale samples from
-        the same generator state."""
-        u = rng.random(size)
-        return self.a * np.cos(math.pi * u)
-
-
 @dataclass(frozen=True)
 class PowerSemicircle:
     """Power semicircle law on (-a, a), exponent lam >= 0.
 
-    Density proportional to (a^2 - x^2)^(lam - 1/2).  lam = 0 is the arcsine
-    law, lam = 1/2 the uniform, lam = 1 the classical semicircle.
+    Density f(x) = f_1(x/a) / a, where f_1(s) = C_lam ((1 - s)(1 + s))^(lam - 1/2)
+    is the unit law's and C_lam = Gamma(lam + 1) / (sqrt(pi) Gamma(lam + 1/2)).
+    lam = 0 is the arcsine law, lam = 1/2 the uniform, lam = 1 the classical
+    semicircle.  The pdf and the cdf see the scale only through s = x/a, so
+    no power of a is ever formed and any finite a > 0 is in range.
     """
 
     lam: float
@@ -134,24 +110,24 @@ class PowerSemicircle:
 
     @property
     def _log_norm(self) -> float:
-        """log of the density prefactor Gamma(lam+1) / (sqrt(pi) a^(2 lam) Gamma(lam+1/2))."""
-        return (
-            math.lgamma(self.lam + 1.0)
-            - math.lgamma(self.lam + 0.5)
-            - 0.5 * math.log(math.pi)
-            - 2.0 * self.lam * math.log(self.a)
-        )
+        """log C_lam, the log of the unit density's prefactor."""
+        return math.lgamma(self.lam + 1.0) - math.lgamma(self.lam + 0.5) - 0.5 * math.log(math.pi)
 
-    def pdf(self, x):
-        xs = _as_float_array(x)
+    def _unit(self, x) -> np.ndarray:
+        """The unit variable x/a, after checking that x lies in [-a, a]."""
+        xs = np.asarray(x, dtype=np.float64)
         if xs.size and np.max(np.abs(xs)) > self.a:
             raise ValueError(f"support is [-a, a] with a = {self.a}")
-        if self.lam < 0.5 and np.any(np.abs(xs) == self.a):
+        return xs / self.a
+
+    def pdf(self, x):
+        s = self._unit(x)
+        if self.lam < 0.5 and np.any(np.abs(s) == 1.0):
             raise ValueError(f"density is unbounded at |x| = a when lam < 1/2 (lam={self.lam})")
-        # At |x| = a the base is 0, and 0.0**0.0 == 1, 0.0**p == 0 give the
+        # At |s| = 1 the base is 0, and 0.0**0.0 == 1, 0.0**p == 0 give the
         # continuous limit for lam >= 1/2.  np.power, not **, so a scalar x
         # takes the same ufunc loop as an array and gets the same bits.
-        out = math.exp(self._log_norm) * np.power(self.a * self.a - xs**2, self.lam - 0.5)
+        out = math.exp(self._log_norm) * np.power((1.0 - s) * (1.0 + s), self.lam - 0.5) / self.a
         if not np.all(np.isfinite(out)):
             raise ArithmeticError(f"density overflows at scale a={self.a:g}")
         return float(out) if np.isscalar(x) else out
@@ -165,17 +141,14 @@ class PowerSemicircle:
         converge.  Any other lam goes through the regularized incomplete
         beta, the law being the image 2B - 1 of B ~ Beta(lam + 1/2, lam + 1/2).
         """
-        xs = _as_float_array(x)
-        if xs.size and np.max(np.abs(xs)) > self.a:
-            raise ValueError(f"support is [-a, a] with a = {self.a}")
-        s = np.atleast_1d(xs / self.a)
+        s = np.atleast_1d(self._unit(x))
         twice = 2.0 * float(self.lam)
         if twice.is_integer() and twice <= _WALLIS_MAX_P:
             out = _wallis_cdf(s, int(twice))
         else:
             shape = self.lam + 0.5
             out = betainc(shape, shape, 0.5 * (1.0 + s))
-        return float(out[0]) if xs.ndim == 0 else out
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw through the Beta(lam+1/2, lam+1/2) representation, itself
@@ -186,6 +159,23 @@ class PowerSemicircle:
         g2 = rng.standard_gamma(s, size)
         b = g1 / (g1 + g2)
         return self.a * (2.0 * b - 1.0)
+
+
+@dataclass(frozen=True)
+class Arcsine(PowerSemicircle):
+    """Arcsine law on (-a, a), the lam = 0 member: density 1 / (pi sqrt(a^2 - x^2)).
+
+    It inherits pdf and cdf and keeps only its own sampler.
+    """
+
+    lam: float = field(default=0.0, init=False)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """Draw via x = a cos(pi U); scaling acts on the draw itself, so
+        samples at scale a are exactly a times the unit-scale samples from
+        the same generator state."""
+        u = rng.random(size)
+        return self.a * np.cos(math.pi * u)
 
 
 def sample_spacings(

@@ -254,7 +254,11 @@ class MomentReport:
 def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> MomentReport:
     """Compute the order-2k moment both exact ways, scaled by a**(2k) with a
     read by :func:`exact_scale`, plus the empirical estimate from `batch`
-    (drawn at `spec`) when one is given."""
+    (drawn at `spec`) when one is given.
+
+    The estimate is taken on the unit variable values / a, and only its mean
+    and standard error are multiplied by the float a^(2k), so that factor is
+    the one power of the scale that can leave the float range."""
     scale = exact_scale(spec.a) ** (2 * k)
     closed = rwa_moment_closed(spec.n, k) * scale
     oracle = rwa_moment_oracle(spec.n, 2 * k) * scale
@@ -263,5 +267,6 @@ def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> Mo
         return exact
     if batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
-    mean, se = empirical_moment(batch.values, k)
-    return replace(exact, empirical=mean, std_error=se, mc_count=batch.count, seed=batch.seed)
+    mean, se = empirical_moment(batch.values / spec.a, k)
+    factor = math.pow(spec.a, 2 * k)
+    return replace(exact, empirical=mean * factor, std_error=se * factor, mc_count=batch.count, seed=batch.seed)

@@ -151,8 +151,8 @@ class TestUsageErrors:
         ["sample", "rwa", "--n", "3", "--seed", "1", "--count", str(10**15)],
         ["verify", "--n", "3", "--count", str(10**15)],
         ["plot-data", "--n", "3", "--seed", "1", "--count", str(10**15)],
-        # Written 1e+300 so the `where` table below has a key of its own.
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e+300"],
+        # a^(2k) leaves the float range first at k = 2.
+        ["verify", "--n", "3", "--count", "1000", "--a", "1e200"],
         # The KS test fails here, so the verdict alone would not reach row.z.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "3"],
         # 2*lam past the Wallis bound: the exponent goes to betainc, whose
@@ -170,10 +170,10 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
     where = {
-        "1e300": "moments.empirical_moment",
-        "3": "moments.empirical_moment",
+        "1e300": "moments.moment_report",
+        "3": "moments.moment_report",
+        "1e200": "moments.moment_report",
         "1e-320": "cli._cmd_plot_data",
-        "1e+300": "distributions.pdf",
         "1e308": "special.betainc",
         "1e6": "special._betacf",
         str(10**15): "rwa.rwa_batch",
@@ -186,7 +186,7 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e300"],
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
     ],
 )
@@ -474,6 +474,13 @@ class TestVerifyCommand:
             "lambda_override": None,
         }
 
+    @pytest.mark.parametrize("a", ["1e-150", "1e50"])
+    def test_scale_far_from_one_passes(self, a, capsys):
+        # E S^2 at 1e-150 and S^12 at 1e50 are in range (S^4 at 1e-150
+        # underflows to 0 on both sides), so the verdict is the a = 1 one.
+        assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", a]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+
     def test_n2_reduces_to_uniform_and_passes(self, capsys):
         code = main(["verify", "--n", "2", "--count", "100000", "--seed", "7"])
         assert code == 0
@@ -559,6 +566,11 @@ class TestPlotDataCommand:
         main(["plot-data", "--n", "3", "--count", "1000", "--seed", "1"])
         _, data = _read_plot_csv(capsys.readouterr().out)
         assert data.shape[0] == math.ceil(2.0 * 1000 ** (1.0 / 3.0))
+
+    def test_density_at_a_scale_whose_square_overflows(self, capsys):
+        assert main(["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e300", "--bins", "10"]) == 0
+        _, data = _read_plot_csv(capsys.readouterr().out)
+        assert np.all(np.isfinite(data[:, 2])) and np.all(data[:, 2] > 0)
 
     def test_writes_file_and_reproduces(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

@@ -39,6 +39,15 @@ class TestArcsine:
         x3 = Arcsine(a=3.0).sample(np.random.default_rng(5), 1000)
         assert np.array_equal(3.0 * x1, x3)
 
+    def test_is_the_lam_zero_power_semicircle(self):
+        law = Arcsine(a=2.0)
+        assert isinstance(law, PowerSemicircle) and law.lam == 0.0
+        x = np.concatenate([np.linspace(-2.0, 2.0, 401), [-(2 - 1e-7), 2 - 1e-7]])
+        ref = scipy.stats.arcsine(loc=-2.0, scale=4.0).cdf(x)
+        # SciPy's arcsin(sqrt(.)) is 2.4e-13 off at the last point (mpmath);
+        # the Wallis form is within 2e-17 there.
+        np.testing.assert_allclose(law.cdf(x), ref, atol=1e-12, rtol=0)
+
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             Arcsine(a=0.0)
@@ -152,6 +161,17 @@ class TestPowerSemicircle:
         out = PowerSemicircle(lam=lam, a=a).cdf(x)
         np.testing.assert_array_equal(out, PowerSemicircle(lam=lam, a=1.0).cdf(x / a))
         assert out[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "law",
+        [Arcsine, lambda a: PowerSemicircle(1.0, a), lambda a: PowerSemicircle(3.5, a)],
+        ids=["arcsine", "lam=1", "lam=3.5"],
+    )
+    @pytest.mark.parametrize("a", [1e200, 1e300])
+    def test_pdf_at_a_scale_whose_square_overflows(self, law, a):
+        # f(x) = f_1(x/a) / a: a is never squared
+        x = np.linspace(-0.999, 0.999, 1001)
+        np.testing.assert_allclose(a * law(a).pdf(a * x), law(1.0).pdf(x), rtol=1e-12, atol=0)
 
     def test_endpoint_rules(self):
         # lam >= 1/2: the density extends continuously to the edge

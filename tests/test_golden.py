@@ -44,7 +44,7 @@ def test_batch_csv_digest(n, a, seed, shards, expected):
     "a, expected",
     [
         (1.0, "2932be55b8271c00b7bcb034fbfe81727476b5fda02ff3c3a76b565c342e02d0"),
-        (2.5, "bd9d6cd9ef2f5b5484e7b0f1624957a2764ff3c21710e562c99428b2be26e9c8"),
+        (2.5, "489c7862e88e922148a1798740af24ecff57e2215df6a283cb0acec29782758d"),
     ],
 )
 def test_verify_json_digest(a, expected):
@@ -65,7 +65,7 @@ def test_verify_json_digest(a, expected):
         (["sample", "spacings", "--n", "4", "--count", "2000", "--seed", "5", "--method", "exponential"],
          "06b8e4a66fb66afaa1a34360caff6d476e2d2b58f812b8f6b24355e814492950"),
         (["plot-data", "--n", "4", "--a", "2.5", "--count", "3000", "--seed", "13"],
-         "3881bf343c119b4c45e154a0bcd58d9a928f1b7fcb503c95b6ab3aa52ca8f0bc"),
+         "fb73fb07531def2c922b9c9030e12d0687363181d57056bc767c2428f6cb88b0"),
     ],
 )
 def test_cli_artifact_digest(argv, expected, tmp_path):

@@ -281,6 +281,16 @@ class TestMomentReport:
         assert rep.z <= 4.0
         assert (rep.mc_count, rep.seed) == (50_000, 42)
 
+    @pytest.mark.parametrize("a, k_max", [(2.5, 3), (1e50, 3), (1e-100, 1), (1e-150, 1)])
+    def test_z_does_not_depend_on_the_scale(self, a, k_max):
+        # The estimate is taken on values / a, so neither v^(4k) overflowing
+        # (a = 1e50) nor it underflowing to a zero standard error (a = 1e-150)
+        # can move z.
+        unit, scaled = (rwa_batch(RwaSpec(3, b), 2000, seed=7) for b in (1.0, a))
+        for k in range(1, k_max + 1):
+            z = moment_report(scaled.spec, k, scaled).z
+            assert z == pytest.approx(moment_report(unit.spec, k, unit).z, rel=1e-9, abs=0)
+
     def test_batch_must_match_spec(self):
         batch = rwa_batch(RwaSpec(3, 2.0), 100, seed=1)
         with pytest.raises(ValueError):
