@@ -27,7 +27,6 @@ from .moments import (
     rwa_moment_oracle,
 )
 from .rwa import RwaSpec, SampleBatch, rwa_batch
-from .special import betainc
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "PowerSemicircle",
     "RwaSpec",
     "SampleBatch",
-    "betainc",
     "composition_count",
     "compositions",
     "empirical_moment",

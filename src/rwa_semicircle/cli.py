@@ -28,6 +28,7 @@ import numpy as np
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import HalfInteger, composition_count
 from .moments import (
+    BAND_Z,
     lemma_lhs,
     lemma_rhs,
     moment_report,
@@ -82,7 +83,14 @@ _positive_int = _bounded(_int_any, lambda v: v >= 1, "expected a positive intege
 _nonneg_int = _bounded(_int_any, lambda v: v >= 0, "expected an integer >= 0")
 _size = _bounded(_int_any, lambda v: v >= 2, "the average needs n >= 2")
 _positive_float = _bounded(_float_any, lambda v: v > 0, "expected a positive number")
-_nonneg_float = _bounded(_float_any, lambda v: v >= 0, "expected a number >= 0")
+
+
+def _exponent(text: str) -> float:
+    """A power semicircle exponent, checked by `PowerSemicircle` itself."""
+    try:
+        return PowerSemicircle(lam=_float_any(text)).lam
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
@@ -237,8 +245,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     outcome = run_verification(cfg)
 
-    # Every line is formatted before any is printed, so a row whose z-score
-    # cannot be computed leaves stdout empty.
     lines = [
         f"[{'PASS' if outcome.ks_pass else 'FAIL'}] ks: D = {outcome.ks_statistic:.5f} vs critical "
         f"{outcome.ks_critical:.5f} (alpha = {cfg.alpha:g}, N = {cfg.sample_count})"
@@ -247,7 +253,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines.append(
             f"[{'PASS' if row.within_band() else 'FAIL'}] moment order {2 * row.k}: "
             f"empirical {row.empirical:.6g} vs exact {decimal_str(row.closed_form, 8)} "
-            f"(z = {row.z:.2f} vs 4.0)"
+            f"(z = {row.z:.2f} vs {BAND_Z})"
         )
     lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
     print("\n".join(lines))
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arc.set_defaults(func=_cmd_sample_law, law=lambda args: Arcsine(a=args.a))
 
     p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
-    p_psc.add_argument("--lambda", dest="lam", type=_nonneg_float, required=True, help="exponent (>= 0)")
+    p_psc.add_argument("--lambda", dest="lam", type=_exponent, required=True, help="exponent p/2, p an integer in 0..1000")
     p_psc.add_argument("--a", type=_positive_float, default=1.0)
     p_psc.set_defaults(func=_cmd_sample_law, law=lambda args: PowerSemicircle(lam=args.lam, a=args.a))
 
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
     p_verify.add_argument("--alpha", type=_bounded(_float_any, lambda v: 0 < v < 1, "expected a value in (0, 1)"), default=0.01, help="KS significance level (default 0.01)")
     p_verify.add_argument("--json", default=None, help="also write the full outcome as JSON to this path")
-    p_verify.add_argument("--lambda-override", type=_nonneg_float, default=None, help="(testing only) force this exponent as the KS null instead of (n-1)/2")
+    p_verify.add_argument("--lambda-override", type=_exponent, default=None, help="(testing only) force this exponent, p/2 with p an integer in 0..1000, as the KS null instead of (n-1)/2")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser("plot-data", parents=[draws, instance, sharded], help="histogram vs target density, as CSV")
@@ -352,6 +358,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "shards" in vars(args) and args.shards > args.count:
         parser.error(f"--shards {args.shards} exceeds --count {args.count}")
+    if args.func in (_cmd_verify, _cmd_plot_data):
+        try:  # the target law, exponent (n - 1)/2, must be one PowerSemicircle accepts
+            PowerSemicircle(lam=(args.n - 1) / 2)
+        except ValueError as exc:
+            parser.error(f"--n {args.n}: {exc}")
     try:
         # A non-finite NumPy result raises FloatingPointError where it first
         # arises, so it is reported by the one error line below.

@@ -4,9 +4,10 @@ The power semicircle family is the target law that the randomly weighted
 average is checked against, and its lam = 0 member, Arcsine(-a, a), is the
 input law of the averaged variables.  Both are small frozen dataclasses;
 `Arcsine` subclasses `PowerSemicircle` and adds only its cosine sampler.
-The pdf and the cdf work in the unit variable s = x/a, formed in one place,
-and the pdf handles the endpoint by the continuous limit where that limit
-exists.
+Every exponent is p/2 for an integer p in 0..1000, as (n-1)/2 always is, so
+the cdf has one route, the Wallis form.  The pdf and the cdf work in the
+unit variable s = x/a, formed in one place, and the pdf handles the endpoint
+by the continuous limit where that limit exists.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import betainc
-
 __all__ = ["Arcsine", "PowerSemicircle", "sample_spacings"]
 
 _SPACING_METHODS = ("sorted-uniforms", "exponential")
 
 
-# Largest p = 2*lam that `PowerSemicircle.cdf` evaluates by the Wallis form.
-# The form costs about p/2 Horner passes per point (2p in the far tail), so
-# the bound caps its work; an exponent past it, such as a huge
-# --lambda-override, goes to betainc instead of an unbounded loop.
+# Largest p = 2*lam that `PowerSemicircle` accepts.  The Wallis form of its
+# cdf costs about p/2 Horner passes per point (2p in the far tail), so the
+# bound caps that work.
 _WALLIS_MAX_P = 1000
 
 
@@ -90,7 +88,7 @@ def _wallis_cdf(s: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerSemicircle:
-    """Power semicircle law on (-a, a), exponent lam >= 0.
+    """Power semicircle law on (-a, a), exponent lam = p/2, p an integer in 0..1000.
 
     Density f(x) = f_1(x/a) / a, where f_1(s) = C_lam ((1 - s)(1 + s))^(lam - 1/2)
     is the unit law's and C_lam = Gamma(lam + 1) / (sqrt(pi) Gamma(lam + 1/2)).
@@ -103,8 +101,9 @@ class PowerSemicircle:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lam < math.inf):
-            raise ValueError(f"exponent must be finite and >= 0, got lam={self.lam}")
+        p = 2.0 * self.lam
+        if not (0 <= p <= _WALLIS_MAX_P and p.is_integer()):
+            raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={self.lam}")
         if not (0 < self.a < math.inf):
             raise ValueError(f"scale must be positive and finite, got a={self.a}")
 
@@ -122,8 +121,8 @@ class PowerSemicircle:
 
     def pdf(self, x):
         s = self._unit(x)
-        if self.lam < 0.5 and np.any(np.abs(s) == 1.0):
-            raise ValueError(f"density is unbounded at |x| = a when lam < 1/2 (lam={self.lam})")
+        if self.lam == 0 and np.any(np.abs(s) == 1.0):
+            raise ValueError("density is unbounded at |x| = a when lam = 0")
         # At |s| = 1 the base is 0, and 0.0**0.0 == 1, 0.0**p == 0 give the
         # continuous limit for lam >= 1/2.  np.power, not **, so a scalar x
         # takes the same ufunc loop as an array and gets the same bits.
@@ -135,19 +134,10 @@ class PowerSemicircle:
     def cdf(self, x):
         """CDF, computed from the unit variable s = x/a.
 
-        When 2*lam is an integer p <= _WALLIS_MAX_P (every exponent (n-1)/2
-        the theorem produces) the law is specified directly by the Wallis
-        form of `_wallis_cdf`: no iteration, nothing that can fail to
-        converge.  Any other lam goes through the regularized incomplete
-        beta, the law being the image 2B - 1 of B ~ Beta(lam + 1/2, lam + 1/2).
+        The law is specified directly by the Wallis form of `_wallis_cdf` at
+        p = 2*lam: no iteration, nothing that can fail to converge.
         """
-        s = np.atleast_1d(self._unit(x))
-        twice = 2.0 * float(self.lam)
-        if twice.is_integer() and twice <= _WALLIS_MAX_P:
-            out = _wallis_cdf(s, int(twice))
-        else:
-            shape = self.lam + 0.5
-            out = betainc(shape, shape, 0.5 * (1.0 + s))
+        out = _wallis_cdf(np.atleast_1d(self._unit(x)), int(2 * self.lam))
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):

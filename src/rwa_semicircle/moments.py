@@ -38,6 +38,7 @@ from .render import rational_json
 from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
+    "BAND_Z",
     "MomentReport",
     "empirical_moment",
     "exact_scale",
@@ -200,6 +201,9 @@ def exact_scale(a: float) -> Fraction:
     return Fraction(str(a))
 
 
+BAND_Z = 4.0  # a Monte Carlo moment passes within this many standard errors
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Everything known about one even moment order at one problem size."""
@@ -213,25 +217,19 @@ class MomentReport:
     std_error: float | None = None
     mc_count: int | None = None
     seed: int | None = None
+    # Distance of the Monte Carlo estimate from exact, in standard errors.
+    z: float | None = None
 
     @property
     def consistent(self) -> bool:
         """Exact agreement of the two symbolic routes."""
         return self.closed_form == self.oracle
 
-    @property
-    def z(self) -> float:
-        """Distance of the Monte Carlo estimate from exact, in standard errors."""
-        if self.empirical is None or self.std_error is None:
+    def within_band(self) -> bool:
+        """Is the Monte Carlo estimate within BAND_Z standard errors of exact?"""
+        if self.z is None:
             raise ValueError("no Monte Carlo estimate attached to this report")
-        gap = abs(self.empirical - float(self.closed_form))
-        if self.std_error > 0:
-            return gap / self.std_error
-        return 0.0 if gap == 0 else math.inf
-
-    def within_band(self, z: float = 4.0) -> bool:
-        """Is the Monte Carlo estimate within z standard errors of exact?"""
-        return self.z <= z
+        return self.z <= BAND_Z
 
     def to_json_dict(self) -> dict:
         out = {
@@ -256,11 +254,12 @@ def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> Mo
     read by :func:`exact_scale`, plus the empirical estimate from `batch`
     (drawn at `spec`) when one is given.
 
-    The estimate is taken on the unit variable values / a, and only its mean
-    and standard error are multiplied by the float a^(2k), so that factor is
-    the one power of the scale that can leave the float range."""
+    The estimate and its z are taken on the unit variable values / a, against
+    the unit moment, so z does not depend on a.  The reported mean and
+    standard error are the unit ones times the exact a^(2k), rounded once."""
     scale = exact_scale(spec.a) ** (2 * k)
-    closed = rwa_moment_closed(spec.n, k) * scale
+    unit = rwa_moment_closed(spec.n, k)
+    closed = unit * scale
     oracle = rwa_moment_oracle(spec.n, 2 * k) * scale
     exact = MomentReport(n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle)
     if batch is None:
@@ -268,5 +267,7 @@ def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> Mo
     if batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     mean, se = empirical_moment(batch.values / spec.a, k)
-    factor = math.pow(spec.a, 2 * k)
-    return replace(exact, empirical=mean * factor, std_error=se * factor, mc_count=batch.count, seed=batch.seed)
+    gap = abs(mean - float(unit))
+    z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+    empirical, std_error = float(Fraction(mean) * scale), float(Fraction(se) * scale)
+    return replace(exact, empirical=empirical, std_error=std_error, mc_count=batch.count, seed=batch.seed, z=z)

@@ -1,10 +1,9 @@
 """Regularized incomplete beta function, vectorized over x.
 
 `PowerSemicircle.cdf` specifies the law directly, by the Wallis form, for
-every exponent with 2*lam an integer up to its bound; this function is the
-fallback for every other exponent, and the tests use it as the second,
-independent route to that CDF.  It runs in lockstep over whole arrays
-instead of looping per point.  Algorithm: the standard modified Lentz
+every exponent the class accepts, so the package never calls this function
+at run time; the tests use it as the second, independent route to that CDF.
+It runs in lockstep over whole arrays instead of looping per point.  Algorithm: the standard modified Lentz
 evaluation of the continued fraction for I_x(a, b), switching to the
 symmetric tail 1 - I_{1-x}(b, a) past the pivot x = (a+1)/(a+b+2) where the
 fraction converges fastest.

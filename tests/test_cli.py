@@ -47,6 +47,14 @@ _BAD_VALUES = [
     ["verify", "--n", "3", "--count", "100", "--shards", "200"],
     ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
     ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"],
+    # the exponent is p/2 for an integer p in 0..1000
+    ["sample", "psc", "--lambda", "0.3", "--count", "5", "--seed", "1"],
+    ["sample", "psc", "--lambda", "500.5", "--count", "5", "--seed", "1"],
+    ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e6"],
+    ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e308"],
+    # so the target law (n - 1)/2 needs n <= 1001
+    ["verify", "--n", "1002", "--count", "1000", "--k-max", "0"],
+    ["plot-data", "--n", "1002", "--count", "100", "--seed", "1"],
 ]
 
 
@@ -127,7 +135,7 @@ class TestUsageErrors:
             (["sample", "arcsine", "--a", "-2", "--count", "5", "--seed", "1"],
              "rwa sample arcsine: error: argument --a: expected a positive number, got '-2'"),
             (["sample", "psc", "--lambda", "-1", "--count", "5", "--seed", "1"],
-             "rwa sample psc: error: argument --lambda: expected a number >= 0, got '-1'"),
+             "rwa sample psc: error: argument --lambda: exponent must be p/2 for an integer p in 0..1000, got lam=-1.0"),
             (["verify", "--n", "3", "--alpha", "1.0"],
              "rwa verify: error: argument --alpha: expected a value in (0, 1), got '1.0'"),
             (["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
@@ -146,18 +154,16 @@ class TestUsageErrors:
     [
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
         ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
-        ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e308"],
+        # The largest accepted exponent at a huge scale.
+        ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "500"],
         # 10^15 doubles are 7 PiB, beyond any x86-64 address space.
         ["sample", "rwa", "--n", "3", "--seed", "1", "--count", str(10**15)],
         ["verify", "--n", "3", "--count", str(10**15)],
         ["plot-data", "--n", "3", "--seed", "1", "--count", str(10**15)],
-        # a^(2k) leaves the float range first at k = 2.
+        # The scaled order-2 moment a^2 / 4 leaves the float range.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e200"],
-        # The KS test fails here, so the verdict alone would not reach row.z.
+        # The moment rows are computed even where the KS test fails.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "3"],
-        # 2*lam past the Wallis bound: the exponent goes to betainc, whose
-        # continued fraction does not converge.
-        ["verify", "--n", "3", "--count", "1000", "--lambda-override", "1e6"],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
@@ -172,10 +178,9 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     where = {
         "1e300": "moments.moment_report",
         "3": "moments.moment_report",
+        "500": "moments.moment_report",
         "1e200": "moments.moment_report",
         "1e-320": "cli._cmd_plot_data",
-        "1e308": "special.betainc",
-        "1e6": "special._betacf",
         str(10**15): "rwa.rwa_batch",
     }[argv[-1]]
     command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
@@ -421,6 +426,11 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), lambda_override=lam)
 
+    @pytest.mark.parametrize("lam", [0.3, 500.5, 1e6])
+    def test_rejects_lambda_override_that_is_no_power_semicircle_exponent(self, lam):
+        with pytest.raises(ValueError, match="p/2"):
+            VerifyConfig(spec=RwaSpec(n=3, a=1.0), lambda_override=lam)
+
 
 class TestRunVerification:
     def test_outcome_structure(self):
@@ -476,10 +486,22 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("a", ["1e-150", "1e50"])
     def test_scale_far_from_one_passes(self, a, capsys):
-        # E S^2 at 1e-150 and S^12 at 1e50 are in range (S^4 at 1e-150
-        # underflows to 0 on both sides), so the verdict is the a = 1 one.
+        # Every z is taken on values / a, so the verdict is the a = 1 one.
         assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", a]) == 0
         assert "verify: PASS" in capsys.readouterr().out
+
+    def test_scale_whose_square_overflows_passes(self, capsys):
+        # a^2 overflows, but the scaled E S^2 = a^2 / 4 = 5.6e307 is in range
+        argv = ["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", "1.5e154", "--k-max", "1"]
+        assert main(argv) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+
+    def test_underflowing_rows_keep_their_z(self, capsys):
+        # orders 4 and 6 underflow to 0 at a = 1e-150; their z is the a = 1 one
+        assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", "1e-150"]) == 0
+        out = capsys.readouterr().out
+        assert "moment order 4: empirical 0 vs exact 1.25E-601 (z = 1.93 vs 4.0)" in out
+        assert "moment order 6: empirical 0 vs exact 7.8125E-902 (z = 2.06 vs 4.0)" in out
 
     def test_n2_reduces_to_uniform_and_passes(self, capsys):
         code = main(["verify", "--n", "2", "--count", "100000", "--seed", "7"])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial
 from rwa_semicircle.moments import (
+    BAND_Z,
     MomentReport,
     empirical_moment,
     exact_scale,
@@ -277,15 +279,19 @@ class TestMomentReport:
     def test_monte_carlo_report_lands_in_band(self):
         batch = rwa_batch(RwaSpec(3, 1.0), 50_000, seed=42)
         rep = moment_report(RwaSpec(3, 1.0), 1, batch)
-        assert rep.within_band(4.0)
+        assert rep.within_band()
         assert rep.z <= 4.0
         assert (rep.mc_count, rep.seed) == (50_000, 42)
 
-    @pytest.mark.parametrize("a, k_max", [(2.5, 3), (1e50, 3), (1e-100, 1), (1e-150, 1)])
+    @pytest.mark.parametrize(
+        "a, k_max",
+        [(2.5, 3), (1e50, 3), (1e-100, 1), (1e-150, 1), (1e-100, 3), (1e-150, 3), (1.5e154, 1)],
+    )
     def test_z_does_not_depend_on_the_scale(self, a, k_max):
-        # The estimate is taken on values / a, so neither v^(4k) overflowing
-        # (a = 1e50) nor it underflowing to a zero standard error (a = 1e-150)
-        # can move z.
+        # z is taken on values / a against the unit moment, so neither a
+        # scaled moment underflowing to 0 (a <= 1e-100, k >= 2) nor one near
+        # the top of the float range (a = 1.5e154, a^2 / 4 = 5.6e307) can
+        # move it.
         unit, scaled = (rwa_batch(RwaSpec(3, b), 2000, seed=7) for b in (1.0, a))
         for k in range(1, k_max + 1):
             z = moment_report(scaled.spec, k, scaled).z
@@ -302,17 +308,25 @@ class TestMomentReport:
         assert rep.closed_form == rep.oracle == Fraction(1, 400)
 
     def test_z_is_the_gap_in_standard_errors(self):
-        rep = MomentReport(
-            n=3, a=1.0, k=1, closed_form=Fraction(1, 4), oracle=Fraction(1, 4),
-            empirical=0.26, std_error=0.005,
-        )
-        assert rep.z == pytest.approx(2.0)
-        assert rep.within_band(2.5) and not rep.within_band(1.5)
-        exact = MomentReport(
-            n=3, a=1.0, k=0, closed_form=Fraction(1), oracle=Fraction(1),
-            empirical=1.0, std_error=0.0,
-        )
-        assert exact.z == 0.0
+        batch = rwa_batch(RwaSpec(3, 2.5), 2000, seed=7)
+        mean, se = empirical_moment(batch.values / 2.5, 2)
+        assert moment_report(batch.spec, 2, batch).z == abs(mean - 0.125) / se
+        # order 0 is exact on every draw: no gap and no standard error
+        assert moment_report(batch.spec, 0, batch).z == 0.0
+
+    def test_band_is_band_z_standard_errors(self):
+        rep = MomentReport(n=3, a=1.0, k=1, closed_form=Fraction(1, 4), oracle=Fraction(1, 4), z=BAND_Z)
+        assert rep.within_band()
+        assert not replace(rep, z=math.nextafter(BAND_Z, math.inf)).within_band()
+
+    def test_scaled_estimate_is_rounded_once(self):
+        # the unit estimate times the exact a^(2k): finite wherever the
+        # scaled value is, though a^2 alone overflows at a = 1.5e154
+        batch = rwa_batch(RwaSpec(3, 1.5e154), 2000, seed=7)
+        mean, se = empirical_moment(batch.values / 1.5e154, 1)
+        rep = moment_report(batch.spec, 1, batch)
+        scale = Fraction(15 * 10**153) ** 2
+        assert (rep.empirical, rep.std_error) == (float(Fraction(mean) * scale), float(Fraction(se) * scale))
 
     def test_band_check_requires_mc(self):
         rep = moment_report(RwaSpec(3, 1.0), 1)
