@@ -21,7 +21,7 @@ from .moments import (
     empirical_moment,
     lemma_lhs,
     lemma_rhs,
-    moment_report,
+    moment_rows,
     psc_moment,
     rwa_moment_closed,
     rwa_moment_oracle,
@@ -46,7 +46,7 @@ __all__ = [
     "ks_statistic",
     "lemma_lhs",
     "lemma_rhs",
-    "moment_report",
+    "moment_rows",
     "multinomial",
     "psc_moment",
     "rising_gamma_ratio",

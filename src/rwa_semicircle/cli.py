@@ -31,7 +31,7 @@ from .moments import (
     BAND_Z,
     lemma_lhs,
     lemma_rhs,
-    moment_report,
+    moment_rows,
     oracle_term_count,
     rwa_moment_closed,
     rwa_moment_oracle,
@@ -141,15 +141,12 @@ def _emit(data: bytes, out: str | None) -> None:
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     _warn_term_count(_moment_term_count(args.n, args.k_max, literal_parity=args.literal_parity))
-    spec = RwaSpec(n=args.n, a=args.a)
-    rows = []
-    for k in range(args.k_max + 1):
-        if args.literal_parity:
-            literal = rwa_moment_oracle(args.n, 2 * k, literal_parity=True)
-            if literal != rwa_moment_closed(args.n, k):
+    rows = moment_rows(RwaSpec(n=args.n, a=args.a), args.k_max)
+    if args.literal_parity:
+        for k in range(args.k_max + 1):
+            if rwa_moment_oracle(args.n, 2 * k, literal_parity=True) != rwa_moment_closed(args.n, k):
                 print(f"literal-parity oracle disagrees at k={k}", file=sys.stderr)
                 return 1
-        rows.append(moment_report(spec, k))
     all_equal = all(row.consistent for row in rows)
 
     if args.json:
@@ -269,9 +266,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     bins = args.bins if args.bins is not None else max(10, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
     density, edges = np.histogram(batch.values, bins=bins, range=(-args.a, args.a), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    law = PowerSemicircle(lam=(args.n - 1) / 2.0, a=args.a)
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    _emit(csv_bytes(header, centers, density, law.pdf(centers)), args.out)
+    _emit(csv_bytes(header, centers, density, spec.target_law().pdf(centers)), args.out)
     return 0
 
 
@@ -359,8 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     if "shards" in vars(args) and args.shards > args.count:
         parser.error(f"--shards {args.shards} exceeds --count {args.count}")
     if args.func in (_cmd_verify, _cmd_plot_data):
-        try:  # the target law, exponent (n - 1)/2, must be one PowerSemicircle accepts
-            PowerSemicircle(lam=(args.n - 1) / 2)
+        try:  # the theorem's target law must be one PowerSemicircle accepts
+            RwaSpec(n=args.n, a=args.a).target_law()
         except ValueError as exc:
             parser.error(f"--n {args.n}: {exc}")
     try:

@@ -12,7 +12,8 @@ kept deliberately separate so they can police each other:
   binomial form), and add everything up as integer numerators over one
   common denominator.
 
-Both are exact rationals, so "agree" means ``==``.
+Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` tables
+them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "exact_scale",
     "lemma_lhs",
     "lemma_rhs",
-    "moment_report",
+    "moment_rows",
     "oracle_term_count",
     "psc_moment",
     "rwa_moment_closed",
@@ -178,18 +179,21 @@ def psc_moment(lam, k: int) -> Fraction:
     return rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(q + 1, k)
 
 
-def empirical_moment(values: np.ndarray, k: int) -> tuple[float, float]:
-    """Sample mean of v^(2k) and its standard error."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+def empirical_moment(values: np.ndarray, k_max: int) -> tuple[tuple[float, float], ...]:
+    """Sample mean of v^(2k) and its standard error, for k = 0..k_max, from
+    one read of the batch: v^2 is formed once and multiplied forward to each
+    v^(2j), j <= 2*k_max.  Row k's standard error comes from the means of
+    orders 2k and 4k; row 0 is exactly (1.0, 0.0)."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("need at least one value")
-    powers = v ** (2 * k)
-    mean = float(powers.mean())
-    var = float((powers**2).mean() - mean * mean)
-    se = math.sqrt(max(var, 0.0) / v.size)
-    return mean, se
+    square, power, means = v * v, np.ones_like(v), [1.0]
+    for _ in range(2 * k_max):
+        power *= square
+        means.append(float(power.mean()))
+    return tuple((m, math.sqrt(max(means[2 * k] - m * m, 0.0) / v.size)) for k, m in enumerate(means[: k_max + 1]))
 
 
 def exact_scale(a: float) -> Fraction:
@@ -242,32 +246,34 @@ class MomentReport:
             "consistent": self.consistent,
         }
         if self.empirical is not None:
-            out["empirical"] = self.empirical
-            out["std_error"] = self.std_error
-            out["mc_count"] = self.mc_count
-            out["seed"] = self.seed
+            out.update(empirical=self.empirical, std_error=self.std_error, mc_count=self.mc_count, seed=self.seed)
         return out
 
 
-def moment_report(spec: RwaSpec, k: int, batch: SampleBatch | None = None) -> MomentReport:
-    """Compute the order-2k moment both exact ways, scaled by a**(2k) with a
-    read by :func:`exact_scale`, plus the empirical estimate from `batch`
-    (drawn at `spec`) when one is given.
-
-    The estimate and its z are taken on the unit variable values / a, against
-    the unit moment, so z does not depend on a.  The reported mean and
-    standard error are the unit ones times the exact a^(2k), rounded once."""
-    scale = exact_scale(spec.a) ** (2 * k)
-    unit = rwa_moment_closed(spec.n, k)
-    closed = unit * scale
-    oracle = rwa_moment_oracle(spec.n, 2 * k) * scale
-    exact = MomentReport(n=spec.n, a=spec.a, k=k, closed_form=closed, oracle=oracle)
-    if batch is None:
-        return exact
-    if batch.spec != spec:
+def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
+    """The moment table k = 0..k_max: both exact routes times the exact a^(2k)
+    of :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
+    (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
+    is taken against the unit moment, so a cannot move it; mean and standard
+    error are the unit ones times a^(2k), rounded once."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
-    mean, se = empirical_moment(batch.values / spec.a, k)
-    gap = abs(mean - float(unit))
-    z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
-    empirical, std_error = float(Fraction(mean) * scale), float(Fraction(se) * scale)
-    return replace(exact, empirical=empirical, std_error=std_error, mc_count=batch.count, seed=batch.seed, z=z)
+    square = exact_scale(spec.a) ** 2
+    estimates = empirical_moment(batch.values / spec.a, k_max) if batch is not None else ()
+    rows = []
+    for k in range(k_max + 1):
+        unit, scale = rwa_moment_closed(spec.n, k), square**k
+        row = MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=rwa_moment_oracle(spec.n, 2 * k) * scale)
+        if batch is not None:
+            mean, se = estimates[k]
+            gap = abs(mean - float(unit))
+            z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+            try:
+                empirical, std_error = float(Fraction(mean) * scale), float(Fraction(se) * scale)
+            except OverflowError:
+                raise OverflowError(f"moment order {2 * k} at a={spec.a!r} is beyond the float range") from None
+            row = replace(row, empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
+        rows.append(row)
+    return tuple(rows)

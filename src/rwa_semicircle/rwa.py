@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .distributions import sample_spacings
+from .distributions import PowerSemicircle, sample_spacings
 
 __all__ = ["RwaSpec", "SampleBatch", "rwa_batch"]
 
@@ -53,6 +53,10 @@ class RwaSpec:
             raise ValueError(f"need an integer n >= 2, got {self.n!r}")
         if not (0 < self.a < math.inf):
             raise ValueError(f"scale must be positive and finite, got a={self.a}")
+
+    def target_law(self) -> PowerSemicircle:
+        """The law the theorem gives the average: exponent (n - 1)/2, scale a."""
+        return PowerSemicircle(lam=(self.n - 1) / 2, a=self.a)
 
 
 def _stream(seed: int, shard_index: int, offset: int) -> np.random.Generator:
@@ -128,7 +132,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(draw, chunks))
-    return SampleBatch(values=values, spec=spec, seed=seed, count=count, shards=shards)
+    return SampleBatch(values=values, spec=spec, seed=seed, shards=shards)
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,6 @@ class SampleBatch:
     values: np.ndarray
     spec: RwaSpec
     seed: int
-    count: int
     shards: int
 
     def csv_bytes(self) -> bytes:
@@ -150,17 +153,14 @@ class SampleBatch:
     def values_digest(self) -> str:
         return hashlib.sha256(self.csv_bytes()).hexdigest()
 
-    def envelope(self) -> dict:
-        return {
+    def envelope_bytes(self) -> bytes:
+        return render.json_bytes({
             "spec": {"n": self.spec.n, "a": self.spec.a},
             "seed": self.seed,
-            "count": self.count,
+            "count": self.values.size,
             "shards": self.shards,
             "values_sha256": self.values_digest(),
-        }
-
-    def envelope_bytes(self) -> bytes:
-        return render.json_bytes(self.envelope())
+        })
 
     def write_envelope(self, path: str | Path) -> None:
         Path(path).write_bytes(self.envelope_bytes())

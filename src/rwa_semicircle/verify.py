@@ -2,7 +2,7 @@
 
 One seeded batch is drawn and tested twice: a one-sample KS test against
 the target CDF, and a band check of each empirical even moment against the
-exact rows of :func:`~rwa_semicircle.moments.moment_report`.
+exact rows of one :func:`~rwa_semicircle.moments.moment_rows` table.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .distributions import PowerSemicircle
 from .gof import ks_critical_one_sample, ks_statistic
-from .moments import MomentReport, moment_report
+from .moments import MomentReport, moment_rows
 from .rwa import RwaSpec, rwa_batch
 
 __all__ = ["VerifyConfig", "VerifyOutcome", "run_verification"]
@@ -91,11 +91,9 @@ def run_verification(cfg: VerifyConfig) -> VerifyOutcome:
     moment up to order 2*max_moment_k against the exact values.
     """
     batch = rwa_batch(cfg.spec, cfg.sample_count, cfg.seed, shards=cfg.shards)
-
-    lam = (cfg.spec.n - 1) / 2.0 if cfg.lambda_override is None else cfg.lambda_override
-    law = PowerSemicircle(lam=lam, a=cfg.spec.a)
+    override = cfg.lambda_override
+    law = cfg.spec.target_law() if override is None else PowerSemicircle(lam=override, a=cfg.spec.a)
     d = ks_statistic(batch.values, law.cdf)
     critical = ks_critical_one_sample(cfg.alpha, cfg.sample_count)
-
-    rows = tuple(moment_report(cfg.spec, k, batch) for k in range(cfg.max_moment_k + 1))
+    rows = moment_rows(cfg.spec, cfg.max_moment_k, batch)
     return VerifyOutcome(config=cfg, ks_statistic=d, ks_critical=critical, moment_rows=rows)

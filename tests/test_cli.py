@@ -176,16 +176,19 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
     where = {
-        "1e300": "moments.moment_report",
-        "3": "moments.moment_report",
-        "500": "moments.moment_report",
-        "1e200": "moments.moment_report",
+        "1e300": "moments.moment_rows",
+        "3": "moments.moment_rows",
+        "500": "moments.moment_rows",
+        "1e200": "moments.moment_rows",
         "1e-320": "cli._cmd_plot_data",
         str(10**15): "rwa.rwa_batch",
     }[argv[-1]]
     command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
     assert errors[0].startswith(f"error: {command}: ")
     assert errors[0].endswith(f" (in {where})")
+    # A moment row out of the float range names its order and the scale.
+    if argv[-1] == "1e300":
+        assert errors[0] == "error: verify: moment order 2 at a=1e+300 is beyond the float range (in moments.moment_rows)"
 
 
 @pytest.mark.parametrize(
@@ -238,11 +241,11 @@ def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):
-    from rwa_semicircle.moments import moment_report
+    from rwa_semicircle.moments import moment_rows
 
     assert main(["moment", "--n", "3", "--k-max", "2", "--a", "0.5", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert rows == [moment_report(RwaSpec(n=3, a=0.5), k).to_json_dict() for k in range(3)]
+    assert rows == [row.to_json_dict() for row in moment_rows(RwaSpec(n=3, a=0.5), 2)]
     assert main(["lemma-check", "--params", "1/2,5/2", "--r-max", "2", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][2]
     assert row["lhs"] == {"num": "12", "den": "1", "decimal": "12"}
@@ -449,6 +452,21 @@ class TestRunVerification:
         outcome = run_verification(cfg)
         for row in outcome.moment_rows:
             assert row.closed_form == row.oracle
+
+    def test_reads_the_batch_once_for_every_order(self, monkeypatch):
+        from rwa_semicircle import moments
+
+        calls = []
+        original = moments.empirical_moment
+
+        def counting(values, k_max):
+            calls.append(k_max)
+            return original(values, k_max)
+
+        monkeypatch.setattr(moments, "empirical_moment", counting)
+        cfg = VerifyConfig(spec=RwaSpec(n=3, a=2.5), sample_count=1_000, seed=7, max_moment_k=3)
+        assert len(run_verification(cfg).moment_rows) == 4
+        assert calls == [3]
 
     def test_zeroth_row_always_inside_band(self):
         cfg = VerifyConfig(spec=RwaSpec(n=2, a=1.0), sample_count=500, seed=1, max_moment_k=0)

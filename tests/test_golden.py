@@ -44,7 +44,7 @@ def test_batch_csv_digest(n, a, seed, shards, expected):
     "a, expected",
     [
         (1.0, "2932be55b8271c00b7bcb034fbfe81727476b5fda02ff3c3a76b565c342e02d0"),
-        (2.5, "489c7862e88e922148a1798740af24ecff57e2215df6a283cb0acec29782758d"),
+        (2.5, "40863207dd570080d3ce04b22082c2318af651459382a9ebadc93c772b552124"),
     ],
 )
 def test_verify_json_digest(a, expected):

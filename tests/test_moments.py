@@ -14,7 +14,7 @@ from rwa_semicircle.moments import (
     exact_scale,
     lemma_lhs,
     lemma_rhs,
-    moment_report,
+    moment_rows,
     oracle_term_count,
     psc_moment,
     rwa_moment_closed,
@@ -240,45 +240,70 @@ class TestHankelPositivity:
         assert not self._is_psd(bad)
 
 
+def _per_order_moment(values: np.ndarray, k: int) -> tuple[float, float]:
+    """Reference kernel: the mean of v^(2k) and its standard error, with
+    the batch read anew for this one order."""
+    powers = values ** (2 * k)
+    mean = float(powers.mean())
+    var = float((powers**2).mean() - mean * mean)
+    return mean, math.sqrt(max(var, 0.0) / values.size)
+
+
 class TestEmpiricalMoment:
     def test_constant_sample(self):
-        mean, se = empirical_moment(np.full(100, 2.0), 1)
+        mean, se = empirical_moment(np.full(100, 2.0), 1)[1]
         assert mean == pytest.approx(4.0)
         assert se == 0.0
 
     def test_standard_error_shrinks_with_n(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, 40_000)
-        _, se_small = empirical_moment(x[:1000], 1)
-        _, se_big = empirical_moment(x, 1)
+        _, se_small = empirical_moment(x[:1000], 1)[1]
+        _, se_big = empirical_moment(x, 1)[1]
         assert se_big < se_small
 
     def test_tracks_exact_value(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, 200_000)
-        mean, se = empirical_moment(x, 2)  # E U^4 = 1/5
+        mean, se = empirical_moment(x, 2)[2]  # E U^4 = 1/5
         assert abs(mean - 0.2) < 4 * se
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_moment(np.array([]), 1)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="k_max"):
+            empirical_moment(np.ones(3), -1)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_one_pass_matches_the_per_order_reference(self, n, k_max):
+        values = rwa_batch(RwaSpec(n, 1.0), 20_000, seed=n).values
+        rows = empirical_moment(values, k_max)
+        assert len(rows) == k_max + 1
+        assert rows[0] == (1.0, 0.0)
+        for k, (mean, se) in enumerate(rows):
+            ref_mean, ref_se = _per_order_moment(values, k)
+            assert mean == pytest.approx(ref_mean, rel=1e-15, abs=0)
+            assert se == pytest.approx(ref_se, rel=1e-15, abs=0)
+
 
 class TestMomentReport:
     def test_exact_only_report(self):
-        rep = moment_report(RwaSpec(3, 1.0), 2)
+        rep = moment_rows(RwaSpec(3, 1.0), 2)[2]
         assert rep.closed_form == Fraction(1, 8)
         assert rep.oracle == Fraction(1, 8)
         assert rep.consistent
         assert rep.empirical is None
 
     def test_scale_enters_as_a_to_the_2k(self):
-        rep = moment_report(RwaSpec(3, 2.5), 2)
+        rep = moment_rows(RwaSpec(3, 2.5), 2)[2]
         assert rep.closed_form == Fraction(1, 8) * Fraction(5, 2) ** 4
 
     def test_monte_carlo_report_lands_in_band(self):
         batch = rwa_batch(RwaSpec(3, 1.0), 50_000, seed=42)
-        rep = moment_report(RwaSpec(3, 1.0), 1, batch)
+        rep = moment_rows(RwaSpec(3, 1.0), 1, batch)[1]
         assert rep.within_band()
         assert rep.z <= 4.0
         assert (rep.mc_count, rep.seed) == (50_000, 42)
@@ -293,26 +318,27 @@ class TestMomentReport:
         # the top of the float range (a = 1.5e154, a^2 / 4 = 5.6e307) can
         # move it.
         unit, scaled = (rwa_batch(RwaSpec(3, b), 2000, seed=7) for b in (1.0, a))
+        unit_rows, scaled_rows = moment_rows(unit.spec, k_max, unit), moment_rows(scaled.spec, k_max, scaled)
         for k in range(1, k_max + 1):
-            z = moment_report(scaled.spec, k, scaled).z
-            assert z == pytest.approx(moment_report(unit.spec, k, unit).z, rel=1e-9, abs=0)
+            assert scaled_rows[k].z == pytest.approx(unit_rows[k].z, rel=1e-9, abs=0)
 
     def test_batch_must_match_spec(self):
         batch = rwa_batch(RwaSpec(3, 2.0), 100, seed=1)
         with pytest.raises(ValueError):
-            moment_report(RwaSpec(3, 1.0), 1, batch)
+            moment_rows(RwaSpec(3, 1.0), 1, batch)
 
     def test_scale_is_read_decimally(self):
         assert exact_scale(0.1) == Fraction(1, 10)
-        rep = moment_report(RwaSpec(3, 0.1), 1)
+        rep = moment_rows(RwaSpec(3, 0.1), 1)[1]
         assert rep.closed_form == rep.oracle == Fraction(1, 400)
 
     def test_z_is_the_gap_in_standard_errors(self):
         batch = rwa_batch(RwaSpec(3, 2.5), 2000, seed=7)
-        mean, se = empirical_moment(batch.values / 2.5, 2)
-        assert moment_report(batch.spec, 2, batch).z == abs(mean - 0.125) / se
+        mean, se = empirical_moment(batch.values / 2.5, 2)[2]
+        rows = moment_rows(batch.spec, 2, batch)
+        assert rows[2].z == abs(mean - 0.125) / se
         # order 0 is exact on every draw: no gap and no standard error
-        assert moment_report(batch.spec, 0, batch).z == 0.0
+        assert rows[0].z == 0.0
 
     def test_band_is_band_z_standard_errors(self):
         rep = MomentReport(n=3, a=1.0, k=1, closed_form=Fraction(1, 4), oracle=Fraction(1, 4), z=BAND_Z)
@@ -323,18 +349,18 @@ class TestMomentReport:
         # the unit estimate times the exact a^(2k): finite wherever the
         # scaled value is, though a^2 alone overflows at a = 1.5e154
         batch = rwa_batch(RwaSpec(3, 1.5e154), 2000, seed=7)
-        mean, se = empirical_moment(batch.values / 1.5e154, 1)
-        rep = moment_report(batch.spec, 1, batch)
+        mean, se = empirical_moment(batch.values / 1.5e154, 1)[1]
+        rep = moment_rows(batch.spec, 1, batch)[1]
         scale = Fraction(15 * 10**153) ** 2
         assert (rep.empirical, rep.std_error) == (float(Fraction(mean) * scale), float(Fraction(se) * scale))
 
     def test_band_check_requires_mc(self):
-        rep = moment_report(RwaSpec(3, 1.0), 1)
+        rep = moment_rows(RwaSpec(3, 1.0), 1)[1]
         with pytest.raises(ValueError):
             rep.within_band()
 
     def test_json_dict_renders_rationals_as_strings(self):
-        rep = moment_report(RwaSpec(3, 1.0), 2)
+        rep = moment_rows(RwaSpec(3, 1.0), 2)[2]
         payload = rep.to_json_dict()
         assert payload["closed_form"] == {
             "num": "1",
@@ -344,6 +370,20 @@ class TestMomentReport:
         assert payload["order"] == 4
         assert payload["consistent"] is True
         json.dumps(payload)  # must be serializable as-is
+
+    def test_table_has_one_row_per_order(self):
+        rows = moment_rows(RwaSpec(4, 1.0), 3)
+        assert [row.k for row in rows] == [0, 1, 2, 3]
+        assert all(row.closed_form == rwa_moment_closed(4, row.k) for row in rows)
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(ValueError, match="k_max"):
+            moment_rows(RwaSpec(3, 1.0), -1)
+
+    def test_row_beyond_the_float_range_names_order_and_scale(self):
+        batch = rwa_batch(RwaSpec(3, 1e200), 200, seed=1)
+        with pytest.raises(OverflowError, match=r"^moment order 2 at a=1e\+200 is beyond the float range$"):
+            moment_rows(batch.spec, 2, batch)
 
     def test_inconsistent_report_possible_in_principle(self):
         rep = MomentReport(
