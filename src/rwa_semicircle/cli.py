@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed / output written, 1 a check failed, an
 I/O problem, a numeric failure (an input too large or too small for
-floating point) or a --count too large to allocate, 2 bad usage (argparse
-handles this).
+floating point) or a --count too large to allocate, 2 bad usage: a value
+the parser rejects, or any ValueError, which is how the library checks its
+arguments and how NumPy refuses a size beyond its index range.
 """
 
 from __future__ import annotations
@@ -230,7 +231,6 @@ def _cmd_sample_rwa(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _warn_term_count(_moment_term_count(args.n, args.k_max))
     cfg = VerifyConfig(
         spec=RwaSpec(n=args.n, a=args.a),
         sample_count=args.count,
@@ -240,6 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
+    _warn_term_count(_moment_term_count(args.n, args.k_max))
     outcome = run_verification(cfg)
 
     lines = [
@@ -262,12 +263,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
+    law = spec.target_law()
     batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
     bins = args.bins if args.bins is not None else max(10, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
     density, edges = np.histogram(batch.values, bins=bins, range=(-args.a, args.a), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    _emit(csv_bytes(header, centers, density, spec.target_law().pdf(centers)), args.out)
+    _emit(csv_bytes(header, centers, density, law.pdf(centers)), args.out)
     return 0
 
 
@@ -352,20 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "shards" in vars(args) and args.shards > args.count:
-        parser.error(f"--shards {args.shards} exceeds --count {args.count}")
-    if args.func in (_cmd_verify, _cmd_plot_data):
-        try:  # the theorem's target law must be one PowerSemicircle accepts
-            RwaSpec(n=args.n, a=args.a).target_law()
-        except ValueError as exc:
-            parser.error(f"--n {args.n}: {exc}")
+    command = " ".join(filter(None, (args.command, vars(args).get("source"))))
     try:
         # A non-finite NumPy result raises FloatingPointError where it first
         # arises, so it is reported by the one error line below.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
+    except ValueError as exc:  # the library's argument checks, and NumPy's size limit
+        parser.error(f"{command}: {exc}")
     except (OSError, ArithmeticError, MemoryError) as exc:
-        command = " ".join(filter(None, (args.command, vars(args).get("source"))))
         print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)
         return 1
 

@@ -53,7 +53,7 @@ class HalfInteger:
             raise ValueError(f"cannot parse {text!r} as a half-integer") from exc
         doubled = 2 * q
         if doubled.denominator != 1:
-            raise ValueError(f"{q!r} is not a half-integer")
+            raise ValueError(f"{text.strip()} is not a half-integer")
         return cls(int(doubled))
 
     def __str__(self) -> str:

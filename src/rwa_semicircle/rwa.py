@@ -56,7 +56,10 @@ class RwaSpec:
 
     def target_law(self) -> PowerSemicircle:
         """The law the theorem gives the average: exponent (n - 1)/2, scale a."""
-        return PowerSemicircle(lam=(self.n - 1) / 2, a=self.a)
+        try:
+            return PowerSemicircle(lam=(self.n - 1) / 2, a=self.a)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"n={self.n} has no target law: {exc}") from exc
 
 
 def _stream(seed: int, shard_index: int, offset: int) -> np.random.Generator:
@@ -88,11 +91,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     affinity mask (so `taskset` limits it) and never more than there are
     chunks; with one worker they run on the calling thread.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards > count:
+    if not 1 <= shards <= count:
         raise ValueError(f"cannot split {count} draws over {shards} shards")
 
     n = spec.n

@@ -40,6 +40,7 @@ class VerifyConfig:
             raise ValueError(
                 f"shards must be in 1..sample_count={self.sample_count}, got {self.shards}"
             )
+        self.spec.target_law()
         if self.lambda_override is not None:
             PowerSemicircle(lam=self.lambda_override)
 

@@ -55,6 +55,12 @@ _BAD_VALUES = [
     # so the target law (n - 1)/2 needs n <= 1001
     ["verify", "--n", "1002", "--count", "1000", "--k-max", "0"],
     ["plot-data", "--n", "1002", "--count", "100", "--seed", "1"],
+    # a size beyond NumPy's index range
+    ["sample", "rwa", "--n", "3", "--seed", "1", "--count", "10000000000000000000"],
+    ["verify", "--n", "3", "--count", "10000000000000000000"],
+    ["sample", "psc", "--lambda", "2", "--seed", "1", "--count", "10000000000000000000"],
+    ["sample", "spacings", "--n", "10000000000000000000", "--count", "1", "--seed", "1"],
+    ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
 ]
 
 
@@ -139,14 +145,34 @@ class TestUsageErrors:
             (["verify", "--n", "3", "--alpha", "1.0"],
              "rwa verify: error: argument --alpha: expected a value in (0, 1), got '1.0'"),
             (["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
-             "rwa: error: --shards 6 exceeds --count 5"),
+             "rwa: error: sample rwa: cannot split 5 draws over 6 shards"),
             (["lemma-check", "--params", "1/3", "--r-max", "3"],
-             "rwa lemma-check: error: argument --params: Fraction(1, 3) is not a half-integer"),
+             "rwa lemma-check: error: argument --params: 1/3 is not a half-integer"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
         _usage_error(argv)
         assert capsys.readouterr().err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "1002", "--count", "1000"],
+            ["plot-data", "--n", "1002", "--count", "100", "--seed", "1"],
+        ],
+    )
+    def test_size_without_target_law_is_refused_before_drawing(self, argv, monkeypatch, capsys):
+        from rwa_semicircle import cli, verify
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a batch for a size with no target law")
+
+        monkeypatch.setattr(verify, "rwa_batch", no_draw)
+        monkeypatch.setattr(cli, "rwa_batch", no_draw)
+        _usage_error(argv)
+        err = capsys.readouterr().err
+        assert "warning:" not in err
+        assert "n=1002" in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -433,6 +459,11 @@ class TestVerifyConfig:
     def test_rejects_lambda_override_that_is_no_power_semicircle_exponent(self, lam):
         with pytest.raises(ValueError, match="p/2"):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), lambda_override=lam)
+
+    @pytest.mark.parametrize("lam", [None, 3.0])
+    def test_rejects_size_without_target_law(self, lam):
+        with pytest.raises(ValueError, match="n=1002 has no target law"):
+            VerifyConfig(spec=RwaSpec(n=1002), sample_count=100, lambda_override=lam)
 
 
 class TestRunVerification:

@@ -38,6 +38,14 @@ class TestRwaSpec:
         with pytest.raises(ValueError):
             RwaSpec(n=3, a=math.inf)
 
+    def test_target_law_names_a_size_without_one(self):
+        assert RwaSpec(n=1001).target_law().lam == 500.0
+        with pytest.raises(ValueError, match="n=1002 has no target law: exponent must be p/2"):
+            RwaSpec(n=1002).target_law()
+        # (n - 1)/2 beyond the float range is no exponent either.
+        with pytest.raises(ValueError, match="has no target law: integer division result too large"):
+            RwaSpec(n=10**400).target_law()
+
     def test_frozen(self):
         spec = RwaSpec(n=3)
         with pytest.raises(AttributeError):
