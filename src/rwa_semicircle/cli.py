@@ -264,9 +264,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     law = spec.target_law()
-    batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
     bins = args.bins if args.bins is not None else max(10, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
-    density, edges = np.histogram(batch.values, bins=bins, range=(-args.a, args.a), density=True)
+    edges = np.histogram_bin_edges([], bins=bins, range=(-args.a, args.a))
+    batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
+    density, _ = np.histogram(batch.values, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
     _emit(csv_bytes(header, centers, density, law.pdf(centers)), args.out)

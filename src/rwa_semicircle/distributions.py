@@ -181,6 +181,11 @@ def sample_spacings(
 
     * ``sorted-uniforms`` -- sort n-1 uniforms, pad with 0 and 1, take
       consecutive differences.  This is the definition, used by the sampler.
+      No row is sorted at n <= 3 (one uniform is already in order, two are
+      ordered by one min/max pair), and the differences are written straight
+      into the result instead of into a padded copy.  The output has the
+      same bytes as the definition taken literally on the same uniforms:
+      a full row sort, then `np.diff` of the padded rows.
     * ``exponential`` -- normalize n standard exponentials; an independent
       construction of the same law, kept around so the two can be tested
       against each other.
@@ -200,8 +205,21 @@ def sample_spacings(
         out = e / e.sum(axis=1, keepdims=True)
     else:
         u = rng.random((count, n - 1))
-        u.sort(axis=1)
-        out = np.diff(u, axis=1, prepend=0.0, append=1.0)
+        if n == 3:
+            lo = np.minimum(u[:, 0], u[:, 1])
+            np.maximum(u[:, 0], u[:, 1], out=u[:, 1])
+            u[:, 0] = lo
+        elif n > 3:
+            u.sort(axis=1)
+        # The differences of the row (0, u, 1), by the float operations
+        # np.diff would do on it.
+        out = np.empty((count, n))
+        if n == 1:
+            out[:] = 1.0
+        else:
+            out[:, 0] = u[:, 0]
+            np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:-1])
+            np.subtract(1.0, u[:, -1], out=out[:, -1])
 
     if size is None:
         return out[0]

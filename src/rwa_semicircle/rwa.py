@@ -34,7 +34,7 @@ import numpy as np
 from . import render
 from .distributions import PowerSemicircle, sample_spacings
 
-__all__ = ["RwaSpec", "SampleBatch", "rwa_batch"]
+__all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
 
 # Values (rows times n) per chunk: the unit of work of one worker, and with
 # it the size of each temporary array the draw makes.
@@ -82,6 +82,12 @@ def _shard_counts(count: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def check_shards(count: int, shards: int) -> None:
+    """The one split rule: every shard draws at least one of the `count` rows."""
+    if not 1 <= shards <= count:
+        raise ValueError(f"cannot split {count} draws over {shards} shards")
+
+
 def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "SampleBatch":
     """Draw `count` averages, reproducibly, split over `shards` streams.
 
@@ -91,8 +97,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     affinity mask (so `taskset` limits it) and never more than there are
     chunks; with one worker they run on the calling thread.
     """
-    if not 1 <= shards <= count:
-        raise ValueError(f"cannot split {count} draws over {shards} shards")
+    check_shards(count, shards)
 
     n = spec.n
     values = np.empty(count)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .distributions import PowerSemicircle
 from .gof import ks_critical_one_sample, ks_statistic
 from .moments import MomentReport, moment_rows
-from .rwa import RwaSpec, rwa_batch
+from .rwa import RwaSpec, check_shards, rwa_batch
 
 __all__ = ["VerifyConfig", "VerifyOutcome", "run_verification"]
 
@@ -36,10 +36,7 @@ class VerifyConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_moment_k < 0:
             raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")
-        if not (1 <= self.shards <= self.sample_count):
-            raise ValueError(
-                f"shards must be in 1..sample_count={self.sample_count}, got {self.shards}"
-            )
+        check_shards(self.sample_count, self.shards)
         self.spec.target_law()
         if self.lambda_override is not None:
             PowerSemicircle(lam=self.lambda_override)

@@ -148,6 +148,8 @@ class TestUsageErrors:
              "rwa: error: sample rwa: cannot split 5 draws over 6 shards"),
             (["lemma-check", "--params", "1/3", "--r-max", "3"],
              "rwa lemma-check: error: argument --params: 1/3 is not a half-integer"),
+            (["verify", "--n", "3", "--count", "100", "--shards", "200"],
+             "rwa: error: verify: cannot split 100 draws over 200 shards"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
@@ -173,6 +175,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "warning:" not in err
         assert "n=1002" in err.splitlines()[-1]
+
+    def test_plot_data_settles_its_bins_before_drawing(self, monkeypatch):
+        from rwa_semicircle import cli
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a batch for bins beyond NumPy's index range")
+
+        monkeypatch.setattr(cli, "rwa_batch", no_draw)
+        _usage_error(["plot-data", "--n", "3", "--count", "1000000", "--seed", "1",
+                      "--bins", "10000000000000000000"])
 
 
 @pytest.mark.parametrize(

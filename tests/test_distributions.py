@@ -202,7 +202,44 @@ class TestPowerSemicircle:
         assert float(np.mean(x**4)) == pytest.approx(0.125, abs=0.002)
 
 
+def _spacings_by_definition(u: np.ndarray) -> np.ndarray:
+    """Sort each row of uniforms, pad it with 0 and 1, take differences."""
+    return np.diff(np.sort(u, axis=1), axis=1, prepend=0.0, append=1.0)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose `random(shape)` returns fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
 class TestSpacings:
+    @pytest.mark.parametrize("size", [0, 1, 777])
+    @pytest.mark.parametrize("n", [*range(1, 13), 64, 1001])
+    def test_kernel_matches_the_definition_bit_for_bit(self, n, size):
+        got = sample_spacings(n, np.random.default_rng(31), size=size)
+        expected = _spacings_by_definition(np.random.default_rng(31).random((size, n - 1)))
+        assert got.shape == expected.shape == (size, n)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0], [0.5], [1.0 - 2.0**-53]],
+            [[0.5, 0.5], [0.0, 0.3], [0.3, 0.0], [0.0, 0.0], [0.7, 0.2], [0.2, 0.7]],
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_ties_and_zeros_match_the_definition(self, rows):
+        u = np.array(rows)
+        got = sample_spacings(u.shape[1] + 1, _FixedUniforms(u), size=len(u))
+        assert got.tobytes() == _spacings_by_definition(u).tobytes()
+
     def test_rows_live_on_the_simplex(self):
         rng = np.random.default_rng(42)
         for method in ("sorted-uniforms", "exponential"):

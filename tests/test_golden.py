@@ -66,6 +66,10 @@ def test_verify_json_digest(a, expected):
          "06b8e4a66fb66afaa1a34360caff6d476e2d2b58f812b8f6b24355e814492950"),
         (["plot-data", "--n", "4", "--a", "2.5", "--count", "3000", "--seed", "13"],
          "fb73fb07531def2c922b9c9030e12d0687363181d57056bc767c2428f6cb88b0"),
+        (["sample", "spacings", "--n", "3", "--count", "2000", "--seed", "5"],
+         "cf09e8b6773ad98cb9f694ecd81cfb24fd8a40af068634478de873d4d30bc8ea"),
+        (["sample", "spacings", "--n", "2", "--count", "2000", "--seed", "5"],
+         "70fb3fd93696b19c9010a1106c9b3705038aaeaffc52f9ee717312f60dea57c3"),
     ],
 )
 def test_cli_artifact_digest(argv, expected, tmp_path):

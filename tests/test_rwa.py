@@ -8,20 +8,22 @@ import numpy as np
 import pytest
 
 from rwa_semicircle import rwa
-from rwa_semicircle.distributions import sample_spacings
 from rwa_semicircle.rwa import RwaSpec, SampleBatch, rwa_batch
 
 
 def _whole_block_batch(spec: RwaSpec, count: int, seed: int, shards: int) -> np.ndarray:
     """Draw contract v1 read literally: each shard draws its whole (count, n-1)
     weight block, then its whole (count, n) arcsine block, from its own
-    stream; the shards are concatenated in order."""
+    stream; the shards are concatenated in order.  The weights are the
+    spacings by their definition (sort, pad with 0 and 1, difference), not
+    by the library's kernel."""
     base, extra = divmod(count, shards)
     pieces = []
     for i in range(shards):
         rows = base + (1 if i < extra else 0)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        weights = sample_spacings(spec.n, rng, size=rows)
+        uniforms = np.sort(rng.random((rows, spec.n - 1)), axis=1)
+        weights = np.diff(uniforms, axis=1, prepend=0.0, append=1.0)
         x = np.cos(math.pi * rng.random((rows, spec.n)))
         pieces.append(spec.a * (weights * x).sum(axis=1))
     return np.concatenate(pieces)
