@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 all checks passed / output written, 1 a check failed, an
 I/O problem, a numeric failure (an input too large or too small for
 floating point) or a --count too large to allocate, 2 bad usage: a value
-the parser rejects, or any ValueError, which is how the library checks its
-arguments and how NumPy refuses a size beyond its index range.
+the parser rejects, a size beyond NumPy's index range among them, or any
+ValueError, which is how the library checks its arguments and how NumPy
+refuses a product of sizes beyond that range.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .moments import (
     lemma_rhs,
     moment_rows,
     oracle_term_count,
-    rwa_moment_closed,
-    rwa_moment_oracle,
 )
 from .render import csv_bytes, decimal_str, json_bytes, rational_json
 from .rwa import RwaSpec, rwa_batch
@@ -80,9 +79,16 @@ def _bounded(parse, ok, expected: str):
     return convert
 
 
+def _indexable(convert):
+    """`convert`, then refuse a size NumPy cannot index."""
+    limit = np.iinfo(np.intp).max
+    return _bounded(convert, lambda v: v <= limit, f"expected a size <= {limit} (NumPy's index range)")
+
+
 _positive_int = _bounded(_int_any, lambda v: v >= 1, "expected a positive integer")
 _nonneg_int = _bounded(_int_any, lambda v: v >= 0, "expected an integer >= 0")
-_size = _bounded(_int_any, lambda v: v >= 2, "the average needs n >= 2")
+_count = _indexable(_positive_int)
+_size = _indexable(_bounded(_int_any, lambda v: v >= 2, "the average needs n >= 2"))
 _positive_float = _bounded(_float_any, lambda v: v > 0, "expected a positive number")
 
 
@@ -117,17 +123,6 @@ def _warn_term_count(count: int) -> None:
         )
 
 
-def _moment_term_count(n: int, k_max: int, *, literal_parity: bool = False) -> int:
-    """Compositions the oracle walks for the rows k = 0..k_max, plus the
-    literal-parity walk of every order 2k when that route is checked too."""
-    routes = (False, True) if literal_parity else (False,)
-    return sum(
-        oracle_term_count(n, 2 * k, literal_parity=route)
-        for k in range(k_max + 1)
-        for route in routes
-    )
-
-
 def _emit(data: bytes, out: str | None) -> None:
     """Write one rendered artifact to stdout, or to the file `out`."""
     if out is None:
@@ -141,13 +136,8 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    _warn_term_count(_moment_term_count(args.n, args.k_max, literal_parity=args.literal_parity))
-    rows = moment_rows(RwaSpec(n=args.n, a=args.a), args.k_max)
-    if args.literal_parity:
-        for k in range(args.k_max + 1):
-            if rwa_moment_oracle(args.n, 2 * k, literal_parity=True) != rwa_moment_closed(args.n, k):
-                print(f"literal-parity oracle disagrees at k={k}", file=sys.stderr)
-                return 1
+    _warn_term_count(sum(oracle_term_count(args.n, 2 * k, literal_parity=args.literal_parity) for k in range(args.k_max + 1)))
+    rows = moment_rows(RwaSpec(n=args.n, a=args.a), args.k_max, literal_parity=args.literal_parity)
     all_equal = all(row.consistent for row in rows)
 
     if args.json:
@@ -171,26 +161,16 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    total_terms = sum(composition_count(r, len(params)) for r in range(args.r_max + 1))
-    _warn_term_count(total_terms)
-    rows = []
-    for r in range(args.r_max + 1):
-        lhs = lemma_lhs(params, r)
-        rhs = lemma_rhs(params, r)
-        rows.append((r, lhs, rhs, lhs == rhs))
-    all_equal = all(eq for _, _, _, eq in rows)
+    _warn_term_count(sum(composition_count(r, len(params)) for r in range(args.r_max + 1)))
+    rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
+    all_equal = all(lhs == rhs for _, lhs, rhs in rows)
 
     if args.json:
         payload = {
             "params": [str(p) for p in params],
             "rows": [
-                {
-                    "r": r,
-                    "lhs": rational_json(lhs),
-                    "rhs": rational_json(rhs),
-                    "equal": eq,
-                }
-                for r, lhs, rhs, eq in rows
+                {"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs}
+                for r, lhs, rhs in rows
             ],
             "all_equal": all_equal,
         }
@@ -198,8 +178,8 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
     else:
         print(f"identity check for params = [{', '.join(str(p) for p in params)}]")
         print(f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal")
-        for r, lhs, rhs, eq in rows:
-            print(f"{r:>3} {str(lhs):>20} {str(rhs):>20} {'yes' if eq else 'NO'}")
+        for r, lhs, rhs in rows:
+            print(f"{r:>3} {str(lhs):>20} {str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
     return 0 if all_equal else 1
 
 
@@ -240,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count(_moment_term_count(args.n, args.k_max))
+    _warn_term_count(sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1)))
     outcome = run_verification(cfg)
 
     lines = [
@@ -295,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Options shared by every subcommand that draws and writes a CSV.
     draws = argparse.ArgumentParser(add_help=False)
-    draws.add_argument("--count", type=_positive_int, required=True)
+    draws.add_argument("--count", type=_count, required=True)
     draws.add_argument("--seed", type=_nonneg_int, required=True)
     draws.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
@@ -305,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moment = sub.add_parser("moment", parents=[instance], help="exact moment table, both routes side by side")
     p_moment.add_argument("--k-max", type=_nonneg_int, required=True, help="table covers E S^(2k) for k = 0..k_max")
-    p_moment.add_argument("--literal-parity", action="store_true", help="re-check each row without the odd-term shortcut (slow)")
+    p_moment.add_argument("--literal-parity", action="store_true", help="walk the oracle column without the odd-term shortcut (slow)")
     p_moment.add_argument("--json", action="store_true", help="emit the table as JSON")
     p_moment.set_defaults(func=_cmd_moment)
 
@@ -337,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rwa.set_defaults(func=_cmd_sample_rwa)
 
     p_verify = sub.add_parser("verify", parents=[instance, sharded], help="KS + moment-band verification of one (n, a) instance")
-    p_verify.add_argument("--count", type=_bounded(_int_any, lambda v: v >= 100, "verification needs at least 100 draws"), default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
+    p_verify.add_argument("--count", type=_indexable(_bounded(_int_any, lambda v: v >= 100, "verification needs at least 100 draws")), default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
     p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
     p_verify.add_argument("--alpha", type=_bounded(_float_any, lambda v: 0 < v < 1, "expected a value in (0, 1)"), default=0.01, help="KS significance level (default 0.01)")
@@ -346,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser("plot-data", parents=[draws, instance, sharded], help="histogram vs target density, as CSV")
-    p_plot.add_argument("--bins", type=_bounded(_int_any, lambda v: v >= 10, "need at least 10 bins"), default=None, help="histogram bins, >= 10 (default: Rice rule)")
+    p_plot.add_argument("--bins", type=_indexable(_bounded(_int_any, lambda v: v >= 10, "need at least 10 bins")), default=None, help="histogram bins, >= 10 (default: Rice rule)")
     p_plot.set_defaults(func=_cmd_plot_data)
 
     return parser
@@ -361,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         # arises, so it is reported by the one error line below.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except ValueError as exc:  # the library's argument checks, and NumPy's size limit
+    except ValueError as exc:  # the library's argument checks, and NumPy's size-product limit
         parser.error(f"{command}: {exc}")
     except (OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)

@@ -250,12 +250,14 @@ class MomentReport:
         return out
 
 
-def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
+def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None, *, literal_parity: bool = False) -> tuple[MomentReport, ...]:
     """The moment table k = 0..k_max: both exact routes times the exact a^(2k)
     of :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
-    error are the unit ones times a^(2k), rounded once."""
+    error are the unit ones times a^(2k), rounded once.  Each row's oracle is
+    one :func:`rwa_moment_oracle` walk by the route `literal_parity` names, so
+    with True its ``consistent`` checks the odd-term cancellation too."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if batch is not None and batch.spec != spec:
@@ -265,7 +267,7 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     rows = []
     for k in range(k_max + 1):
         unit, scale = rwa_moment_closed(spec.n, k), square**k
-        row = MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=rwa_moment_oracle(spec.n, 2 * k) * scale)
+        row = MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=rwa_moment_oracle(spec.n, 2 * k, literal_parity=literal_parity) * scale)
         if batch is not None:
             mean, se = estimates[k]
             gap = abs(mean - float(unit))

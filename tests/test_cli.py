@@ -150,6 +150,28 @@ class TestUsageErrors:
              "rwa lemma-check: error: argument --params: 1/3 is not a half-integer"),
             (["verify", "--n", "3", "--count", "100", "--shards", "200"],
              "rwa: error: verify: cannot split 100 draws over 200 shards"),
+            # A size beyond NumPy's index range names its option.
+            (["sample", "spacings", "--n", "10000000000000000000", "--count", "1", "--seed", "1"],
+             "rwa sample spacings: error: argument --n: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
+            (["sample", "rwa", "--n", "1" + "0" * 40, "--count", "1", "--seed", "1"],
+             "rwa sample rwa: error: argument --n: expected a size <= 9223372036854775807 "
+             f"(NumPy's index range), got '1{'0' * 40}'"),
+            (["sample", "rwa", "--n", "3", "--seed", "1", "--count", "10000000000000000000"],
+             "rwa sample rwa: error: argument --count: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
+            (["sample", "arcsine", "--seed", "1", "--count", "10000000000000000000"],
+             "rwa sample arcsine: error: argument --count: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
+            (["sample", "psc", "--lambda", "1", "--seed", "1", "--count", "10000000000000000000"],
+             "rwa sample psc: error: argument --count: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
+            (["plot-data", "--n", "3", "--seed", "1", "--count", "10000000000000000000"],
+             "rwa plot-data: error: argument --count: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
+            (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
+             "rwa plot-data: error: argument --bins: expected a size <= 9223372036854775807 "
+             "(NumPy's index range), got '10000000000000000000'"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
@@ -269,13 +291,14 @@ def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
 def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
     from rwa_semicircle import cli
 
-    # n = 3, k = 0..2: the even rows walk 1 + 3 + 6 = 10 compositions, the
-    # literal walks of orders 0, 2, 4 another 1 + 6 + 15 = 22.
+    # n = 3, k = 0..2: the even rows walk 1 + 3 + 6 = 10 compositions; with
+    # --literal-parity the rows walk orders 0, 2, 4 literally instead,
+    # 1 + 6 + 15 = 22.
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 20)
     assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
-    assert "warning: this enumeration visits 32 compositions" in capsys.readouterr().err
+    assert "warning: this enumeration visits 22 compositions" in capsys.readouterr().err
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):
@@ -341,6 +364,23 @@ class TestMomentCommand:
 
     def test_literal_parity_route_agrees(self, capsys):
         assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
+
+    def test_literal_parity_disagreement_is_a_no_row(self, monkeypatch, capsys):
+        from rwa_semicircle import moments
+
+        # A literal walk that keeps the odd-part compositions disagrees from
+        # order 2 on; order 0 has only the all-zero composition.
+        monkeypatch.setattr(moments, "_all_parts_even", lambda walk: walk)
+        argv = ["moment", "--n", "3", "--k-max", "2", "--literal-parity"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [ln for ln in captured.out.splitlines() if ln.strip()][2:]
+        assert [row.split()[-1] for row in rows] == ["yes", "NO", "NO"]
+        assert main([*argv, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_equal"] is False
+        assert [row["consistent"] for row in payload["rows"]] == [True, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,22 @@ class TestMomentReport:
         assert [row.k for row in rows] == [0, 1, 2, 3]
         assert all(row.closed_form == rwa_moment_closed(4, row.k) for row in rows)
 
+    @pytest.mark.parametrize("n, a, k_max", [(2, 1.0, 4), (3, 0.1, 5), (5, 2.5, 4)])
+    def test_literal_parity_route_gives_the_same_rows(self, n, a, k_max, monkeypatch):
+        from rwa_semicircle import moments
+
+        calls = []
+
+        def spy(n, r, *, literal_parity=False):
+            calls.append((r, literal_parity))
+            return rwa_moment_oracle(n, r, literal_parity=literal_parity)
+
+        monkeypatch.setattr(moments, "rwa_moment_oracle", spy)
+        literal = moment_rows(RwaSpec(n, a), k_max, literal_parity=True)
+        # One literal walk per row, and no even walk beside it.
+        assert calls == [(2 * k, True) for k in range(k_max + 1)]
+        assert literal == moment_rows(RwaSpec(n, a), k_max)
+
     def test_negative_k_max_rejected(self):
         with pytest.raises(ValueError, match="k_max"):
             moment_rows(RwaSpec(3, 1.0), -1)
