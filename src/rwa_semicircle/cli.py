@@ -114,11 +114,12 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _warn_term_count(count: int) -> None:
-    if count > _TERM_WARN_LIMIT:
+def _warn_term_count(count: int, parts: int = 1) -> None:
+    """Warn before a walk whose cost, `count` compositions of `parts` parts, is long."""
+    if count * parts > _TERM_WARN_LIMIT:
         print(
-            f"warning: this enumeration visits {count} compositions "
-            f"(> {_TERM_WARN_LIMIT}); expect a long run",
+            f"warning: this enumeration visits {count} compositions, "
+            f"{count * parts} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
             file=sys.stderr,
         )
 
@@ -136,8 +137,10 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    _warn_term_count(sum(oracle_term_count(args.n, 2 * k, literal_parity=args.literal_parity) for k in range(args.k_max + 1)))
-    rows = moment_rows(RwaSpec(n=args.n, a=args.a), args.k_max, literal_parity=args.literal_parity)
+    spec = RwaSpec(n=args.n, a=args.a)
+    spec.target_law()
+    _warn_term_count(sum(oracle_term_count(args.n, 2 * k, literal_parity=args.literal_parity) for k in range(args.k_max + 1)), args.n)
+    rows = moment_rows(spec, args.k_max, literal_parity=args.literal_parity)
     all_equal = all(row.consistent for row in rows)
 
     if args.json:
@@ -161,7 +164,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    _warn_term_count(sum(composition_count(r, len(params)) for r in range(args.r_max + 1)))
+    _warn_term_count(sum(composition_count(r, len(params)) for r in range(args.r_max + 1)), len(params))
     rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
     all_equal = all(lhs == rhs for _, lhs, rhs in rows)
 
@@ -220,7 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count(sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1)))
+    _warn_term_count(sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1)), args.n)
     outcome = run_verification(cfg)
 
     lines = [

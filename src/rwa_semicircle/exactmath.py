@@ -109,10 +109,7 @@ def compositions(r: int, n: int) -> Iterator[Composition]:
     (2, 0), (1, 1), (0, 2).  The stream is generated lazily by a successor
     step on one list of parts, so the full set is never materialised.
     """
-    if n < 1:
-        raise ValueError(f"need at least one part, got n={n}")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    composition_count(r, n)
     parts = [0] * n
     parts[0] = r
     last = n - 1

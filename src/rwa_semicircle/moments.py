@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .distributions import PowerSemicircle
 from .exactmath import (
     Composition,
     HalfInteger,
@@ -61,10 +62,8 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
 
     Each rising factorial is kept as the integer 2^i Gamma(a + i)/Gamma(a)
     = 2a (2a + 2) ... (2a + 2i - 2); the exponents of every term add up to
-    r, so the whole sum is an integer over 2^r.
+    r, so the whole sum is an integer over 2^r.  `compositions` checks r.
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
     tables = []
     for a in params:
         factors = range(a.twice_value, a.twice_value + 2 * r, 2)
@@ -87,19 +86,16 @@ def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
-    The factorial expression derived from the average is checked against
-    the power semicircle moment at exponent (n-1)/2 -- the theorem itself --
-    before that moment is returned.
+    The law is asked first: :func:`psc_moment` at exponent (n-1)/2 -- the
+    theorem itself -- checks the exponent before any factorial, and the
+    factorial expression derived from the average must then equal it.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 variables, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    RwaSpec(n)
+    law = psc_moment(Fraction(n - 1, 2), k)
     intermediate = Fraction(
         math.factorial(2 * k) * math.factorial(n - 1),
         math.factorial(2 * k + n - 1) * math.factorial(k),
     ) * rising_gamma_ratio(Fraction(n, 2), k)
-    law = psc_moment(Fraction(n - 1, 2), k)
     if intermediate != law:
         raise ArithmeticError(
             f"internal moment forms disagree at n={n}, k={k}: "
@@ -124,8 +120,7 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     term as soon as one of its parts is odd -- much slower, but it verifies
     rather than assumes the odd cancellation.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 variables, got {n}")
+    RwaSpec(n)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if literal_parity:
@@ -166,14 +161,11 @@ def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:
 def psc_moment(lam, k: int) -> Fraction:
     """E X^(2k) of the unit-scale power semicircle with exponent lam.
 
-    lam must be a non-negative half-integer (0, 1/2, 1, 3/2, ...); the
-    moment is rising(1/2, k) / rising(lam + 1, k).
+    lam must be p/2 for an integer p in 0..1000, the rule `PowerSemicircle`
+    checks; the moment is rising(1/2, k) / rising(lam + 1, k).
     """
     q = Fraction(lam)
-    if q < 0:
-        raise ValueError(f"exponent must be >= 0, got {lam}")
-    if q.denominator not in (1, 2):
-        raise ValueError(f"exponent must be a half-integer, got {lam}")
+    PowerSemicircle(lam=q)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(q + 1, k)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .distributions import PowerSemicircle, sample_spacings
+from .distributions import Arcsine, PowerSemicircle, sample_spacings
 
 __all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
 
@@ -51,8 +51,7 @@ class RwaSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"need an integer n >= 2, got {self.n!r}")
-        if not (0 < self.a < math.inf):
-            raise ValueError(f"scale must be positive and finite, got a={self.a}")
+        Arcsine(a=self.a)
 
     def target_law(self) -> PowerSemicircle:
         """The law the theorem gives the average: exponent (n - 1)/2, scale a."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import PowerSemicircle
-from .gof import ks_critical_one_sample, ks_statistic
+from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import MomentReport, moment_rows
 from .rwa import RwaSpec, check_shards, rwa_batch
 
@@ -32,8 +32,7 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.sample_count < 100:
             raise ValueError(f"sample_count must be >= 100, got {self.sample_count}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        ks_coefficient(self.alpha)
         if self.max_moment_k < 0:
             raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")
         check_shards(self.sample_count, self.shards)

@@ -61,6 +61,8 @@ _BAD_VALUES = [
     ["sample", "psc", "--lambda", "2", "--seed", "1", "--count", "10000000000000000000"],
     ["sample", "spacings", "--n", "10000000000000000000", "--count", "1", "--seed", "1"],
     ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
+    # the moment table asks the target law too
+    ["moment", "--n", "1002", "--k-max", "0"],
 ]
 
 
@@ -183,6 +185,7 @@ class TestUsageErrors:
         [
             ["verify", "--n", "1002", "--count", "1000"],
             ["plot-data", "--n", "1002", "--count", "100", "--seed", "1"],
+            ["moment", "--n", "1002", "--k-max", "0"],
         ],
     )
     def test_size_without_target_law_is_refused_before_drawing(self, argv, monkeypatch, capsys):
@@ -193,6 +196,8 @@ class TestUsageErrors:
 
         monkeypatch.setattr(verify, "rwa_batch", no_draw)
         monkeypatch.setattr(cli, "rwa_batch", no_draw)
+        # Any term-count warning would print; none may come before the refusal.
+        monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 0)
         _usage_error(argv)
         err = capsys.readouterr().err
         assert "warning:" not in err
@@ -293,12 +298,36 @@ def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
 
     # n = 3, k = 0..2: the even rows walk 1 + 3 + 6 = 10 compositions; with
     # --literal-parity the rows walk orders 0, 2, 4 literally instead,
-    # 1 + 6 + 15 = 22.
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 20)
+    # 1 + 6 + 15 = 22.  Each has 3 parts, so the walks cost 30 and 66.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 40)
     assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
     assert capsys.readouterr().err == ""
     assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
     assert "warning: this enumeration visits 22 compositions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, walker",
+    [
+        (["moment", "--n", "1001", "--k-max", "2"], "moment_rows"),
+        (["verify", "--n", "1001", "--count", "1000", "--k-max", "2"], "run_verification"),
+    ],
+)
+def test_warning_weighs_each_composition_by_its_parts(argv, walker, monkeypatch, capsys):
+    from rwa_semicircle import cli
+
+    assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+    # 1 + 1001 + 501501 = 502503 compositions, under the limit, but of 1001
+    # parts each; the warning comes before the walk.
+    def walk(*args, **kwargs):
+        raise RuntimeError("walked")
+
+    monkeypatch.setattr(cli, walker, walk)
+    with pytest.raises(RuntimeError):
+        main(argv)
+    assert "warning: this enumeration visits 502503 compositions" in capsys.readouterr().err
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):

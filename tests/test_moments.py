@@ -90,6 +90,8 @@ class TestClosedForm:
             rwa_moment_closed(1, 2)
         with pytest.raises(ValueError):
             rwa_moment_closed(3, -1)
+        with pytest.raises(ValueError, match="p/2"):
+            rwa_moment_closed(1002, 0)
 
 
 def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
@@ -198,6 +200,10 @@ class TestPscMoment:
             psc_moment(-1, 2)
         with pytest.raises(ValueError):
             psc_moment(1, -1)
+        with pytest.raises(ValueError, match="p/2"):
+            psc_moment(501, 0)
+        with pytest.raises(ValueError, match="p/2"):
+            psc_moment(Fraction(1001, 2), 0)
 
 
 class TestHankelPositivity:
