@@ -34,7 +34,7 @@ from .moments import (
     lemma_lhs,
     lemma_rhs,
     moment_rows,
-    oracle_term_count,
+    table_term_count,
 )
 from .render import csv_bytes, decimal_str, json_bytes, rational_json
 from .rwa import RwaSpec, rwa_batch
@@ -114,12 +114,18 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
+def _magnitude(count: int) -> str:
+    """`count` in digits below 10^20, else as a power of ten (an int of more
+    than 4300 digits has no str())."""
+    return str(count) if count < 10**20 else f"about 10^{math.log10(count):.1f}"
+
+
 def _warn_term_count(count: int, parts: int = 1) -> None:
     """Warn before a walk whose cost, `count` compositions of `parts` parts, is long."""
     if count * parts > _TERM_WARN_LIMIT:
         print(
-            f"warning: this enumeration visits {count} compositions, "
-            f"{count * parts} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
+            f"warning: this enumeration visits {_magnitude(count)} compositions, "
+            f"{_magnitude(count * parts)} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
             file=sys.stderr,
         )
 
@@ -139,7 +145,7 @@ def _emit(data: bytes, out: str | None) -> None:
 def _cmd_moment(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     spec.target_law()
-    _warn_term_count(sum(oracle_term_count(args.n, 2 * k, literal_parity=args.literal_parity) for k in range(args.k_max + 1)), args.n)
+    _warn_term_count(table_term_count(args.n, args.k_max, literal_parity=args.literal_parity), args.n)
     rows = moment_rows(spec, args.k_max, literal_parity=args.literal_parity)
     all_equal = all(row.consistent for row in rows)
 
@@ -164,7 +170,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    _warn_term_count(sum(composition_count(r, len(params)) for r in range(args.r_max + 1)), len(params))
+    # The compositions of every r <= r_max are those of r_max into one more part.
+    _warn_term_count(composition_count(args.r_max, len(params) + 1), len(params))
     rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
     all_equal = all(lhs == rhs for _, lhs, rhs in rows)
 
@@ -223,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count(sum(oracle_term_count(args.n, 2 * k) for k in range(args.k_max + 1)), args.n)
+    _warn_term_count(table_term_count(args.n, args.k_max), args.n)
     outcome = run_verification(cfg)
 
     lines = [

@@ -3,7 +3,8 @@
 The power semicircle family is the target law that the randomly weighted
 average is checked against, and its lam = 0 member, Arcsine(-a, a), is the
 input law of the averaged variables.  Both are small frozen dataclasses;
-`Arcsine` subclasses `PowerSemicircle` and adds only its cosine sampler.
+`Arcsine` subclasses `PowerSemicircle` and adds only its cosine sampler,
+the one arcsine kernel, which the weighted-average sampler draws from too.
 Every exponent is p/2 for an integer p in 0..1000, as (n-1)/2 always is, so
 the cdf has one route, the Wallis form.  The pdf and the cdf work in the
 unit variable s = x/a, formed in one place, and the pdf handles the endpoint
@@ -101,8 +102,9 @@ class PowerSemicircle:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        p = 2.0 * self.lam
-        if not (0 <= p <= _WALLIS_MAX_P and p.is_integer()):
+        # lam is compared as given, with no float conversion, so an exponent
+        # beyond the float range meets this rule too.
+        if not (0 <= self.lam <= _WALLIS_MAX_P / 2 and (2 * self.lam) % 1 == 0):
             raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={self.lam}")
         if not (0 < self.a < math.inf):
             raise ValueError(f"scale must be positive and finite, got a={self.a}")
@@ -161,11 +163,17 @@ class Arcsine(PowerSemicircle):
     lam: float = field(default=0.0, init=False)
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw via x = a cos(pi U); scaling acts on the draw itself, so
-        samples at scale a are exactly a times the unit-scale samples from
-        the same generator state."""
-        u = rng.random(size)
-        return self.a * np.cos(math.pi * u)
+        """Draw via x = a cos(pi U), in place on the one array of uniforms.
+
+        Scaling acts on the draw itself, so samples at scale a are exactly a
+        times the unit-scale samples from the same generator state; the
+        weighted-average sampler draws its inputs here at unit scale.
+        size=None gives one np.float64."""
+        x = np.asarray(rng.random(size))
+        x *= math.pi
+        np.cos(x, out=x)
+        x *= self.a
+        return x if x.ndim else x[()]
 
 
 def sample_spacings(

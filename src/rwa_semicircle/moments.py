@@ -51,6 +51,7 @@ __all__ = [
     "psc_moment",
     "rwa_moment_closed",
     "rwa_moment_oracle",
+    "table_term_count",
 ]
 
 
@@ -156,6 +157,28 @@ def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:
     if r % 2 == 1:
         return 0
     return composition_count(r // 2, n)
+
+
+def table_term_count(n: int, k_max: int, *, literal_parity: bool = False) -> int:
+    """How many compositions one :func:`moment_rows` table walks: the
+    :func:`oracle_term_count` of every order 2k, k = 0..k_max, summed in
+    closed form.
+
+    Even route: the compositions of every k <= K into n parts are those of
+    K into n + 1 parts (the last part takes K - k).  Literal route: let E(m)
+    and O(m) count the compositions into m parts of the even and of the odd
+    orders up to 2K.  E(m) + O(m) is the compositions of 2K into m + 1
+    parts, and E(m) - O(m) = E(m - 1): with the last part taken off, the
+    signs (-1)^r of the orders r >= s that a composition of s extends to
+    add up to 1 for even s and to 0 for odd s.  E(0) = 1, the empty
+    composition of order 0.
+    """
+    if not literal_parity:
+        return composition_count(k_max, n + 1)
+    even = 1
+    for m in range(1, n + 1):
+        even = (composition_count(2 * k_max, m + 1) + even) // 2
+    return even
 
 
 def psc_moment(lam, k: int) -> Fraction:

@@ -2,7 +2,9 @@
 
 One draw of the average at size n is sum_i R_i X_i where (R_1, ..., R_n) are
 the spacings of n-1 ordered uniforms and the X_i are i.i.d. arcsine on
-(-a, a), independent of the weights.
+(-a, a), independent of the weights.  Both come from their laws' own
+samplers: the weights from `sample_spacings`, the inputs from
+`Arcsine().sample` at unit scale.
 
 Draw-order contract v1 (what makes runs byte-reproducible): each shard gets
 its own PCG64 stream from SeedSequence(seed, spawn_key=(shard_index,)) and
@@ -23,10 +25,10 @@ thread; the bytes are those of the whole-block draw described above.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +56,11 @@ class RwaSpec:
         Arcsine(a=self.a)
 
     def target_law(self) -> PowerSemicircle:
-        """The law the theorem gives the average: exponent (n - 1)/2, scale a."""
+        """The law the theorem gives the average: exponent (n - 1)/2, as an
+        exact rational, and scale a."""
         try:
-            return PowerSemicircle(lam=(self.n - 1) / 2, a=self.a)
-        except (ValueError, OverflowError) as exc:
+            return PowerSemicircle(lam=Fraction(self.n - 1, 2), a=self.a)
+        except ValueError as exc:
             raise ValueError(f"n={self.n} has no target law: {exc}") from exc
 
 
@@ -114,13 +117,8 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     def draw(chunk) -> None:
         shard, shard_count, start, out = chunk
         weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
-        # In place, so a chunk holds two (rows, n) arrays once its weights
-        # are drawn: x = cos(pi * U), then weights * x.
-        x = _stream(seed, shard, shard_count * (n - 1) + start * n).random((out.size, n))
-        x *= math.pi
-        np.cos(x, out=x)
-        x *= weights
-        out[:] = spec.a * x.sum(axis=1)
+        weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
+        out[:] = spec.a * weights.sum(axis=1)
 
     # One worker draws on the calling thread.  Each pool thread allocates its
     # chunk arrays from its own glibc malloc arena, which the caller's later

@@ -306,28 +306,39 @@ def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
     assert "warning: this enumeration visits 22 compositions" in capsys.readouterr().err
 
 
+_HUGE = "1000000000000"
+
+
 @pytest.mark.parametrize(
-    "argv, walker",
+    "argv, walker, count",
     [
-        (["moment", "--n", "1001", "--k-max", "2"], "moment_rows"),
-        (["verify", "--n", "1001", "--count", "1000", "--k-max", "2"], "run_verification"),
+        # 1 + 1001 + 501501 = 502503 compositions, under the limit, but of
+        # 1001 parts each.
+        (["moment", "--n", "1001", "--k-max", "2"], "moment_rows", "502503"),
+        (["verify", "--n", "1001", "--count", "1000", "--k-max", "2"], "run_verification", "502503"),
+        # Counted in closed form, not order by order: C(10^12 + 3, 3) and
+        # C(10^12 + 2, 2) compositions, given as powers of ten.
+        (["moment", "--n", "3", "--k-max", _HUGE], "moment_rows", "about 10^35.2"),
+        (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], "run_verification", "about 10^35.2"),
+        (["lemma-check", "--params", "1/2,1", "--r-max", _HUGE], "lemma_lhs", "about 10^23.7"),
+        # A count with more digits than str() of an int allows.
+        (["moment", "--n", "1001", "--k-max", _HUGE, "--literal-parity"], "moment_rows", "about 10^9742.4"),
     ],
 )
-def test_warning_weighs_each_composition_by_its_parts(argv, walker, monkeypatch, capsys):
+def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
     from rwa_semicircle import cli
 
     assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
     assert capsys.readouterr().err == ""
 
-    # 1 + 1001 + 501501 = 502503 compositions, under the limit, but of 1001
-    # parts each; the warning comes before the walk.
+    # The warning comes before the walk.
     def walk(*args, **kwargs):
         raise RuntimeError("walked")
 
     monkeypatch.setattr(cli, walker, walk)
     with pytest.raises(RuntimeError):
         main(argv)
-    assert "warning: this enumeration visits 502503 compositions" in capsys.readouterr().err
+    assert f"warning: this enumeration visits {count} compositions" in capsys.readouterr().err
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ class TestArcsine:
         x = Arcsine(a=1.0).sample(rng, 100_000)
         d = ks_statistic(x, scipy.stats.arcsine(loc=-1, scale=2).cdf)
         assert d < ks_critical_one_sample(0.01, x.size)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5, 1e-150])
+    @pytest.mark.parametrize("size", [None, 7, (5, 3)])
+    def test_sample_is_a_cos_pi_u(self, a, size):
+        """The in-place kernel has the bits of the formula read literally."""
+        x = Arcsine(a=a).sample(np.random.default_rng(11), size)
+        ref = a * np.cos(math.pi * np.random.default_rng(11).random(size))
+        assert type(x) is type(ref)
+        assert np.shape(x) == np.shape(ref)
+        assert np.asarray(x).tobytes() == np.asarray(ref).tobytes()
 
     def test_sample_scale_is_bitwise(self):
         x1 = Arcsine(a=1.0).sample(np.random.default_rng(5), 1000)
@@ -89,6 +100,16 @@ class TestPowerSemicircle:
 
                 total, err = scipy.integrate.quad(integrand, -math.pi / 2, math.pi / 2)
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5, 1e-150])
+    @pytest.mark.parametrize("size", [None, 7, (5, 3)])
+    def test_sample_is_a_cos_pi_u(self, a, size):
+        """The in-place kernel has the bits of the formula read literally."""
+        x = Arcsine(a=a).sample(np.random.default_rng(11), size)
+        ref = a * np.cos(math.pi * np.random.default_rng(11).random(size))
+        assert type(x) is type(ref)
+        assert np.shape(x) == np.shape(ref)
+        assert np.asarray(x).tobytes() == np.asarray(ref).tobytes()
 
     def test_sample_scale_is_bitwise(self):
         x1 = PowerSemicircle(lam=1.0, a=1.0).sample(np.random.default_rng(5), 1000)
@@ -183,6 +204,10 @@ class TestPowerSemicircle:
         # the exponent is p/2 for an integer p in 0..1000
         for lam in (0.3, 1.25, 500.5, 1e6, math.nan):
             with pytest.raises(ValueError):
+                PowerSemicircle(lam=lam, a=1.0)
+        # beyond the float range too, compared with no float conversion
+        for lam in (10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="p/2"):
                 PowerSemicircle(lam=lam, a=1.0)
 
     @pytest.mark.parametrize("lam,a", [(0.0, 1.0), (0.5, 1.0), (1.0, 2.5), (2.0, 1.0)])

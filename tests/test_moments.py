@@ -19,6 +19,7 @@ from rwa_semicircle.moments import (
     psc_moment,
     rwa_moment_closed,
     rwa_moment_oracle,
+    table_term_count,
 )
 from rwa_semicircle.render import decimal_str
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
@@ -90,8 +91,10 @@ class TestClosedForm:
             rwa_moment_closed(1, 2)
         with pytest.raises(ValueError):
             rwa_moment_closed(3, -1)
-        with pytest.raises(ValueError, match="p/2"):
-            rwa_moment_closed(1002, 0)
+        # An exponent beyond the float range meets the same rule.
+        for n in (1002, 10**400):
+            with pytest.raises(ValueError, match="p/2"):
+                rwa_moment_closed(n, 0)
 
 
 def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
@@ -141,6 +144,13 @@ class TestOracle:
         assert oracle_term_count(3, 4) == 6  # compositions of 2 into 3 parts
         assert oracle_term_count(3, 5) == 0  # odd: fast path skips entirely
         assert oracle_term_count(3, 5, literal_parity=True) == math.comb(7, 2)
+
+    @pytest.mark.parametrize("literal_parity", [False, True])
+    def test_table_term_count_sums_the_orders(self, literal_parity):
+        for n in range(1, 9):
+            for k_max in range(0, 12):
+                per_order = sum(oracle_term_count(n, 2 * k, literal_parity=literal_parity) for k in range(k_max + 1))
+                assert table_term_count(n, k_max, literal_parity=literal_parity) == per_order
 
     def test_multinomial_times_flat_dirichlet_is_constant(self):
         """The fact behind the convolution route: every composition of r
@@ -204,6 +214,9 @@ class TestPscMoment:
             psc_moment(501, 0)
         with pytest.raises(ValueError, match="p/2"):
             psc_moment(Fraction(1001, 2), 0)
+        for lam in (10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="p/2"):
+                psc_moment(lam, 0)
 
 
 class TestHankelPositivity:

@@ -44,8 +44,9 @@ class TestRwaSpec:
         assert RwaSpec(n=1001).target_law().lam == 500.0
         with pytest.raises(ValueError, match="n=1002 has no target law: exponent must be p/2"):
             RwaSpec(n=1002).target_law()
-        # (n - 1)/2 beyond the float range is no exponent either.
-        with pytest.raises(ValueError, match="has no target law: integer division result too large"):
+        # (n - 1)/2 beyond the float range is no exponent either; the rule
+        # sees it exactly, with no float conversion.
+        with pytest.raises(ValueError, match="has no target law: exponent must be p/2"):
             RwaSpec(n=10**400).target_law()
 
     def test_frozen(self):
