@@ -36,7 +36,7 @@ from .moments import (
     moment_rows,
     table_term_count,
 )
-from .render import csv_bytes, decimal_str, json_bytes, rational_json
+from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json
 from .rwa import RwaSpec, rwa_batch
 from .verify import VerifyConfig, run_verification
 
@@ -114,18 +114,12 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _magnitude(count: int) -> str:
-    """`count` in digits below 10^20, else as a power of ten (an int of more
-    than 4300 digits has no str())."""
-    return str(count) if count < 10**20 else f"about 10^{math.log10(count):.1f}"
-
-
 def _warn_term_count(count: int, parts: int = 1) -> None:
     """Warn before a walk whose cost, `count` compositions of `parts` parts, is long."""
     if count * parts > _TERM_WARN_LIMIT:
         print(
-            f"warning: this enumeration visits {_magnitude(count)} compositions, "
-            f"{_magnitude(count * parts)} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
+            f"warning: this enumeration visits {magnitude(count)} compositions, "
+            f"{magnitude(count * parts)} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
             file=sys.stderr,
         )
 

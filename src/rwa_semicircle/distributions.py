@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .render import magnitude
+
 __all__ = ["Arcsine", "PowerSemicircle", "sample_spacings"]
 
 _SPACING_METHODS = ("sorted-uniforms", "exponential")
@@ -105,9 +107,16 @@ class PowerSemicircle:
         # lam is compared as given, with no float conversion, so an exponent
         # beyond the float range meets this rule too.
         if not (0 <= self.lam <= _WALLIS_MAX_P / 2 and (2 * self.lam) % 1 == 0):
-            raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={self.lam}")
-        if not (0 < self.a < math.inf):
-            raise ValueError(f"scale must be positive and finite, got a={self.a}")
+            raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={magnitude(self.lam)}")
+        # The scale is checked as the float every sampler and density uses,
+        # so an int beyond the float range fails here, not at the first draw;
+        # it is compared as given first, so a non-number still raises TypeError.
+        try:
+            scale_ok = 0 < self.a and 0 < float(self.a) < math.inf
+        except OverflowError:
+            scale_ok = False
+        if not scale_ok:
+            raise ValueError(f"scale must be positive and finite, got a={magnitude(self.a)}")
 
     @property
     def _log_norm(self) -> float:

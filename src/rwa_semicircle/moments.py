@@ -7,10 +7,11 @@ kept deliberately separate so they can police each other:
   derived from the average itself, checked internally against the power
   semicircle moment :func:`psc_moment` at exponent (n-1)/2.
 * :func:`rwa_moment_oracle` -- brute composition sum: expand the power of
-  the average multinomially, take expectations factor by factor (flat
+  the average multinomially and take expectations factor by factor (flat
   Dirichlet joint moments in factorial form, arcsine moments in central
-  binomial form), and add everything up as integer numerators over one
-  common denominator.
+  binomial form).  The multinomial coefficient times the Dirichlet moment
+  cancels to r!(n-1)!/(r+n-1)!, the same for every composition, so it is
+  applied once and the walk adds integer products of central binomials.
 
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` tables
 them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
@@ -110,12 +111,16 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
 
     Each composition i of r contributes multinomial(r; i) times the flat
     Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
-    prod C(i_j, i_j/2) / 2^(i_j).  All terms share the denominator
-    (r+n-1)! 2^r, so the walk adds integer numerators and divides once.
+    prod C(i_j, i_j/2) / 2^(i_j).  The first two factors cancel to the
+    constant r! (n-1)! / (r+n-1)!, the same for every composition, so the
+    walk adds only the integers prod C(i_j, i_j/2) and the constant and
+    2^-r are applied once:
+
+        E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
 
     Default mode: odd r returns 0 outright (every term carries an odd
-    arcsine moment), and even r = 2k enumerates only the surviving
-    compositions, i.e. the doubled compositions of k.
+    arcsine moment), and even r = 2k walks only the surviving compositions,
+    the doubled compositions h of k, reading C(2h_j, h_j) directly.
 
     literal_parity=True instead walks every composition of r and drops a
     term as soon as one of its parts is odd -- much slower, but it verifies
@@ -125,18 +130,17 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if literal_parity:
+        # C(i, i/2) at part i (odd entries are never read).
+        central = [math.comb(i, i // 2) for i in range(r + 1)]
         walk = _all_parts_even(compositions(r, n))
     elif r % 2 == 0:
-        double = list(range(0, r + 1, 2))
-        walk = (tuple(map(double.__getitem__, half)) for half in compositions(r // 2, n))
+        # C(2h, h) at half part h.
+        central = [math.comb(2 * h, h) for h in range(r // 2 + 1)]
+        walk = compositions(r // 2, n)
     else:
-        walk = ()
-    # i! C(i, i/2) per part: the Dirichlet numerator's factorial times the
-    # arcsine numerator's central binomial (odd entries are never read).
-    weights = [math.factorial(i) * math.comb(i, i // 2) for i in range(r + 1)]
-    total = sum(multinomial(r, comp) * math.prod(map(weights.__getitem__, comp)) for comp in walk)
-    # (n-1)! is common to every numerator, so it is applied once.
-    return Fraction(math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
+        central, walk = [], ()
+    total = sum(math.prod(map(central.__getitem__, comp)) for comp in walk)
+    return Fraction(math.factorial(r) * math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
 
 
 def _all_parts_even(walk: Iterator[Composition]) -> Iterator[Composition]:

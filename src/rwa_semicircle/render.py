@@ -1,4 +1,5 @@
-"""Byte formats of every artifact: CSV tables, JSON documents, exact rationals.
+"""Byte formats of every artifact: CSV tables, JSON documents, exact rationals,
+and the text of a number in a message.
 
 Each format is decided here and nowhere else, so a digest pinned on one
 artifact pins the rendering of every artifact of the same kind.
@@ -7,13 +8,14 @@ artifact pins the rendering of every artifact of the same kind.
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["csv_bytes", "decimal_str", "json_bytes", "rational_json"]
+__all__ = ["csv_bytes", "decimal_str", "json_bytes", "magnitude", "rational_json"]
 
 
 def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
@@ -47,3 +49,16 @@ def decimal_str(q: Fraction, digits: int = 30) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def magnitude(x) -> str:
+    """A number for a message: str(x) for a float (always short) and for an
+    int or Fraction whose numerator and denominator are below 10^20 in size;
+    otherwise its power of ten (an int of more than 4300 digits has no str())."""
+    if isinstance(x, float):
+        return str(x)
+    q = Fraction(x)
+    if max(abs(q.numerator), q.denominator) < 10**20:
+        return str(x)
+    sign = "-" if q < 0 else ""
+    return f"about {sign}10^{math.log10(abs(q.numerator)) - math.log10(q.denominator):.1f}"

@@ -61,7 +61,7 @@ class RwaSpec:
         try:
             return PowerSemicircle(lam=Fraction(self.n - 1, 2), a=self.a)
         except ValueError as exc:
-            raise ValueError(f"n={self.n} has no target law: {exc}") from exc
+            raise ValueError(f"n={render.magnitude(self.n)} has no target law: {exc}") from exc
 
 
 def _stream(seed: int, shard_index: int, offset: int) -> np.random.Generator:

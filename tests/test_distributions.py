@@ -66,6 +66,16 @@ class TestArcsine:
         with pytest.raises(ValueError):
             Arcsine(a=math.inf)
 
+    @pytest.mark.parametrize(
+        "a", [10**400, -(10**400), Fraction(10**400, 3), Fraction(1, 10**400)], ids=["int", "negative-int", "fraction", "tiny-fraction"]
+    )
+    def test_scale_is_checked_as_the_float_the_samplers_use(self, a):
+        """An exact scale whose float overflows or underflows to 0 is refused
+        at construction, with a short message, rather than at the first draw."""
+        with pytest.raises(ValueError, match="scale must be positive and finite") as err:
+            Arcsine(a=a)
+        assert len(str(err.value)) < 200
+
 
 class TestPowerSemicircle:
     def test_wigner_semicircle_density(self):

@@ -98,12 +98,16 @@ class TestClosedForm:
 
 
 def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
-    """E S^(2k) for n = 2..n_max and k = 0..k_max by a third exact route.
+    """E S^(2k) for n = 2..n_max and k = 0..k_max by power series.
 
     multinomial(r; i) times the flat Dirichlet moment of i is the constant
-    r!(n-1)!/(r+n-1)! for every composition i of r, so with r = 2k
+    r!(n-1)!/(r+n-1)! for every composition i of r -- the cancellation the
+    oracle's kernel is built on -- so with r = 2k
     E S^r = r!(n-1)!/(r+n-1)! 4^-k [u^k] (sum_j C(2j, j) u^j)^n.
-    The power is built by one truncated convolution per extra factor.
+    The power is built by one truncated convolution per extra factor.  It is
+    the oracle's sum regrouped by degree, so it adds reach (n up to 64, k up
+    to 40), not independence; `_factor_by_factor_oracle` is the reference
+    that does not assume the cancellation.
     """
     series = [math.comb(2 * j, j) for j in range(k_max + 1)]
     power = [1] + [0] * k_max
@@ -119,6 +123,21 @@ def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
                 for k in range(k_max + 1)
             ]
     return out
+
+
+def _factor_by_factor_oracle(n: int, r: int, walk) -> Fraction:
+    """E S^r summed over the compositions in `walk` with each factor a
+    `Fraction` and nothing cancelled: multinomial(r; i) times the flat
+    Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
+    prod C(i_j, i_j/2) / 2^(i_j), zero when a part is odd.  `walk` may leave
+    out compositions with an odd part, whose terms are zero."""
+    central = [math.comb(i, i // 2) if i % 2 == 0 else 0 for i in range(r + 1)]
+    total = Fraction(0)
+    for comp in walk:
+        dirichlet = Fraction(math.factorial(n - 1) * math.prod(map(math.factorial, comp)), math.factorial(r + n - 1))
+        arcsine = Fraction(math.prod(map(central.__getitem__, comp)), 2**r)
+        total += multinomial(r, comp) * dirichlet * arcsine
+    return total
 
 
 class TestOracle:
@@ -140,6 +159,22 @@ class TestOracle:
                 fast = rwa_moment_oracle(n, r)
                 assert literal == fast
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("r", range(13))
+    def test_kernel_matches_the_factor_by_factor_expansion(self, n, r):
+        """The cancelled kernel against every composition of r, factor by factor."""
+        reference = _factor_by_factor_oracle(n, r, compositions(r, n))
+        for literal_parity in (False, True):
+            assert rwa_moment_oracle(n, r, literal_parity=literal_parity) == reference
+
+    @pytest.mark.parametrize("r", [0, 2, 4, 6])
+    def test_wide_kernel_matches_the_factor_by_factor_expansion(self, r):
+        """n = 64 over the doubled compositions of r/2: the other terms have
+        an odd part, so they are zero, and walking all of them at r = 6 would
+        take 119,877,472 compositions."""
+        doubled = (tuple(2 * h for h in half) for half in compositions(r // 2, 64))
+        assert rwa_moment_oracle(64, r) == _factor_by_factor_oracle(64, r, doubled)
+
     def test_term_count(self):
         assert oracle_term_count(3, 4) == 6  # compositions of 2 into 3 parts
         assert oracle_term_count(3, 5) == 0  # odd: fast path skips entirely
@@ -153,9 +188,11 @@ class TestOracle:
                 assert table_term_count(n, k_max, literal_parity=literal_parity) == per_order
 
     def test_multinomial_times_flat_dirichlet_is_constant(self):
-        """The fact behind the convolution route: every composition of r
-        carries the same weight r!(n-1)!/(r+n-1)!.  The flat Dirichlet
-        moment E prod V_j^(i_j) is (n-1)! prod i_j! / (r+n-1)!."""
+        """The oracle's kernel, and the convolution route's: every
+        composition of r carries the same weight r!(n-1)!/(r+n-1)!, so the
+        oracle applies it once and walks only the arcsine central binomials.
+        The flat Dirichlet moment E prod V_j^(i_j) is (n-1)! prod i_j! /
+        (r+n-1)!."""
         for n in range(2, 6):
             for r in range(0, 7):
                 weights = {

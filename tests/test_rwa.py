@@ -39,6 +39,8 @@ class TestRwaSpec:
             RwaSpec(n=2.0, a=1.0)  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             RwaSpec(n=3, a=math.inf)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            RwaSpec(n=3, a=10**400)
 
     def test_target_law_names_a_size_without_one(self):
         assert RwaSpec(n=1001).target_law().lam == 500.0
@@ -46,8 +48,11 @@ class TestRwaSpec:
             RwaSpec(n=1002).target_law()
         # (n - 1)/2 beyond the float range is no exponent either; the rule
         # sees it exactly, with no float conversion.
-        with pytest.raises(ValueError, match="has no target law: exponent must be p/2"):
+        with pytest.raises(ValueError, match="has no target law: exponent must be p/2") as err:
             RwaSpec(n=10**400).target_law()
+        # ... and is named by its power of ten, not by 401 digits
+        message = str(err.value)
+        assert len(message) < 200 and "10^" in message
 
     def test_frozen(self):
         spec = RwaSpec(n=3)
