@@ -13,8 +13,8 @@ Exit codes: 0 all checks passed / output written, 1 a check failed, an
 I/O problem, a numeric failure (an input too large or too small for
 floating point) or a --count too large to allocate, 2 bad usage: a value
 the parser rejects, a size beyond NumPy's index range among them, or any
-ValueError, which is how the library checks its arguments and how NumPy
-refuses a product of sizes beyond that range.
+ValueError, which is how the library checks its arguments, a draw of
+count by n values beyond that range among them.
 """
 
 from __future__ import annotations
@@ -125,9 +125,18 @@ def _warn_term_count(count: int, parts: int = 1) -> None:
 
 
 def _emit(data: bytes, out: str | None) -> None:
-    """Write one rendered artifact to stdout, or to the file `out`."""
+    """Write one rendered artifact to stdout, or to the file `out`.
+
+    The bytes go to stdout's binary layer, after anything already printed,
+    with no decoded or re-encoded copy; a text-only stdout (such as
+    `io.StringIO` under `contextlib.redirect_stdout`) gets them decoded."""
     if out is None:
-        sys.stdout.write(data.decode("ascii"))
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:
+            sys.stdout.write(data.decode("ascii"))
+        else:
+            sys.stdout.flush()
+            binary.write(data)
     else:
         Path(out).write_bytes(data)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .render import magnitude
 
-__all__ = ["Arcsine", "PowerSemicircle", "sample_spacings"]
+__all__ = ["Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
 
 _SPACING_METHODS = ("sorted-uniforms", "exponential")
 
@@ -29,6 +29,26 @@ _SPACING_METHODS = ("sorted-uniforms", "exponential")
 # cdf costs about p/2 Horner passes per point (2p in the far tail), so the
 # bound caps that work.
 _WALLIS_MAX_P = 1000
+
+
+def check_size(count: int, n: int = 1) -> None:
+    """The one size rule of every sampler, checked before any draw: `count`
+    draws of `n` float64 values each must fit in one NumPy array, so that no
+    array the draw makes is beyond NumPy's index range."""
+    limit = np.iinfo(np.intp).max
+    if 8 * count * n > limit:
+        raise ValueError(
+            f"count={magnitude(count)} draws of n={magnitude(n)} values are "
+            f"{magnitude(8 * count * n)} bytes, beyond NumPy's array limit of {limit}"
+        )
+
+
+def _check_sample_size(size) -> None:
+    """`check_size` for a NumPy `size`: None (one draw), a count, or a shape
+    (count, n, ...)."""
+    if size is not None:
+        shape = np.atleast_1d(size).tolist()
+        check_size(math.prod(shape[:1]), math.prod(shape[1:]))
 
 
 def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -155,6 +175,7 @@ class PowerSemicircle:
         """Draw through the Beta(lam+1/2, lam+1/2) representation, itself
         built from two gamma draws so only the generator's gamma stream is
         consumed."""
+        _check_sample_size(size)
         s = self.lam + 0.5
         g1 = rng.standard_gamma(s, size)
         g2 = rng.standard_gamma(s, size)
@@ -178,6 +199,7 @@ class Arcsine(PowerSemicircle):
         times the unit-scale samples from the same generator state; the
         weighted-average sampler draws its inputs here at unit scale.
         size=None gives one np.float64."""
+        _check_sample_size(size)
         x = np.asarray(rng.random(size))
         x *= math.pi
         np.cos(x, out=x)
@@ -216,6 +238,7 @@ def sample_spacings(
     count = 1 if size is None else int(size)
     if count < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    check_size(count, n)
 
     if method == "exponential":
         e = rng.standard_exponential((count, n))

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import render
-from .distributions import Arcsine, PowerSemicircle, sample_spacings
+from .distributions import Arcsine, PowerSemicircle, check_size, sample_spacings
 
 __all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
 
@@ -100,6 +100,9 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     chunks; with one worker they run on the calling thread.
     """
     check_shards(count, shards)
+    # Every array the batch makes (the values, each chunk's weights and
+    # inputs) is at most count by n.
+    check_size(count, spec.n)
 
     n = spec.n
     values = np.empty(count)

@@ -6,7 +6,9 @@ exactly as a shell user would see them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -212,6 +214,28 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "rwa_batch", no_draw)
         _usage_error(["plot-data", "--n", "3", "--count", "1000000", "--seed", "1",
                       "--bins", "10000000000000000000"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "spacings", "--n", "10000000000", "--count", "10000000000", "--seed", "1"],
+            ["sample", "arcsine", "--count", "9223372036854775807", "--seed", "1"],
+            ["sample", "psc", "--lambda", "1", "--count", "9223372036854775807", "--seed", "1"],
+            ["sample", "rwa", "--n", "3", "--count", "9223372036854775807", "--seed", "1"],
+            ["plot-data", "--n", "3", "--count", "9223372036854775807", "--seed", "1"],
+            ["verify", "--n", "3", "--count", "9223372036854775807"],
+        ],
+    )
+    def test_draw_beyond_numpy_index_range_names_count_and_n(self, argv, capsys):
+        # Each size passes the parser; the draw, count by n values, is what no
+        # array can hold.
+        _usage_error(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        message = captured.err.splitlines()[-1]
+        n = argv[argv.index("--n") + 1] if "--n" in argv else "1"
+        assert f"count={argv[argv.index('--count') + 1]} draws of n={n} values" in message
 
 
 @pytest.mark.parametrize(
@@ -456,6 +480,11 @@ class TestLemmaCheckCommand:
 
 
 class TestSampleCommand:
+    def test_text_only_stdout_gets_the_same_csv(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["sample", "rwa", "--n", "3", "--count", "40", "--seed", "11"]) == 0
+        assert out.getvalue().encode("ascii") == rwa_batch(RwaSpec(n=3, a=1.0), 40, 11).csv_bytes()
+
     def test_arcsine_csv_shape_and_support(self, capsys):
         assert main(["sample", "arcsine", "--a", "2", "--count", "200", "--seed", "9"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from rwa_semicircle.distributions import Arcsine, PowerSemicircle, sample_spacings
+from rwa_semicircle.distributions import Arcsine, PowerSemicircle, check_size, sample_spacings
 from rwa_semicircle.gof import ks_critical_one_sample, ks_statistic
 from rwa_semicircle.special import betainc
 
@@ -320,6 +320,39 @@ class TestSpacings:
             sample_spacings(3, rng, method="bogus")
         with pytest.raises(ValueError):
             sample_spacings(3, rng, size=-1)
+
+
+class TestSizeRule:
+    def test_bound_is_numpy_array_limit(self):
+        limit = np.iinfo(np.intp).max
+        check_size(limit // 8)
+        check_size(limit // 16, 2)
+        with pytest.raises(ValueError, match=rf"count={limit // 8 + 1} draws of n=1 values"):
+            check_size(limit // 8 + 1)
+        with pytest.raises(ValueError, match=rf"count=2 draws of n={limit // 8} values"):
+            check_size(2, limit // 8)
+
+    @pytest.mark.parametrize("law", [Arcsine(), PowerSemicircle(lam=1.5)])
+    @pytest.mark.parametrize("size", [(), 0, (2, 3, 4), np.int64(5)])
+    def test_samplers_still_take_every_size_form(self, law, size):
+        assert np.shape(law.sample(np.random.default_rng(0), size)) == np.shape(np.empty(size))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: Arcsine().sample(rng, 2**62),
+            lambda rng: Arcsine().sample(rng, (2**40, 2**30)),
+            lambda rng: PowerSemicircle(lam=1.0).sample(rng, 2**62),
+            lambda rng: sample_spacings(10**10, rng, size=10**10),
+            lambda rng: sample_spacings(3, rng, size=2**62, method="exponential"),
+        ],
+    )
+    def test_samplers_refuse_before_drawing(self, draw):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"count=\d+ draws of n=\d+ values"):
+            draw(rng)
+        assert rng.bit_generator.state == state
 
 
 class TestExactPointValues:

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from rwa_semicircle import render
 from rwa_semicircle.cli import main
 from rwa_semicircle.verify import VerifyConfig, run_verification
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
@@ -73,6 +74,26 @@ def test_verify_json_digest(a, expected):
     ],
 )
 def test_cli_artifact_digest(argv, expected, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _check(hashlib.sha256(out.read_bytes()).hexdigest(), expected, " ".join(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, columns, expected",
+    [
+        (["sample", "rwa", "--n", "3", "--count", "49153", "--seed", "20", "--shards", "2"], 1,
+         "5849a3819f49664b52d68ef3e3b7d76a54d78e8f57e0f40ecb1c2ddc320a8c52"),
+        (["sample", "spacings", "--n", "4", "--count", "12289", "--seed", "20"], 4,
+         "db85a24d032d37bf75e8422ba05b5cfcc3dc2cda79efee9cad002293e5ab3d32"),
+    ],
+)
+def test_cli_artifact_digest_across_render_chunks(argv, columns, expected, tmp_path):
+    # Pinned when the CSV was rendered in one piece: 3C + 1 rows, C the rows
+    # of one render chunk, so the digest covers three chunk boundaries and a
+    # one-row last chunk.
+    rows_per_chunk = render._CHUNK_CELLS // columns
+    assert int(argv[argv.index("--count") + 1]) == 3 * rows_per_chunk + 1
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     _check(hashlib.sha256(out.read_bytes()).hexdigest(), expected, " ".join(argv))

@@ -167,6 +167,16 @@ class TestSupportAndHooks:
         with pytest.raises(ValueError):
             rwa_batch(RwaSpec(2, 1.0), 3, seed=1, shards=5)
 
+    def test_count_beyond_numpy_index_range_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew from a stream for a batch no array can hold")
+
+        monkeypatch.setattr(rwa, "_stream", no_draw)
+        with pytest.raises(ValueError, match=rf"count={2**61} draws of n=3 values"):
+            rwa_batch(RwaSpec(3), 2**61, seed=1)
+        with pytest.raises(ValueError, match=rf"count=1 draws of n={2**61} values"):
+            rwa_batch(RwaSpec(2**61), 1, seed=1)
+
 
 class TestSampleBatchSerialization:
     def test_csv_layout(self):
