@@ -11,10 +11,10 @@ Subcommands:
 
 Exit codes: 0 all checks passed / output written, 1 a check failed, an
 I/O problem, a numeric failure (an input too large or too small for
-floating point) or a --count too large to allocate, 2 bad usage: a value
-the parser rejects, a size beyond NumPy's index range among them, or any
-ValueError, which is how the library checks its arguments, a draw of
-count by n values beyond that range among them.
+floating point) or a --count or --bins too large to allocate, 2 bad usage:
+a value the parser rejects (a size beyond NumPy's index range, a --bins
+whose bins + 1 float64 edges no array can hold) or a ValueError from the
+library's argument checks, a draw of count by n values beyond that range.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ from .moments import (
 )
 from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json
 from .rwa import RwaSpec, rwa_batch
-from .verify import VerifyConfig, run_verification
+from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 
 __all__ = ["build_parser", "main"]
 
 _TERM_WARN_LIMIT = 10_000_000
+_MIN_BINS = 10  # the fewest histogram bins plot-data accepts
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,9 @@ _nonneg_int = _bounded(_int_any, lambda v: v >= 0, "expected an integer >= 0")
 _count = _indexable(_positive_int)
 _size = _indexable(_bounded(_int_any, lambda v: v >= 2, "the average needs n >= 2"))
 _positive_float = _bounded(_float_any, lambda v: v > 0, "expected a positive number")
+# NumPy sizes a histogram's bins + 1 float64 edges from float(bins + 1).
+_bins = _bounded(_indexable(_bounded(_int_any, lambda v: v >= _MIN_BINS, f"need at least {_MIN_BINS} bins")),
+                 lambda v: 8 * float(v + 1) <= np.iinfo(np.intp).max, "expected a bin count whose bins + 1 float64 edges fit in one NumPy array")
 
 
 def _exponent(text: str) -> float:
@@ -212,12 +216,8 @@ def _cmd_sample_spacings(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_rwa(args: argparse.Namespace) -> int:
-    spec = RwaSpec(n=args.n, a=args.a)
-    batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
-    if args.out is None:
-        _emit(batch.csv_bytes(), None)
-    else:
-        batch.write_csv(args.out)
+    batch = rwa_batch(RwaSpec(n=args.n, a=args.a), args.count, args.seed, shards=args.shards)
+    _emit(batch.csv_bytes(), args.out)
     if args.envelope is not None:
         _emit(batch.envelope_bytes(), args.envelope)
     return 0
@@ -257,10 +257,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     law = spec.target_law()
-    bins = args.bins if args.bins is not None else max(10, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
-    edges = np.histogram_bin_edges([], bins=bins, range=(-args.a, args.a))
+    bins = args.bins if args.bins is not None else max(_MIN_BINS, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
     batch = rwa_batch(spec, args.count, args.seed, shards=args.shards)
-    density, _ = np.histogram(batch.values, bins=edges, density=True)
+    density, edges = np.histogram(batch.values, bins=bins, range=(-args.a, args.a), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
     _emit(csv_bytes(header, centers, density, law.pdf(centers)), args.out)
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rwa.set_defaults(func=_cmd_sample_rwa)
 
     p_verify = sub.add_parser("verify", parents=[instance, sharded], help="KS + moment-band verification of one (n, a) instance")
-    p_verify.add_argument("--count", type=_indexable(_bounded(_int_any, lambda v: v >= 100, "verification needs at least 100 draws")), default=100_000, help="Monte Carlo draws (>= 100, default 100000)")
+    p_verify.add_argument("--count", type=_indexable(_bounded(_int_any, lambda v: v >= MIN_SAMPLE_COUNT, f"verification needs at least {MIN_SAMPLE_COUNT} draws")), default=100_000, help=f"Monte Carlo draws (>= {MIN_SAMPLE_COUNT}, default 100000)")
     p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
     p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
     p_verify.add_argument("--alpha", type=_bounded(_float_any, lambda v: 0 < v < 1, "expected a value in (0, 1)"), default=0.01, help="KS significance level (default 0.01)")
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser("plot-data", parents=[draws, instance, sharded], help="histogram vs target density, as CSV")
-    p_plot.add_argument("--bins", type=_indexable(_bounded(_int_any, lambda v: v >= 10, "need at least 10 bins")), default=None, help="histogram bins, >= 10 (default: Rice rule)")
+    p_plot.add_argument("--bins", type=_bins, default=None, help=f"histogram bins, >= {_MIN_BINS} (default: Rice rule)")
     p_plot.set_defaults(func=_cmd_plot_data)
 
     return parser

@@ -14,7 +14,8 @@ from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import MomentReport, moment_rows
 from .rwa import RwaSpec, check_shards, rwa_batch
 
-__all__ = ["VerifyConfig", "VerifyOutcome", "run_verification"]
+__all__ = ["MIN_SAMPLE_COUNT", "VerifyConfig", "VerifyOutcome", "run_verification"]
+MIN_SAMPLE_COUNT = 100  # the fewest draws a verification run accepts
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class VerifyConfig:
     lambda_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_count < 100:
-            raise ValueError(f"sample_count must be >= 100, got {self.sample_count}")
+        if self.sample_count < MIN_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {self.sample_count}")
         ks_coefficient(self.alpha)
         if self.max_moment_k < 0:
             raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")

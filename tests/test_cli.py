@@ -22,6 +22,7 @@ import pytest
 
 import rwa_semicircle
 from rwa_semicircle.cli import main
+from rwa_semicircle.render import csv_bytes
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
 
@@ -65,6 +66,8 @@ _BAD_VALUES = [
     ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
     # the moment table asks the target law too
     ["moment", "--n", "1002", "--k-max", "0"],
+    # bins + 1 float64 edges beyond NumPy's array limit
+    ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
 ]
 
 
@@ -176,6 +179,9 @@ class TestUsageErrors:
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
              "rwa plot-data: error: argument --bins: expected a size <= 9223372036854775807 "
              "(NumPy's index range), got '10000000000000000000'"),
+            (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
+             "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
+             "fit in one NumPy array, got '4611686018427387904'"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
@@ -209,11 +215,28 @@ class TestUsageErrors:
         from rwa_semicircle import cli
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("drew a batch for bins beyond NumPy's index range")
+            raise AssertionError("drew a batch for more bins than NumPy can hold")
 
         monkeypatch.setattr(cli, "rwa_batch", no_draw)
-        _usage_error(["plot-data", "--n", "3", "--count", "1000000", "--seed", "1",
-                      "--bins", "10000000000000000000"])
+        # Beyond NumPy's index range, and within it but with more edges than
+        # one array can hold.
+        for bins in ("10000000000000000000", "4611686018427387904"):
+            _usage_error(["plot-data", "--n", "3", "--count", "1000000", "--seed", "1", "--bins", bins])
+
+    @pytest.mark.parametrize("bins, code", [(2**60 - 66, 1), (2**60 - 65, 2)])
+    def test_bin_edge_rule_is_numpy_own_limit(self, bins, code, capsys):
+        # NumPy sizes the edges from float(bins + 1): 2^60 - 128 at the
+        # largest count accepted, 2^60 (8 * 2^60 bytes, beyond its limit) at
+        # the smallest refused.  The accepted one reaches the allocation,
+        # which fails for want of memory (exit 1), not for NumPy's size limit.
+        argv = ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", str(bins)]
+        if code == 2:
+            _usage_error(argv)
+        else:
+            assert main(argv) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "array is too big" not in message
+        assert ("argument --bins" in message) == (code == 2)
 
     @pytest.mark.parametrize(
         "argv",
@@ -548,6 +571,17 @@ class TestSampleCommand:
         assert payload["seed"] == 8
         assert payload["count"] == 30
 
+    def test_rwa_file_has_the_stdout_bytes(self, tmp_path, capsysbinary):
+        # Enough rows for several render chunks, on two shards.
+        argv = ["sample", "rwa", "--n", "3", "--count", "49153", "--seed", "20", "--shards", "2"]
+        csv_path, env_path = tmp_path / "draws.csv", tmp_path / "draws.json"
+        assert main([*argv, "--out", str(csv_path), "--envelope", str(env_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv) == 0
+        batch = rwa_batch(RwaSpec(n=3), 49153, 20, shards=2)
+        assert csv_path.read_bytes() == batch.csv_bytes() == capsysbinary.readouterr().out
+        assert env_path.read_bytes() == batch.envelope_bytes()
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -730,7 +764,27 @@ def _read_plot_csv(text: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def _two_pass_plot_csv(n: int, a: float, count: int, seed: int, bins: int) -> bytes:
+    """plot-data's CSV with the edges made first, then a histogram against them."""
+    spec = RwaSpec(n=n, a=a)
+    edges = np.histogram_bin_edges([], bins=bins, range=(-a, a))
+    density, _ = np.histogram(rwa_batch(spec, count, seed).values, bins=edges, density=True)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    header = ["bin_center", "empirical_density", "theoretical_density"]
+    return csv_bytes(header, centers, density, spec.target_law().pdf(centers))
+
+
 class TestPlotDataCommand:
+    @pytest.mark.parametrize("bins", [None, 17])
+    @pytest.mark.parametrize("a", [1.0, 2.5, 1e300])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_one_histogram_matches_edges_then_histogram(self, n, a, bins, capsysbinary):
+        argv = ["plot-data", "--n", str(n), "--a", repr(a), "--count", "2000", "--seed", str(n)]
+        assert main(argv if bins is None else [*argv, "--bins", str(bins)]) == 0
+        rice = math.ceil(2.0 * 2000 ** (1.0 / 3.0))
+        expected = _two_pass_plot_csv(n, a, 2000, n, rice if bins is None else bins)
+        assert capsysbinary.readouterr().out == expected
+
     def test_three_columns_and_normalization(self, capsys):
         assert main(
             ["plot-data", "--n", "3", "--count", "20000", "--seed", "6", "--bins", "11"]
