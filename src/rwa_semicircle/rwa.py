@@ -126,8 +126,8 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     # One worker draws on the calling thread.  Each pool thread allocates its
     # chunk arrays from its own glibc malloc arena, which the caller's later
     # work cannot reuse: `rwa verify` at N=10^6 (n=3, then n=8, in one
-    # process) peaked at 135 MB on the calling thread, 150 MB on a one-thread
-    # pool and 165 MB on two threads (136 MB with MALLOC_ARENA_MAX=1), on a
+    # process) peaked at 68 MB on the calling thread, 80 MB on a one-thread
+    # pool and 92 MB on two threads (68-70 MB with MALLOC_ARENA_MAX=1), on a
     # 2-vCPU Xeon.
     workers = min(len(chunks), _available_cores())
     if workers == 1:

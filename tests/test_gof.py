@@ -1,11 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from rwa_semicircle.gof import ks_coefficient, ks_critical_one_sample, ks_statistic
+from rwa_semicircle.distributions import PowerSemicircle
+from rwa_semicircle.gof import _BLOCK_POINTS, ks_coefficient, ks_critical_one_sample, ks_statistic
 from twosample import ks_critical_two_sample, ks_statistic_two_sample
+
+B = _BLOCK_POINTS
+
+
+def _whole_ks(values, cdf) -> float:
+    """The statistic in one pass over the whole sorted sample: the reference
+    the blocked walk must match bit for bit."""
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    n = x.size
+    f = np.asarray(cdf(x), dtype=np.float64)
+    grid = np.arange(1, n + 1, dtype=np.float64) / n
+    d_plus = np.max(grid - f)
+    d_minus = np.max(f - (grid - 1.0 / n))
+    return float(max(d_plus, d_minus))
 
 
 class TestOneSampleKS:
@@ -42,6 +58,54 @@ class TestOneSampleKS:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), lambda x: x)
+
+
+class TestBlockedKS:
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_bits_match_the_whole_sample_form(self, n, a):
+        # Draws of the target law, tested against it and against the
+        # negative control's exponent, at sizes on and around block edges.
+        target = PowerSemicircle(lam=(n - 1) / 2, a=a)
+        control = PowerSemicircle(lam=3.0, a=a)
+        x = target.sample(np.random.default_rng(n), 3 * B + 7)
+        for size in (1, B - 1, B, B + 1, 3 * B + 7):
+            for law in (target, control):
+                d = ks_statistic(x[:size], law.cdf)
+                assert d == _whole_ks(x[:size], law.cdf), (size, law)
+
+    @pytest.mark.parametrize("index", [B - 1, 2 * B - 1])
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_supremum_on_the_last_point_of_a_block(self, index, shift):
+        # A perfect fit, (i + 1/2)/N, with the last point of a block moved by
+        # 1/N down (D+) or up (D-): the gap there is 3/(2N), 1/(2N) elsewhere.
+        size = 2 * B
+        x = (np.arange(size) + 0.5) / size
+        x[index] += shift / size
+        d = ks_statistic(x, lambda t: t)
+        assert d == _whole_ks(x, lambda t: t)
+        assert d == pytest.approx(1.5 / size, rel=1e-9)
+
+    @pytest.mark.parametrize("size", [10, B + 1, 3 * B + 7])
+    def test_nan_in_the_sample_gives_nan(self, size):
+        law = PowerSemicircle(lam=1.0)
+        x = law.sample(np.random.default_rng(5), size)
+        x[size // 2] = np.nan
+        assert math.isnan(_whole_ks(x, law.cdf))
+        assert math.isnan(ks_statistic(x, law.cdf))
+
+    def test_memory_is_the_sorted_copy_plus_a_few_blocks(self):
+        # At 4B points the CDF and grid arrays of the whole sample would be
+        # about 25 blocks; walked in blocks they are about 8.3 (n = 3).
+        law = PowerSemicircle(lam=1.0)
+        x = law.sample(np.random.default_rng(6), 4 * B)
+        tracemalloc.start()
+        try:
+            ks_statistic(x, law.cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 10 * 8 * B
 
 
 class TestTwoSampleKS:

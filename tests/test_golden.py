@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from rwa_semicircle import render
+from rwa_semicircle import gof, render
 from rwa_semicircle.cli import main
 from rwa_semicircle.verify import VerifyConfig, run_verification
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
@@ -52,6 +52,18 @@ def test_verify_json_digest(a, expected):
     cfg = VerifyConfig(spec=RwaSpec(n=4, a=a), sample_count=5_000, seed=1234, max_moment_k=3)
     text = json.dumps(run_verification(cfg).to_json_dict(), indent=2, sort_keys=True) + "\n"
     _check(hashlib.sha256(text.encode("ascii")).hexdigest(), expected, f"verify JSON n=4 a={a}")
+
+
+def test_verify_json_digest_across_ks_blocks():
+    # Pinned when the KS statistic was computed over the whole sample at once:
+    # 3B + 1 draws, B the points of one KS block, so the digest covers three
+    # block boundaries and a one-point last block (and four sampler chunks).
+    count = 196_609
+    assert count == 3 * gof._BLOCK_POINTS + 1
+    cfg = VerifyConfig(spec=RwaSpec(n=8, a=2.5), sample_count=count, seed=1234, max_moment_k=3)
+    text = json.dumps(run_verification(cfg).to_json_dict(), indent=2, sort_keys=True) + "\n"
+    _check(hashlib.sha256(text.encode("ascii")).hexdigest(),
+           "7880845ff546eda33c394827d8ac019c17310c3b95398d7a4f1004e284b89152", "verify JSON n=8 a=2.5 over KS blocks")
 
 
 @pytest.mark.parametrize(
