@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Arcsine, PowerSemicircle, sample_spacings
-from .exactmath import HalfInteger, composition_count
+from .distributions import SPACING_METHODS, Arcsine, PowerSemicircle, sample_spacings
+from .exactmath import HalfInteger
 from .moments import (
     BAND_Z,
     lemma_lhs,
@@ -145,6 +145,16 @@ def _emit(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
+def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> int:
+    """Print one exact table: `payload` and its verdict `all_equal` as JSON,
+    or else the text `lines`; exit 0 when every row agrees."""
+    if as_json:
+        _emit(json_bytes({**payload, "all_equal": all_equal}), None)
+    else:
+        print("\n".join(lines))
+    return 0 if all_equal else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -154,64 +164,44 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     spec.target_law()
     _warn_term_count(table_term_count(args.n, args.k_max, literal_parity=args.literal_parity), args.n)
     rows = moment_rows(spec, args.k_max, literal_parity=args.literal_parity)
-    all_equal = all(row.consistent for row in rows)
-
-    if args.json:
-        payload = {
-            "n": args.n,
-            "a": args.a,
-            "rows": [row.to_json_dict() for row in rows],
-            "all_equal": all_equal,
-        }
-        _emit(json_bytes(payload), None)
-    else:
-        print(f"moments of the weighted average: n = {args.n}, a = {args.a:g}")
-        print(f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal")
-        for row in rows:
-            print(
-                f"{row.k:>3} {str(row.closed_form):>16} {str(row.oracle):>16} "
-                f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
-            )
-    return 0 if all_equal else 1
+    payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
+    lines = [
+        f"moments of the weighted average: n = {args.n}, a = {args.a:g}",
+        f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.k:>3} {str(row.closed_form):>16} {str(row.oracle):>16} "
+            f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
+        )
+    return _report(args.json, payload, lines, all(row.consistent for row in rows))
 
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    # The compositions of every r <= r_max are those of r_max into one more part.
-    _warn_term_count(composition_count(args.r_max, len(params) + 1), len(params))
+    # The sums for r = 0..r_max walk what a table at n = len(params), k_max = r_max walks.
+    _warn_term_count(table_term_count(len(params), args.r_max), len(params))
     rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
-    all_equal = all(lhs == rhs for _, lhs, rhs in rows)
-
-    if args.json:
-        payload = {
-            "params": [str(p) for p in params],
-            "rows": [
-                {"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs}
-                for r, lhs, rhs in rows
-            ],
-            "all_equal": all_equal,
-        }
-        _emit(json_bytes(payload), None)
-    else:
-        print(f"identity check for params = [{', '.join(str(p) for p in params)}]")
-        print(f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal")
-        for r, lhs, rhs in rows:
-            print(f"{r:>3} {str(lhs):>20} {str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
-    return 0 if all_equal else 1
+    payload = {
+        "params": [str(p) for p in params],
+        "rows": [
+            {"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs}
+            for r, lhs, rhs in rows
+        ],
+    }
+    lines = [
+        f"identity check for params = [{', '.join(str(p) for p in params)}]",
+        f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal",
+    ]
+    for r, lhs, rhs in rows:
+        lines.append(f"{r:>3} {str(lhs):>20} {str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
+    return _report(args.json, payload, lines, all(lhs == rhs for _, lhs, rhs in rows))
 
 
-def _cmd_sample_law(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    values = args.law(args).sample(rng, args.count)
-    _emit(csv_bytes(["value"], values), args.out)
-    return 0
-
-
-def _cmd_sample_spacings(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    rows = sample_spacings(args.n, rng, size=args.count, method=args.method)
-    header = [f"w{i + 1}" for i in range(args.n)]
-    _emit(csv_bytes(header, *rows.T), args.out)
+def _cmd_sample_table(args: argparse.Namespace) -> int:
+    """Write the named columns that `args.columns` draws from the seed's generator."""
+    columns = args.columns(args, np.random.default_rng(args.seed))
+    _emit(csv_bytes(list(columns), *columns.values()), args.out)
     return 0
 
 
@@ -312,17 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_arc = sample_sub.add_parser("arcsine", parents=[draws], help="arcsine law on (-a, a)")
     p_arc.add_argument("--a", type=_positive_float, default=1.0)
-    p_arc.set_defaults(func=_cmd_sample_law, law=lambda args: Arcsine(a=args.a))
+    p_arc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {"value": Arcsine(a=args.a).sample(rng, args.count)})
 
     p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
     p_psc.add_argument("--lambda", dest="lam", type=_exponent, required=True, help="exponent p/2, p an integer in 0..1000")
     p_psc.add_argument("--a", type=_positive_float, default=1.0)
-    p_psc.set_defaults(func=_cmd_sample_law, law=lambda args: PowerSemicircle(lam=args.lam, a=args.a))
+    p_psc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {"value": PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)})
 
     p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_size, required=True, help="number of spacings per row (>= 2)")
-    p_spc.add_argument("--method", choices=["sorted-uniforms", "exponential"], default="sorted-uniforms")
-    p_spc.set_defaults(func=_cmd_sample_spacings)
+    p_spc.add_argument("--method", choices=SPACING_METHODS, default="sorted-uniforms")
+    p_spc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {
+        f"w{i + 1}": weights for i, weights in enumerate(sample_spacings(args.n, rng, size=args.count, method=args.method).T)})
 
     p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, sharded], help="the randomly weighted average itself")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")

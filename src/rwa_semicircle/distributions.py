@@ -20,9 +20,9 @@ import numpy as np
 
 from .render import magnitude
 
-__all__ = ["Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
+__all__ = ["SPACING_METHODS", "Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
 
-_SPACING_METHODS = ("sorted-uniforms", "exponential")
+SPACING_METHODS = ("sorted-uniforms", "exponential")
 
 
 # Largest p = 2*lam that `PowerSemicircle` accepts.  The Wallis form of its
@@ -233,8 +233,8 @@ def sample_spacings(
     """
     if n < 1:
         raise ValueError(f"need n >= 1 spacings, got {n}")
-    if method not in _SPACING_METHODS:
-        raise ValueError(f"method must be one of {_SPACING_METHODS}, got {method!r}")
+    if method not in SPACING_METHODS:
+        raise ValueError(f"method must be one of {SPACING_METHODS}, got {method!r}")
     count = 1 if size is None else int(size)
     if count < 0:
         raise ValueError(f"size must be >= 0, got {size}")

@@ -50,6 +50,9 @@ def ks_coefficient(alpha: float) -> float:
     """c(alpha) = sqrt(-ln(alpha / 2) / 2), the asymptotic KS quantile factor."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if alpha / 2.0 == 0.0:
+        # Only the smallest subnormal: its half rounds to 0, which has no log.
+        raise ValueError(f"alpha must be at least 1e-323, so that alpha / 2 is a positive float, got {alpha!r}")
     return math.sqrt(-0.5 * math.log(alpha / 2.0))
 
 

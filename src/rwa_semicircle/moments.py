@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -286,7 +286,8 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None, *, 
     rows = []
     for k in range(k_max + 1):
         unit, scale = rwa_moment_closed(spec.n, k), square**k
-        row = MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=rwa_moment_oracle(spec.n, 2 * k, literal_parity=literal_parity) * scale)
+        oracle = rwa_moment_oracle(spec.n, 2 * k, literal_parity=literal_parity)
+        monte_carlo = {}
         if batch is not None:
             mean, se = estimates[k]
             gap = abs(mean - float(unit))
@@ -295,6 +296,6 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None, *, 
                 empirical, std_error = float(Fraction(mean) * scale), float(Fraction(se) * scale)
             except OverflowError:
                 raise OverflowError(f"moment order {2 * k} at a={spec.a!r} is beyond the float range") from None
-            row = replace(row, empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
-        rows.append(row)
+            monte_carlo = dict(empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
+        rows.append(MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=oracle * scale, **monte_carlo))
     return tuple(rows)

@@ -7,7 +7,7 @@ exact rows of one :func:`~rwa_semicircle.moments.moment_rows` table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .distributions import PowerSemicircle
 from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
@@ -42,16 +42,10 @@ class VerifyConfig:
             PowerSemicircle(lam=self.lambda_override)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "a": self.spec.a,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "max_moment_k": self.max_moment_k,
-            "alpha": self.alpha,
-            "shards": self.shards,
-            "lambda_override": self.lambda_override,
-        }
+        """Every field, with the spec's n and a lifted to the top level."""
+        out = asdict(self)
+        out.update(out.pop("spec"))
+        return out
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,9 @@ class TestUsageErrors:
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
              "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
              "fit in one NumPy array, got '4611686018427387904'"),
+            # An alpha in (0, 1) whose half rounds to 0 names alpha, not the log.
+            (["verify", "--n", "3", "--count", "1000", "--seed", "1", "--alpha", "5e-324"],
+             "rwa: error: verify: alpha must be at least 1e-323, so that alpha / 2 is a positive float, got 5e-324"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):

@@ -158,6 +158,13 @@ class TestCriticalValues:
         )
         assert 4 <= rejections <= 40  # expect ~20
 
+    def test_smallest_alpha_is_the_smallest_with_a_positive_half(self):
+        """5e-324, the smallest subnormal, halves to 0, which has no log: it is
+        refused by name, and 1e-323 still takes the log of its half."""
+        with pytest.raises(ValueError, match=r"alpha must be at least 1e-323, .* got 5e-324"):
+            ks_coefficient(5e-324)
+        assert ks_coefficient(1e-323) == math.sqrt(-0.5 * math.log(5e-324))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ks_coefficient(0.0)

@@ -118,3 +118,25 @@ def test_cli_envelope_digest(tmp_path):
     assert main(argv) == 0
     _check(hashlib.sha256(envelope.read_bytes()).hexdigest(),
            "6ed86b48e4353ad9255883ef356d15fac4709193f5777f42ac8ad6f0dc44de1d", "sample rwa envelope")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["moment", "--n", "4", "--k-max", "3"],
+         "4e1c6ea8b6b6568b184f7938f499086faaf9b899cbf12abcf144c69331bae42f"),
+        (["moment", "--n", "4", "--k-max", "3", "--json"],
+         "5f8687f6321223f14e6672d69f13afe4023122c2f75e5f81d4d0aa774a8913ff"),
+        (["moment", "--n", "4", "--k-max", "3", "--literal-parity", "--a", "2.5"],
+         "9372f95dd61c98ff291858dd9e03eff6f88c877a95e0b660379ad47bd6a82c73"),
+        (["lemma-check", "--params", "1/2,1,3/2", "--r-max", "4"],
+         "f062c10575442e6d1b1ee7623763ce162c35f1e2cf1d8064fd1e62c1c7e5ee36"),
+        (["lemma-check", "--params", "1/2,1,3/2", "--r-max", "4", "--json"],
+         "af4d83b1e687d8ca6cba9f5be46b16a9ce047507f25a62e3f5676f2121c3277c"),
+    ],
+)
+def test_cli_exact_table_digest(argv, expected, capsysbinary):
+    # The exact tables draw nothing, so these pin the report's layout: the
+    # text columns, the JSON keys and the rational forms.
+    assert main(argv) == 0
+    _check(hashlib.sha256(capsysbinary.readouterr().out).hexdigest(), expected, " ".join(argv))
