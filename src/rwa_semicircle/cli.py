@@ -15,12 +15,15 @@ floating point) or a --count or --bins too large to allocate, 2 bad usage:
 a value the parser rejects (a size beyond NumPy's index range, a --bins
 whose bins + 1 float64 edges no array can hold) or a ValueError from the
 library's argument checks, a draw of count by n values beyond that range.
+A reader that closes stdout early is not an I/O problem: the rest of the
+output is discarded and the command keeps its verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -129,29 +132,35 @@ def _warn_term_count(count: int, parts: int = 1) -> None:
 
 
 def _emit(data: bytes, out: str | None) -> None:
-    """Write one rendered artifact to stdout, or to the file `out`.
+    """Write one rendered result to stdout, or to the file `out`.
 
     The bytes go to stdout's binary layer, after anything already printed,
     with no decoded or re-encoded copy; a text-only stdout (such as
-    `io.StringIO` under `contextlib.redirect_stdout`) gets them decoded."""
-    if out is None:
-        binary = getattr(sys.stdout, "buffer", None)
-        if binary is None:
-            sys.stdout.write(data.decode("ascii"))
-        else:
-            sys.stdout.flush()
-            binary.write(data)
-    else:
+    `io.StringIO` under `contextlib.redirect_stdout`) gets them decoded.
+    A reader that has closed stdout is not an error: stdout is pointed at
+    os.devnull, so later writes and the exit flush succeed."""
+    if out is not None:
         Path(out).write_bytes(data)
+    elif not hasattr(sys.stdout, "buffer"):
+        sys.stdout.write(data.decode("ascii"))
+    else:
+        try:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> int:
-    """Print one exact table: `payload` and its verdict `all_equal` as JSON,
+    """Write one exact table: `payload` and its verdict `all_equal` as JSON,
     or else the text `lines`; exit 0 when every row agrees."""
     if as_json:
         _emit(json_bytes({**payload, "all_equal": all_equal}), None)
     else:
-        print("\n".join(lines))
+        _emit(("\n".join(lines) + "\n").encode("ascii"), None)
     return 0 if all_equal else 1
 
 
@@ -237,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"(z = {row.z:.2f} vs {BAND_Z})"
         )
     lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
-    print("\n".join(lines))
+    _emit(("\n".join(lines) + "\n").encode("ascii"), None)
 
     if args.json is not None:
         _emit(json_bytes(outcome.to_json_dict()), args.json)

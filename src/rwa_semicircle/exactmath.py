@@ -57,9 +57,7 @@ class HalfInteger:
         return cls(int(doubled))
 
     def __str__(self) -> str:
-        if self.twice_value % 2 == 0:
-            return str(self.twice_value // 2)
-        return f"{self.twice_value}/2"
+        return str(Fraction(self.twice_value, 2))
 
 
 def rising_gamma_ratio(q: Fraction | int, m: int) -> Fraction:
@@ -74,10 +72,7 @@ def rising_gamma_ratio(q: Fraction | int, m: int) -> Fraction:
     base = Fraction(q)
     p, d = base.numerator, base.denominator
     # q + j = (p + j d) / d, so the whole product has one integer numerator.
-    prod = 1
-    for j in range(m):
-        prod *= p + j * d
-    return Fraction(prod, d**m)
+    return Fraction(math.prod(range(p, p + m * d, d)), d**m)
 
 
 def multinomial(r: int, parts: Sequence[int]) -> int:

@@ -88,12 +88,11 @@ def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
-    The law is asked first: :func:`psc_moment` at exponent (n-1)/2 -- the
-    theorem itself -- checks the exponent before any factorial, and the
-    factorial expression derived from the average must then equal it.
+    The law is asked first: :meth:`RwaSpec.target_law` -- the theorem
+    itself -- checks the exponent (n-1)/2 before any factorial, and the
+    factorial expression derived from the average must equal its moment.
     """
-    RwaSpec(n)
-    law = psc_moment(Fraction(n - 1, 2), k)
+    law = psc_moment(RwaSpec(n).target_law().lam, k)
     intermediate = Fraction(
         math.factorial(2 * k) * math.factorial(n - 1),
         math.factorial(2 * k + n - 1) * math.factorial(k),

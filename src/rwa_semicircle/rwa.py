@@ -10,9 +10,11 @@ Draw-order contract v1 (what makes runs byte-reproducible): each shard gets
 its own PCG64 stream from SeedSequence(seed, spawn_key=(shard_index,)) and
 consumes, in order, one (count, n-1) block of uniforms for the weights, then
 one (count, n) block of uniforms for the arcsine draws, both in row-major
-order.  Shard outputs are laid out in shard order.  The scale multiplies the
-completed unit-scale sum, so a batch at scale a is bitwise a times the
-unit-scale batch for the same seed and shard count.
+order.  Of a batch's `count` rows over `shards` shards, shard i draws
+count // shards rows, plus one more when i < count % shards.  Shard outputs
+are laid out in shard order.  The scale multiplies the completed unit-scale
+sum, so a batch at scale a is bitwise a times the unit-scale batch for the
+same seed and shard count.
 
 Each uniform takes exactly one 64-bit output of the stream, so rows [s, s+c)
 of a shard of `count` rows read their weight uniforms from stream offset
@@ -79,11 +81,6 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_counts(count: int, shards: int) -> list[int]:
-    base, extra = divmod(count, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
 def check_shards(count: int, shards: int) -> None:
     """The one split rule: every shard draws at least one of the `count` rows."""
     if not 1 <= shards <= count:
@@ -107,15 +104,13 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     n = spec.n
     values = np.empty(count)
     # (shard, shard rows, first row, output slice) per chunk of at most
-    # `rows` rows; the slices tile `values` in shard order.
+    # `rows` rows.  `np.array_split` gives the contract's shard split as
+    # views that tile `values` in shard order.
     rows = max(1, _CHUNK_VALUES // n)
     chunks = []
-    first = 0
-    for shard, shard_count in enumerate(_shard_counts(count, shards)):
-        for start in range(0, shard_count, rows):
-            stop = min(start + rows, shard_count)
-            chunks.append((shard, shard_count, start, values[first + start : first + stop]))
-        first += shard_count
+    for shard, shard_values in enumerate(np.array_split(values, shards)):
+        for start in range(0, shard_values.size, rows):
+            chunks.append((shard, shard_values.size, start, shard_values[start : start + rows]))
 
     def draw(chunk) -> None:
         shard, shard_count, start, out = chunk

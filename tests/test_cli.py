@@ -326,6 +326,35 @@ def test_numeric_failure_prints_no_warning(argv):
     assert len(lines) == 1 and lines[0].startswith(f"error: {argv[0]}: ")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_reader_keeps_the_verdict(unbuffered, tmp_path):
+    # A reader that closes stdout before the command writes (as `| head -c 1`
+    # may) is not an I/O problem: the command writes its files, exits with
+    # its verdict and prints nothing on stderr, however stdout is buffered.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rwa_semicircle.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    verify = ["verify", "--n", "3", "--count", "1000", "--seed", "1", "--json"]
+    cases = [
+        ([*verify, str(tmp_path / "pass.json")], 0),
+        ([*verify, str(tmp_path / "fail.json"), "--lambda-override", "3"], 1),
+        (["moment", "--n", "3", "--k-max", "2"], 0),
+        (["sample", "arcsine", "--count", "10", "--seed", "1"], 0),
+    ]
+    for argv, code in cases:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rwa_semicircle", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b""), argv
+    for name in ("pass.json", "fail.json"):
+        assert json.loads((tmp_path / name).read_text())["overall_pass"] is (name == "pass.json")
+
+
 def test_term_count_warning_threshold(capsys):
     from rwa_semicircle.cli import _warn_term_count
 
@@ -510,6 +539,13 @@ class TestSampleCommand:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["sample", "rwa", "--n", "3", "--count", "40", "--seed", "11"]) == 0
         assert out.getvalue().encode("ascii") == rwa_batch(RwaSpec(n=3, a=1.0), 40, 11).csv_bytes()
+        # The text tables and verdict lines take the same way out.
+        for argv in (["verify", "--n", "3", "--count", "1000", "--seed", "1"], ["moment", "--n", "3", "--k-max", "4"]):
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                assert main(argv) == 0
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO(), encoding="ascii")) as binary:
+                assert main(argv) == 0
+            assert text.getvalue().encode("ascii") == binary.buffer.getvalue() != b""
 
     def test_arcsine_csv_shape_and_support(self, capsys):
         assert main(["sample", "arcsine", "--a", "2", "--count", "200", "--seed", "9"]) == 0

@@ -117,7 +117,7 @@ class TestChunkedDraw:
     chunk size, worker count and shard count, its bytes are the whole-block
     draw's."""
 
-    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 3, 4])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 10_000])
     @pytest.mark.parametrize(("n", "a", "count"), [(2, 1.0, 10), (5, 2.5, 1000), (64, 0.5, 1000)])
