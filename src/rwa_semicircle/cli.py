@@ -39,7 +39,7 @@ from .moments import (
     moment_rows,
     table_term_count,
 )
-from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json
+from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json, rational_str
 from .rwa import RwaSpec, rwa_batch
 from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 
@@ -180,7 +180,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     ]
     for row in rows:
         lines.append(
-            f"{row.k:>3} {str(row.closed_form):>16} {str(row.oracle):>16} "
+            f"{row.k:>3} {rational_str(row.closed_form):>16} {rational_str(row.oracle):>16} "
             f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
         )
     return _report(args.json, payload, lines, all(row.consistent for row in rows))
@@ -203,7 +203,7 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
         f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal",
     ]
     for r, lhs, rhs in rows:
-        lines.append(f"{r:>3} {str(lhs):>20} {str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
+        lines.append(f"{r:>3} {rational_str(lhs):>20} {rational_str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
     return _report(args.json, payload, lines, all(lhs == rhs for _, lhs, rhs in rows))
 
 

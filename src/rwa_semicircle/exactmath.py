@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .render import rational_str
+
 __all__ = [
     "Composition",
     "HalfInteger",
@@ -57,7 +59,7 @@ class HalfInteger:
         return cls(int(doubled))
 
     def __str__(self) -> str:
-        return str(Fraction(self.twice_value, 2))
+        return rational_str(Fraction(self.twice_value, 2))
 
 
 def rising_gamma_ratio(q: Fraction | int, m: int) -> Fraction:

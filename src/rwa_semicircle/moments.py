@@ -1,17 +1,14 @@
 """Exact moment machinery: identity checker, closed form, and oracle.
 
-Two independent routes to the moments of the randomly weighted average are
-kept deliberately separate so they can police each other:
-
-* :func:`rwa_moment_closed` -- the closed form, a factorial expression
-  derived from the average itself, checked internally against the power
-  semicircle moment :func:`psc_moment` at exponent (n-1)/2.
-* :func:`rwa_moment_oracle` -- brute composition sum: expand the power of
-  the average multinomially and take expectations factor by factor (flat
-  Dirichlet joint moments in factorial form, arcsine moments in central
-  binomial form).  The multinomial coefficient times the Dirichlet moment
-  cancels to r!(n-1)!/(r+n-1)!, the same for every composition, so it is
-  applied once and the walk adds integer products of central binomials.
+E S^(2k) is the flat Dirichlet mixing constant (2k)! (n-1)! / ((2k+n-1)! k!)
+times either side of the composition/gamma-ratio lemma at n parameters 1/2
+and r = k.  The two exact routes are those two sides:
+:func:`rwa_moment_oracle` the composition sum :func:`lemma_lhs`, and
+:func:`rwa_moment_closed` the gamma ratio :func:`lemma_rhs`, checked against
+the power semicircle moment :func:`psc_moment` at exponent (n-1)/2.  They
+share only the mixing constant, and a fault there fails that check; a fault
+in the composition kernel makes the routes disagree (a ``NO`` row in
+`rwa moment`, a failed identity in `rwa lemma-check`).
 
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` tables
 them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
@@ -19,9 +16,7 @@ them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -34,10 +29,9 @@ from .exactmath import (
     HalfInteger,
     composition_count,
     compositions,
-    multinomial,
     rising_gamma_ratio,
 )
-from .render import rational_json
+from .render import rational_json, rational_str
 from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
@@ -60,20 +54,22 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     """Composition-sum side of the gamma-ratio identity.
 
     sum over compositions (i_1, ..., i_n) of r of
-    multinomial(r; i) * prod_j Gamma(a_j + i_j)/Gamma(a_j).
-
-    Each rising factorial is kept as the integer 2^i Gamma(a + i)/Gamma(a)
-    = 2a (2a + 2) ... (2a + 2i - 2); the exponents of every term add up to
-    r, so the whole sum is an integer over 2^r.  `compositions` checks r.
+    multinomial(r; i) * prod_j Gamma(a_j + i_j)/Gamma(a_j)
+    = r! prod_j C(a_j + i_j - 1, i_j).  Each binomial is kept as the integer
+    T_a[i] = 4^i C(a + i - 1, i), C(2i, i) at a = 1/2, so the sum is r! times
+    an integer over 4^r.  T[i] = T[i-1] 2 (2a + 2i - 2) / i divides exactly:
+    at half-integer a, i consecutive odd factors hold the odd part of i! and
+    v_2(i!) < i; at integer a, T_a[i] is 4^i times a binomial.
+    `compositions` checks r.
     """
     tables = []
     for a in params:
-        factors = range(a.twice_value, a.twice_value + 2 * r, 2)
-        tables.append(list(itertools.accumulate(factors, operator.mul, initial=1)))
-    total = 0
-    for comp in compositions(r, len(params)):
-        total += multinomial(r, comp) * math.prod(map(list.__getitem__, tables, comp))
-    return Fraction(total, 2**r)
+        table = [1]
+        for i in range(1, r + 1):
+            table.append(table[-1] * 2 * (a.twice_value + 2 * i - 2) // i)
+        tables.append(table)
+    total = sum(math.prod(map(list.__getitem__, tables, comp)) for comp in compositions(r, len(params)))
+    return Fraction(math.factorial(r) * total, 4**r)
 
 
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
@@ -85,22 +81,31 @@ def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     return rising_gamma_ratio(Fraction(sum(p.twice_value for p in params), 2), r)
 
 
+def _mixing(n: int, k: int) -> Fraction:
+    """(2k)! (n-1)! / ((2k+n-1)! k!), which turns either side of the lemma at
+    n parameters 1/2 and r = k into E S^(2k): the lemma's term at h is k!
+    times the arcsine moments prod_j C(2h_j, h_j) / 4^(h_j), and multinomial
+    times flat Dirichlet moment is (2k)! (n-1)! / (2k+n-1)! at every 2h."""
+    return Fraction(
+        math.factorial(2 * k) * math.factorial(n - 1),
+        math.factorial(2 * k + n - 1) * math.factorial(k),
+    )
+
+
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
     The law is asked first: :meth:`RwaSpec.target_law` -- the theorem
-    itself -- checks the exponent (n-1)/2 before any factorial, and the
-    factorial expression derived from the average must equal its moment.
+    itself -- checks the exponent (n-1)/2 before any factorial.  The mixing
+    constant times the lemma's closed side at n parameters 1/2,
+    Gamma(n/2 + k)/Gamma(n/2), must then equal the law's moment.
     """
     law = psc_moment(RwaSpec(n).target_law().lam, k)
-    intermediate = Fraction(
-        math.factorial(2 * k) * math.factorial(n - 1),
-        math.factorial(2 * k + n - 1) * math.factorial(k),
-    ) * rising_gamma_ratio(Fraction(n, 2), k)
+    intermediate = _mixing(n, k) * lemma_rhs((HalfInteger(1),) * n, k)
     if intermediate != law:
         raise ArithmeticError(
             f"internal moment forms disagree at n={n}, k={k}: "
-            f"{intermediate} vs {law}"
+            f"{rational_str(intermediate)} vs {rational_str(law)}"
         )
     return law
 
@@ -110,35 +115,29 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
 
     Each composition i of r contributes multinomial(r; i) times the flat
     Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
-    prod C(i_j, i_j/2) / 2^(i_j).  The first two factors cancel to the
-    constant r! (n-1)! / (r+n-1)!, the same for every composition, so the
-    walk adds only the integers prod C(i_j, i_j/2) and the constant and
-    2^-r are applied once:
+    prod C(i_j, i_j/2) / 2^(i_j), zero at an odd part.  The first two factors
+    cancel to r! (n-1)! / (r+n-1)!, the same for every composition.
 
-        E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
-
-    Default mode: odd r returns 0 outright (every term carries an odd
-    arcsine moment), and even r = 2k walks only the surviving compositions,
-    the doubled compositions h of k, reading C(2h_j, h_j) directly.
+    Default mode: odd r returns 0 outright, and even r = 2k is the mixing
+    constant times :func:`lemma_lhs` at n parameters 1/2 and r = k, a walk
+    over the compositions h of k, the halves of the surviving terms.
 
     literal_parity=True instead walks every composition of r and drops a
     term as soon as one of its parts is odd -- much slower, but it verifies
-    rather than assumes the odd cancellation.
+    rather than assumes the odd cancellation:
+
+        E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
     """
     RwaSpec(n)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    if literal_parity:
-        # C(i, i/2) at part i (odd entries are never read).
-        central = [math.comb(i, i // 2) for i in range(r + 1)]
-        walk = _all_parts_even(compositions(r, n))
-    elif r % 2 == 0:
-        # C(2h, h) at half part h.
-        central = [math.comb(2 * h, h) for h in range(r // 2 + 1)]
-        walk = compositions(r // 2, n)
-    else:
-        central, walk = [], ()
-    total = sum(math.prod(map(central.__getitem__, comp)) for comp in walk)
+    if not literal_parity:
+        if r % 2:
+            return Fraction(0)
+        return _mixing(n, r // 2) * lemma_lhs((HalfInteger(1),) * n, r // 2)
+    # C(i, i/2) at part i (odd entries are never read).
+    central = [math.comb(i, i // 2) for i in range(r + 1)]
+    total = sum(math.prod(map(central.__getitem__, comp)) for comp in _all_parts_even(compositions(r, n)))
     return Fraction(math.factorial(r) * math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
 
 

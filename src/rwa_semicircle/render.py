@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["csv_bytes", "decimal_str", "json_bytes", "magnitude", "rational_json"]
+__all__ = ["csv_bytes", "decimal_str", "json_bytes", "magnitude", "rational_json", "rational_str"]
 
 # Cells (rows times columns) per rendered chunk; each chunk's floats, strings
 # and text are freed before the next one is made.
@@ -56,10 +56,19 @@ def rational_json(q: Fraction) -> dict:
     """An exact rational as JSON: numerator and denominator as strings (no
     precision limit) plus a 30-digit decimal reading."""
     return {
-        "num": str(q.numerator),
-        "den": str(q.denominator),
+        "num": rational_str(q.numerator),
+        "den": rational_str(q.denominator),
         "decimal": decimal_str(q),
     }
+
+
+def rational_str(q: int | Fraction) -> str:
+    """An exact int or Fraction as text, "p" or "p/q": the bytes of str(q),
+    at any size.  Decimal renders an integer's digits with no digit limit,
+    where str() refuses an int of more than 4300 digits."""
+    q = Fraction(q)
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 def decimal_str(q: Fraction, digits: int = 30) -> str:

@@ -15,6 +15,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import pytest
 
 import rwa_semicircle
 from rwa_semicircle.cli import main
+from rwa_semicircle.moments import rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
@@ -430,6 +433,58 @@ def test_json_rows_and_rationals_share_one_form(capsys):
     row = json.loads(capsys.readouterr().out)["rows"][2]
     assert row["lhs"] == {"num": "12", "den": "1", "decimal": "12"}
     assert row["rhs"] == row["lhs"]
+
+
+# ---------------------------------------------------------------------------
+# exact numbers of more than 4300 digits, beyond what str() of an int renders
+
+
+def _exact(num: str, den: str = "1") -> Fraction:
+    """A rendered rational read back with no digit limit."""
+    return Fraction(int(Decimal(num)), int(Decimal(den)))
+
+
+def _exact_text(text: str) -> Fraction:
+    return _exact(*text.split("/"))
+
+
+class TestBeyondTheDigitLimit:
+    def test_moment_table(self, capsys):
+        expected = rwa_moment_closed(3, 8) * Fraction(10**300) ** 16
+        assert expected.numerator > 10**4300
+        argv = ["moment", "--n", "3", "--k-max", "8", "--a", "1e300"]
+        assert main([*argv, "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][8]
+        assert _exact(row["closed_form"]["num"], row["closed_form"]["den"]) == expected
+        assert _exact(row["oracle"]["num"], row["oracle"]["den"]) == expected
+        assert main(argv) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split()
+        assert [last[0], last[-1]] == ["8", "yes"]
+        assert _exact_text(last[1]) == _exact_text(last[2]) == expected
+
+    def test_verify_report(self, capsys, tmp_path):
+        report = tmp_path / "v.json"
+        argv = ["verify", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-150", "--k-max", "15", "--json", str(report)]
+        assert main(argv) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        row = json.loads(report.read_text())["moment_rows"][15]
+        expected = rwa_moment_closed(3, 15) / Fraction(10**150) ** 30
+        assert expected.denominator > 10**4300
+        assert _exact(row["closed_form"]["num"], row["closed_form"]["den"]) == expected
+
+    def test_lemma_check(self, capsys):
+        argv = ["lemma-check", "--params", "1/2,1e5000", "--r-max", "1"]
+        expected = Fraction(1, 2) + 10**5000
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["params"][0] == "1/2" and _exact(payload["params"][1]) == 10**5000
+        lhs = payload["rows"][1]["lhs"]
+        assert _exact(lhs["num"], lhs["den"]) == expected and payload["rows"][1]["rhs"] == lhs
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert _exact(lines[0].split(", ")[1].rstrip("]")) == 10**5000
+        last = lines[-1].split()
+        assert _exact_text(last[1]) == _exact_text(last[2]) == expected and last[3] == "yes"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import itertools
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial
+from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial, rising_gamma_ratio
 from rwa_semicircle.moments import (
     BAND_Z,
     MomentReport,
@@ -56,6 +58,34 @@ class TestLemma:
     def test_mixed_parameters(self, r):
         params = (H(1), H(2), H(3), H(5))
         assert lemma_lhs(params, r) == lemma_rhs(params, r)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_kernel_matches_the_literal_sum_on_every_small_list(self, length):
+        """Every list of `length` parameters 2q <= 7, at every r <= 6."""
+        for twice in itertools.product(range(1, 8), repeat=length):
+            params = tuple(map(H, twice))
+            for r in range(7):
+                assert lemma_lhs(params, r) == _literal_lemma_sum(params, r), (twice, r)
+
+    def test_kernel_matches_the_literal_sum_on_seeded_lists(self):
+        """50 seeded lists of up to 6 parameters 2q <= 41, each at one r <= 12."""
+        rng = random.Random(2512)
+        for _ in range(50):
+            params = tuple(H(rng.randint(1, 41)) for _ in range(rng.randint(1, 6)))
+            r = rng.randint(0, 12)
+            assert lemma_lhs(params, r) == _literal_lemma_sum(params, r), (params, r)
+
+
+def _literal_lemma_sum(params, r: int) -> Fraction:
+    """The lemma's composition sum as written, term by term in `Fraction`s:
+    multinomial(r; i) prod_j Gamma(a_j + i_j)/Gamma(a_j)."""
+    total = Fraction(0)
+    for comp in compositions(r, len(params)):
+        term = Fraction(multinomial(r, comp))
+        for a, i in zip(params, comp):
+            term *= rising_gamma_ratio(Fraction(a.twice_value, 2), i)
+        total += term
+    return total
 
 
 class TestClosedForm:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,3 +78,20 @@ def test_render_memory_is_bounded_by_its_output():
     _, one_chunk = _traced_peak(values[:chunk])
     out, peak = _traced_peak(values)
     assert peak <= 2 * len(out) + one_chunk
+
+
+def test_rational_text_is_str_below_the_digit_limit():
+    big = 7 * 10**4299 + 123456789  # 4300 digits, the most str() renders
+    values = [0, 1, -1, 10**30, -(10**30) + 1, big, -big, Fraction(1, 3), Fraction(-22, 7), Fraction(big, big + 2)]
+    assert len(str(big)) == 4300
+    for value in values:
+        assert render.rational_str(value) == str(Fraction(value))
+
+
+def test_rational_text_has_no_digit_limit():
+    value = Fraction(-(3**20000), 10**4500 + 1)
+    num, den = render.rational_str(value).split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == value
+    assert num.startswith("-") and num[1:].isdigit() and den.isdigit()
+    payload = render.rational_json(value)
+    assert (payload["num"], payload["den"]) == (num, den)
