@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import SPACING_METHODS, Arcsine, PowerSemicircle, sample_spacings
+from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import HalfInteger
 from .moments import (
     BAND_Z,
@@ -320,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_size, required=True, help="number of spacings per row (>= 2)")
-    p_spc.add_argument("--method", choices=SPACING_METHODS, default="sorted-uniforms")
     p_spc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {
-        f"w{i + 1}": weights for i, weights in enumerate(sample_spacings(args.n, rng, size=args.count, method=args.method).T)})
+        f"w{i + 1}": weights for i, weights in enumerate(sample_spacings(args.n, rng, size=args.count).T)})
 
     p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, sharded], help="the randomly weighted average itself")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")

@@ -1,4 +1,4 @@
-"""The power semicircle family, plus Dirichlet spacings sampling.
+"""The power semicircle family, plus the spacings that weight the average.
 
 The power semicircle family is the target law that the randomly weighted
 average is checked against, and its lam = 0 member, Arcsine(-a, a), is the
@@ -20,9 +20,7 @@ import numpy as np
 
 from .render import magnitude
 
-__all__ = ["SPACING_METHODS", "Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
-
-SPACING_METHODS = ("sorted-uniforms", "exponential")
+__all__ = ["Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
 
 
 # Largest p = 2*lam that `PowerSemicircle` accepts.  The Wallis form of its
@@ -160,13 +158,17 @@ class PowerSemicircle:
         out = math.exp(self._log_norm) * np.power((1.0 - s) * (1.0 + s), self.lam - 0.5) / self.a
         if not np.all(np.isfinite(out)):
             raise ArithmeticError(f"density overflows at scale a={self.a:g}")
-        return float(out) if np.isscalar(x) else out
+        return float(out) if np.ndim(x) == 0 else out
 
     def cdf(self, x):
         """CDF, computed from the unit variable s = x/a.
 
         The law is specified directly by the Wallis form of `_wallis_cdf` at
         p = 2*lam: no iteration, nothing that can fail to converge.
+
+        Tail accuracy: the lower tail is 1/2 minus a sum of larger terms, so
+        its relative error grows with lam, to 2.7e-10 at lam = 63/2 (F = 5.3e-8
+        at x = -0.5994a); `TestExactRationalCdf` bounds it against exact F.
         """
         out = _wallis_cdf(np.atleast_1d(self._unit(x)), int(2 * self.lam))
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -207,59 +209,40 @@ class Arcsine(PowerSemicircle):
         return x if x.ndim else x[()]
 
 
-def sample_spacings(
-    n: int,
-    rng: np.random.Generator,
-    size=None,
-    method: str = "sorted-uniforms",
-) -> np.ndarray:
-    """Draw the n spacings of n-1 ordered uniforms on (0, 1).
+def sample_spacings(n: int, rng: np.random.Generator, size=None) -> np.ndarray:
+    """Draw the n spacings of n-1 ordered uniforms on (0, 1), n >= 2.
 
     The rows are flat Dirichlet vectors of length n (each weight vector sums
-    to one).  Two routes:
-
-    * ``sorted-uniforms`` -- sort n-1 uniforms, pad with 0 and 1, take
-      consecutive differences.  This is the definition, used by the sampler.
-      No row is sorted at n <= 3 (one uniform is already in order, two are
-      ordered by one min/max pair), and the differences are written straight
-      into the result instead of into a padded copy.  The output has the
-      same bytes as the definition taken literally on the same uniforms:
-      a full row sort, then `np.diff` of the padded rows.
-    * ``exponential`` -- normalize n standard exponentials; an independent
-      construction of the same law, kept around so the two can be tested
-      against each other.
+    to one), built by the definition: sort n-1 uniforms, pad with 0 and 1,
+    take consecutive differences.  No row is sorted at n <= 3 (one uniform is
+    already in order, two are ordered by one min/max pair), and the
+    differences are written straight into the result instead of into a
+    padded copy.  The output has the same bytes as the definition taken
+    literally on the same uniforms: a full row sort, then `np.diff` of the
+    padded rows.
 
     Returns shape (n,) for size=None, else (size, n).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 spacings, got {n}")
-    if method not in SPACING_METHODS:
-        raise ValueError(f"method must be one of {SPACING_METHODS}, got {method!r}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 spacings, got {n}")
     count = 1 if size is None else int(size)
     if count < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     check_size(count, n)
 
-    if method == "exponential":
-        e = rng.standard_exponential((count, n))
-        out = e / e.sum(axis=1, keepdims=True)
-    else:
-        u = rng.random((count, n - 1))
-        if n == 3:
-            lo = np.minimum(u[:, 0], u[:, 1])
-            np.maximum(u[:, 0], u[:, 1], out=u[:, 1])
-            u[:, 0] = lo
-        elif n > 3:
-            u.sort(axis=1)
-        # The differences of the row (0, u, 1), by the float operations
-        # np.diff would do on it.
-        out = np.empty((count, n))
-        if n == 1:
-            out[:] = 1.0
-        else:
-            out[:, 0] = u[:, 0]
-            np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:-1])
-            np.subtract(1.0, u[:, -1], out=out[:, -1])
+    u = rng.random((count, n - 1))
+    if n == 3:
+        lo = np.minimum(u[:, 0], u[:, 1])
+        np.maximum(u[:, 0], u[:, 1], out=u[:, 1])
+        u[:, 0] = lo
+    elif n > 3:
+        u.sort(axis=1)
+    # The differences of the row (0, u, 1), by the float operations np.diff
+    # would do on it.
+    out = np.empty((count, n))
+    out[:, 0] = u[:, 0]
+    np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:-1])
+    np.subtract(1.0, u[:, -1], out=out[:, -1])
 
     if size is None:
         return out[0]

@@ -52,10 +52,10 @@ def equal_weights(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def exponential_spacings(n: int, count: int, seed: int) -> np.ndarray:
-    """Weights by the exponential route of `sample_spacings`: the same flat
-    Dirichlet law, so this is the control."""
+    """Weights of n standard exponentials divided by their sum: another
+    construction of the same flat Dirichlet law, so this is the control."""
     rng = np.random.default_rng(seed)
-    return _average(sample_spacings(n, rng, size=count, method="exponential"), rng)
+    return _average(_normalized(rng.standard_exponential((count, n))), rng)
 
 
 MUTANTS = (uniform_weights, dirichlet2_weights, uniform_inputs, one_variable_fewer, equal_weights)

@@ -636,14 +636,10 @@ class TestSampleCommand:
         assert np.all(rows >= 0.0)
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
 
-    def test_spacings_exponential_method(self, capsys):
-        assert main(
-            ["sample", "spacings", "--n", "3", "--count", "20", "--seed", "5",
-             "--method", "exponential"]
-        ) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
+    def test_spacings_have_no_method_option(self, capsys):
+        # The spacings have one construction, the definition, so no --method.
+        _usage_error(["sample", "spacings", "--n", "3", "--count", "5", "--seed", "1", "--method", "exponential"])
+        assert "unrecognized arguments: --method exponential" in capsys.readouterr().err
 
     def test_rwa_stdout_matches_library_csv(self, capsys):
         assert main(["sample", "rwa", "--n", "3", "--count", "40", "--seed", "11"]) == 0

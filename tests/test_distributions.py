@@ -91,6 +91,15 @@ class TestPowerSemicircle:
         np.testing.assert_allclose(law.pdf(x), 0.25, rtol=1e-13)
         np.testing.assert_allclose(law.cdf(x), (x + 2.0) / 4.0, atol=1e-13)
 
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)], ids=["float", "float64", "0-d-array"])
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_a_scalar_point_gives_a_float(self, lam, x):
+        """pdf and cdf share one scalar rule, np.ndim(x) == 0."""
+        law = PowerSemicircle(lam=lam, a=2.0)
+        assert type(law.pdf(x)) is float
+        assert type(law.cdf(x)) is float
+        assert law.pdf(x) == law.pdf(np.array([0.3]))[0]
+
     def test_lam_zero_is_arcsine(self):
         x = np.linspace(-0.995, 0.995, 399)
         np.testing.assert_allclose(
@@ -255,7 +264,7 @@ class _FixedUniforms:
 
 class TestSpacings:
     @pytest.mark.parametrize("size", [0, 1, 777])
-    @pytest.mark.parametrize("n", [*range(1, 13), 64, 1001])
+    @pytest.mark.parametrize("n", [*range(2, 13), 64, 1001])
     def test_kernel_matches_the_definition_bit_for_bit(self, n, size):
         got = sample_spacings(n, np.random.default_rng(31), size=size)
         expected = _spacings_by_definition(np.random.default_rng(31).random((size, n - 1)))
@@ -276,12 +285,10 @@ class TestSpacings:
         assert got.tobytes() == _spacings_by_definition(u).tobytes()
 
     def test_rows_live_on_the_simplex(self):
-        rng = np.random.default_rng(42)
-        for method in ("sorted-uniforms", "exponential"):
-            w = sample_spacings(5, rng, size=2000, method=method)
-            assert w.shape == (2000, 5)
-            assert np.all(w >= 0)
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        w = sample_spacings(5, np.random.default_rng(42), size=2000)
+        assert w.shape == (2000, 5)
+        assert np.all(w >= 0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_draw_shape(self):
         w = sample_spacings(3, np.random.default_rng(0))
@@ -294,14 +301,14 @@ class TestSpacings:
         np.testing.assert_allclose(w.mean(axis=0), 0.25, atol=0.005)
 
     def test_methods_agree_in_distribution(self):
-        """The sorted-uniform gaps and the normalized exponentials are two
-        constructions of the same flat Dirichlet law; their first-coordinate
-        samples must pass a two-sample KS test."""
+        """The sorted-uniform gaps and NumPy's Dirichlet(1, ..., 1) sampler
+        are two constructions of the same flat Dirichlet law; their
+        first-coordinate samples must pass a two-sample KS test."""
         from twosample import ks_critical_two_sample, ks_statistic_two_sample
 
         rng = np.random.default_rng(42)
-        w1 = sample_spacings(5, rng, size=100_000, method="sorted-uniforms")
-        w2 = sample_spacings(5, rng, size=100_000, method="exponential")
+        w1 = sample_spacings(5, rng, size=100_000)
+        w2 = rng.dirichlet(np.ones(5), size=100_000)
         d = ks_statistic_two_sample(w1[:, 0], w2[:, 0])
         assert d < ks_critical_two_sample(0.01, 100_000, 100_000)
 
@@ -314,10 +321,9 @@ class TestSpacings:
 
     def test_bad_arguments(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_spacings(0, rng)
-        with pytest.raises(ValueError):
-            sample_spacings(3, rng, method="bogus")
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=rf"need n >= 2 spacings, got {n}"):
+                sample_spacings(n, rng)
         with pytest.raises(ValueError):
             sample_spacings(3, rng, size=-1)
 
@@ -344,7 +350,7 @@ class TestSizeRule:
             lambda rng: Arcsine().sample(rng, (2**40, 2**30)),
             lambda rng: PowerSemicircle(lam=1.0).sample(rng, 2**62),
             lambda rng: sample_spacings(10**10, rng, size=10**10),
-            lambda rng: sample_spacings(3, rng, size=2**62, method="exponential"),
+            lambda rng: sample_spacings(3, rng, size=2**62),
         ],
     )
     def test_samplers_refuse_before_drawing(self, draw):

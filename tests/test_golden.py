@@ -75,8 +75,8 @@ def test_verify_json_digest_across_ks_blocks():
          "b9a6a33f11c69f6a01cc65b525529415fb191d49875b2ddd36af1ee14fa30000"),
         (["sample", "spacings", "--n", "4", "--count", "2000", "--seed", "5"],
          "f0041bd97b94675e31aea329a5015220c6c9fd1a50ae5f769d08e5974ae812ed"),
-        (["sample", "spacings", "--n", "4", "--count", "2000", "--seed", "5", "--method", "exponential"],
-         "06b8e4a66fb66afaa1a34360caff6d476e2d2b58f812b8f6b24355e814492950"),
+        (["sample", "spacings", "--n", "64", "--count", "2000", "--seed", "5"],
+         "951f51dbf915b313f14f003244a619b8d74481470f39d57e80be5adf2ebcab83"),
         (["plot-data", "--n", "4", "--a", "2.5", "--count", "3000", "--seed", "13"],
          "fb73fb07531def2c922b9c9030e12d0687363181d57056bc767c2428f6cb88b0"),
         (["sample", "spacings", "--n", "3", "--count", "2000", "--seed", "5"],
