@@ -31,13 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
-from .exactmath import HalfInteger
+from .exactmath import HalfInteger, composition_count
 from .moments import (
     BAND_Z,
     lemma_lhs,
     lemma_rhs,
     moment_rows,
-    table_term_count,
 )
 from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json, rational_str
 from .rwa import RwaSpec, rwa_batch
@@ -121,8 +120,11 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _warn_term_count(count: int, parts: int = 1) -> None:
-    """Warn before a walk whose cost, `count` compositions of `parts` parts, is long."""
+def _warn_term_count(parts: int, k_max: int) -> None:
+    """Warn before a long walk over the compositions of every k = 0..k_max
+    into `parts` parts: those of k_max into parts + 1 parts (the last part
+    takes k_max - k), each costing `parts`."""
+    count = composition_count(k_max, parts + 1)
     if count * parts > _TERM_WARN_LIMIT:
         print(
             f"warning: this enumeration visits {magnitude(count)} compositions, "
@@ -171,8 +173,8 @@ def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> 
 def _cmd_moment(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     spec.target_law()
-    _warn_term_count(table_term_count(args.n, args.k_max, literal_parity=args.literal_parity), args.n)
-    rows = moment_rows(spec, args.k_max, literal_parity=args.literal_parity)
+    _warn_term_count(args.n, args.k_max)
+    rows = moment_rows(spec, args.k_max)
     payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
     lines = [
         f"moments of the weighted average: n = {args.n}, a = {args.a:g}",
@@ -188,8 +190,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    # The sums for r = 0..r_max walk what a table at n = len(params), k_max = r_max walks.
-    _warn_term_count(table_term_count(len(params), args.r_max), len(params))
+    _warn_term_count(len(params), args.r_max)
     rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
     payload = {
         "params": [str(p) for p in params],
@@ -232,7 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count(table_term_count(args.n, args.k_max), args.n)
+    _warn_term_count(args.n, args.k_max)
     outcome = run_verification(cfg)
 
     lines = [
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moment = sub.add_parser("moment", parents=[instance], help="exact moment table, both routes side by side")
     p_moment.add_argument("--k-max", type=_nonneg_int, required=True, help="table covers E S^(2k) for k = 0..k_max")
-    p_moment.add_argument("--literal-parity", action="store_true", help="walk the oracle column without the odd-term shortcut (slow)")
     p_moment.add_argument("--json", action="store_true", help="emit the table as JSON")
     p_moment.set_defaults(func=_cmd_moment)
 

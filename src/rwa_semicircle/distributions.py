@@ -14,6 +14,7 @@ by the continuous limit where that limit exists.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,8 @@ class PowerSemicircle:
     is the unit law's and C_lam = Gamma(lam + 1) / (sqrt(pi) Gamma(lam + 1/2)).
     lam = 0 is the arcsine law, lam = 1/2 the uniform, lam = 1 the classical
     semicircle.  The pdf and the cdf see the scale only through s = x/a, so
-    no power of a is ever formed and any finite a > 0 is in range.
+    no power of a is ever formed, and any finite a from the smallest normal
+    float up is in range: below it a draw keeps only a few significant bits.
     """
 
     lam: float
@@ -130,11 +132,11 @@ class PowerSemicircle:
         # so an int beyond the float range fails here, not at the first draw;
         # it is compared as given first, so a non-number still raises TypeError.
         try:
-            scale_ok = 0 < self.a and 0 < float(self.a) < math.inf
+            scale_ok = 0 < self.a and sys.float_info.min <= float(self.a) < math.inf
         except OverflowError:
             scale_ok = False
         if not scale_ok:
-            raise ValueError(f"scale must be positive and finite, got a={magnitude(self.a)}")
+            raise ValueError(f"scale must be positive and finite, at least the smallest normal float {sys.float_info.min!r}, got a={magnitude(self.a)}")
 
     @property
     def _log_norm(self) -> float:

@@ -46,7 +46,6 @@ __all__ = [
     "psc_moment",
     "rwa_moment_closed",
     "rwa_moment_oracle",
-    "table_term_count",
 ]
 
 
@@ -161,28 +160,6 @@ def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:
     return composition_count(r // 2, n)
 
 
-def table_term_count(n: int, k_max: int, *, literal_parity: bool = False) -> int:
-    """How many compositions one :func:`moment_rows` table walks: the
-    :func:`oracle_term_count` of every order 2k, k = 0..k_max, summed in
-    closed form.
-
-    Even route: the compositions of every k <= K into n parts are those of
-    K into n + 1 parts (the last part takes K - k).  Literal route: let E(m)
-    and O(m) count the compositions into m parts of the even and of the odd
-    orders up to 2K.  E(m) + O(m) is the compositions of 2K into m + 1
-    parts, and E(m) - O(m) = E(m - 1): with the last part taken off, the
-    signs (-1)^r of the orders r >= s that a composition of s extends to
-    add up to 1 for even s and to 0 for odd s.  E(0) = 1, the empty
-    composition of order 0.
-    """
-    if not literal_parity:
-        return composition_count(k_max, n + 1)
-    even = 1
-    for m in range(1, n + 1):
-        even = (composition_count(2 * k_max, m + 1) + even) // 2
-    return even
-
-
 def psc_moment(lam, k: int) -> Fraction:
     """E X^(2k) of the unit-scale power semicircle with exponent lam.
 
@@ -267,14 +244,12 @@ class MomentReport:
         return out
 
 
-def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None, *, literal_parity: bool = False) -> tuple[MomentReport, ...]:
+def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
     """The moment table k = 0..k_max: both exact routes times the exact a^(2k)
     of :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
-    error are the unit ones times a^(2k), rounded once.  Each row's oracle is
-    one :func:`rwa_moment_oracle` walk by the route `literal_parity` names, so
-    with True its ``consistent`` checks the odd-term cancellation too."""
+    error are the unit ones times a^(2k), rounded once."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if batch is not None and batch.spec != spec:
@@ -284,7 +259,7 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None, *, 
     rows = []
     for k in range(k_max + 1):
         unit, scale = rwa_moment_closed(spec.n, k), square**k
-        oracle = rwa_moment_oracle(spec.n, 2 * k, literal_parity=literal_parity)
+        oracle = rwa_moment_oracle(spec.n, 2 * k)
         monte_carlo = {}
         if batch is not None:
             mean, se = estimates[k]

@@ -24,7 +24,7 @@ import pytest
 
 import rwa_semicircle
 from rwa_semicircle.cli import main
-from rwa_semicircle.moments import rwa_moment_closed
+from rwa_semicircle.moments import oracle_term_count, rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
@@ -71,6 +71,9 @@ _BAD_VALUES = [
     ["moment", "--n", "1002", "--k-max", "0"],
     # bins + 1 float64 edges beyond NumPy's array limit
     ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
+    # a scale below the smallest normal float
+    ["moment", "--n", "3", "--k-max", "1", "--a", "1e-320"],
+    ["sample", "arcsine", "--a", "5e-324", "--count", "5", "--seed", "1"],
 ]
 
 
@@ -188,6 +191,11 @@ class TestUsageErrors:
             # An alpha in (0, 1) whose half rounds to 0 names alpha, not the log.
             (["verify", "--n", "3", "--count", "1000", "--seed", "1", "--alpha", "5e-324"],
              "rwa: error: verify: alpha must be at least 1e-323, so that alpha / 2 is a positive float, got 5e-324"),
+            # A subnormal scale, where the draws keep only a few bits and the
+            # true law fails KS, is refused before drawing.
+            (["verify", "--n", "3", "--count", "100000", "--seed", "1", "--a", "1e-322"],
+             "rwa: error: verify: scale must be positive and finite, at least the smallest normal float "
+             "2.2250738585072014e-308, got a=1e-322"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
@@ -271,7 +279,8 @@ class TestUsageErrors:
     "argv",
     [
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
+        # The smallest normal scale: the density's 1/a overflows.
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
         # The largest accepted exponent at a huge scale.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "500"],
         # 10^15 doubles are 7 PiB, beyond any x86-64 address space.
@@ -298,7 +307,7 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
         "3": "moments.moment_rows",
         "500": "moments.moment_rows",
         "1e200": "moments.moment_rows",
-        "1e-320": "cli._cmd_plot_data",
+        "2.3e-308": "cli._cmd_plot_data",
         str(10**15): "rwa.rwa_batch",
     }[argv[-1]]
     command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
@@ -312,7 +321,7 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e-320"],
+        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
     ],
 )
@@ -358,13 +367,29 @@ def test_closed_reader_keeps_the_verdict(unbuffered, tmp_path):
         assert json.loads((tmp_path / name).read_text())["overall_pass"] is (name == "pass.json")
 
 
-def test_term_count_warning_threshold(capsys):
-    from rwa_semicircle.cli import _warn_term_count
+def test_term_count_warning_threshold(monkeypatch, capsys):
+    from rwa_semicircle import cli
 
-    _warn_term_count(10_000_001)
-    assert "warning" in capsys.readouterr().err
-    _warn_term_count(10_000_000)
+    # 3 parts, k = 0..2: 1 + 3 + 6 = 10 compositions, 30 parts in all.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 30)
+    cli._warn_term_count(3, 2)
     assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 29)
+    cli._warn_term_count(3, 2)
+    assert "warning: this enumeration visits 10 compositions, 30 parts in all (> 29)" in capsys.readouterr().err
+
+
+def test_warning_counts_the_orders_in_closed_form(monkeypatch, capsys):
+    from rwa_semicircle import cli
+
+    # The compositions of every k <= K into n parts are those of K into
+    # n + 1 parts; check the closed form against the orders one by one.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", -1)
+    for n in range(2, 9):
+        for k_max in range(12):
+            cli._warn_term_count(n, k_max)
+            per_order = sum(oracle_term_count(n, 2 * k) for k in range(k_max + 1))
+            assert f"visits {per_order} compositions, {per_order * n} parts" in capsys.readouterr().err
 
 
 def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
@@ -373,19 +398,6 @@ def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 0)
     main(["verify", "--n", "3", "--count", "200", "--seed", "1", "--k-max", "1"])
     assert "warning: this enumeration visits 4 compositions" in capsys.readouterr().err
-
-
-def test_literal_parity_warning_counts_the_literal_walk(monkeypatch, capsys):
-    from rwa_semicircle import cli
-
-    # n = 3, k = 0..2: the even rows walk 1 + 3 + 6 = 10 compositions; with
-    # --literal-parity the rows walk orders 0, 2, 4 literally instead,
-    # 1 + 6 + 15 = 22.  Each has 3 parts, so the walks cost 30 and 66.
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 40)
-    assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
-    assert "warning: this enumeration visits 22 compositions" in capsys.readouterr().err
 
 
 _HUGE = "1000000000000"
@@ -404,7 +416,7 @@ _HUGE = "1000000000000"
         (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], "run_verification", "about 10^35.2"),
         (["lemma-check", "--params", "1/2,1", "--r-max", _HUGE], "lemma_lhs", "about 10^23.7"),
         # A count with more digits than str() of an int allows.
-        (["moment", "--n", "1001", "--k-max", _HUGE, "--literal-parity"], "moment_rows", "about 10^9742.4"),
+        (["moment", "--n", "1001", "--k-max", _HUGE], "moment_rows", "about 10^9441.4"),
     ],
 )
 def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
@@ -536,16 +548,19 @@ class TestMomentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"][1]["closed_form"]["den"] == "16"
 
-    def test_literal_parity_route_agrees(self, capsys):
-        assert main(["moment", "--n", "3", "--k-max", "2", "--literal-parity"]) == 0
+    def test_literal_parity_is_not_an_option(self, capsys):
+        # The literal walk is the library's reference route only.
+        _usage_error(["moment", "--n", "3", "--k-max", "2", "--literal-parity"])
+        assert "unrecognized arguments: --literal-parity" in capsys.readouterr().err
 
-    def test_literal_parity_disagreement_is_a_no_row(self, monkeypatch, capsys):
+    def test_route_disagreement_is_a_no_row(self, monkeypatch, capsys):
         from rwa_semicircle import moments
 
-        # A literal walk that keeps the odd-part compositions disagrees from
-        # order 2 on; order 0 has only the all-zero composition.
-        monkeypatch.setattr(moments, "_all_parts_even", lambda walk: walk)
-        argv = ["moment", "--n", "3", "--k-max", "2", "--literal-parity"]
+        # A composition kernel that is off by one from r = 1 on disagrees
+        # with the closed form from order 2 on.
+        lemma_lhs = moments.lemma_lhs
+        monkeypatch.setattr(moments, "lemma_lhs", lambda params, r: lemma_lhs(params, r) + (1 if r >= 1 else 0))
+        argv = ["moment", "--n", "3", "--k-max", "2"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -778,7 +793,8 @@ class TestVerifyCommand:
             "lambda_override": None,
         }
 
-    @pytest.mark.parametrize("a", ["1e-150", "1e50"])
+    # 2.2250738585072014e-308 is the smallest scale accepted, the smallest normal float.
+    @pytest.mark.parametrize("a", ["1e-150", "1e50", "2.2250738585072014e-308"])
     def test_scale_far_from_one_passes(self, a, capsys):
         # Every z is taken on values / a, so the verdict is the a = 1 one.
         assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", a]) == 0

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -65,13 +66,19 @@ class TestArcsine:
             Arcsine(a=-1.0)
         with pytest.raises(ValueError):
             Arcsine(a=math.inf)
+        # A subnormal scale: its draws keep only a few significant bits.
+        with pytest.raises(ValueError, match="at least the smallest normal float 2.2250738585072014e-308"):
+            Arcsine(a=5e-324)
 
     @pytest.mark.parametrize(
-        "a", [10**400, -(10**400), Fraction(10**400, 3), Fraction(1, 10**400)], ids=["int", "negative-int", "fraction", "tiny-fraction"]
+        "a",
+        [10**400, -(10**400), Fraction(10**400, 3), Fraction(1, 10**400), math.nextafter(sys.float_info.min, 0)],
+        ids=["int", "negative-int", "fraction", "tiny-fraction", "largest-subnormal"],
     )
     def test_scale_is_checked_as_the_float_the_samplers_use(self, a):
-        """An exact scale whose float overflows or underflows to 0 is refused
-        at construction, with a short message, rather than at the first draw."""
+        """An exact scale whose float overflows, underflows to 0 or is
+        subnormal is refused at construction, with a short message, rather
+        than at the first draw."""
         with pytest.raises(ValueError, match="scale must be positive and finite") as err:
             Arcsine(a=a)
         assert len(str(err.value)) < 200

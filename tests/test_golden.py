@@ -127,7 +127,7 @@ def test_cli_envelope_digest(tmp_path):
          "4e1c6ea8b6b6568b184f7938f499086faaf9b899cbf12abcf144c69331bae42f"),
         (["moment", "--n", "4", "--k-max", "3", "--json"],
          "5f8687f6321223f14e6672d69f13afe4023122c2f75e5f81d4d0aa774a8913ff"),
-        (["moment", "--n", "4", "--k-max", "3", "--literal-parity", "--a", "2.5"],
+        (["moment", "--n", "4", "--k-max", "3", "--a", "2.5"],
          "9372f95dd61c98ff291858dd9e03eff6f88c877a95e0b660379ad47bd6a82c73"),
         (["lemma-check", "--params", "1/2,1,3/2", "--r-max", "4"],
          "f062c10575442e6d1b1ee7623763ce162c35f1e2cf1d8064fd1e62c1c7e5ee36"),

@@ -21,7 +21,6 @@ from rwa_semicircle.moments import (
     psc_moment,
     rwa_moment_closed,
     rwa_moment_oracle,
-    table_term_count,
 )
 from rwa_semicircle.render import decimal_str
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
@@ -209,13 +208,6 @@ class TestOracle:
         assert oracle_term_count(3, 4) == 6  # compositions of 2 into 3 parts
         assert oracle_term_count(3, 5) == 0  # odd: fast path skips entirely
         assert oracle_term_count(3, 5, literal_parity=True) == math.comb(7, 2)
-
-    @pytest.mark.parametrize("literal_parity", [False, True])
-    def test_table_term_count_sums_the_orders(self, literal_parity):
-        for n in range(1, 9):
-            for k_max in range(0, 12):
-                per_order = sum(oracle_term_count(n, 2 * k, literal_parity=literal_parity) for k in range(k_max + 1))
-                assert table_term_count(n, k_max, literal_parity=literal_parity) == per_order
 
     def test_multinomial_times_flat_dirichlet_is_constant(self):
         """The oracle's kernel, and the convolution route's: every
@@ -461,22 +453,6 @@ class TestMomentReport:
         rows = moment_rows(RwaSpec(4, 1.0), 3)
         assert [row.k for row in rows] == [0, 1, 2, 3]
         assert all(row.closed_form == rwa_moment_closed(4, row.k) for row in rows)
-
-    @pytest.mark.parametrize("n, a, k_max", [(2, 1.0, 4), (3, 0.1, 5), (5, 2.5, 4)])
-    def test_literal_parity_route_gives_the_same_rows(self, n, a, k_max, monkeypatch):
-        from rwa_semicircle import moments
-
-        calls = []
-
-        def spy(n, r, *, literal_parity=False):
-            calls.append((r, literal_parity))
-            return rwa_moment_oracle(n, r, literal_parity=literal_parity)
-
-        monkeypatch.setattr(moments, "rwa_moment_oracle", spy)
-        literal = moment_rows(RwaSpec(n, a), k_max, literal_parity=True)
-        # One literal walk per row, and no even walk beside it.
-        assert calls == [(2 * k, True) for k in range(k_max + 1)]
-        assert literal == moment_rows(RwaSpec(n, a), k_max)
 
     def test_negative_k_max_rejected(self):
         with pytest.raises(ValueError, match="k_max"):

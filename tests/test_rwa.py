@@ -41,6 +41,8 @@ class TestRwaSpec:
             RwaSpec(n=3, a=math.inf)
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             RwaSpec(n=3, a=10**400)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            RwaSpec(n=3, a=1e-320)
 
     def test_target_law_names_a_size_without_one(self):
         assert RwaSpec(n=1001).target_law().lam == 500.0
