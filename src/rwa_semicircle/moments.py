@@ -229,6 +229,10 @@ class MomentReport:
             raise ValueError("no Monte Carlo estimate attached to this report")
         return self.z <= BAND_Z
 
+    def passes(self) -> bool:
+        """Do both exact routes agree, and is the estimate within the band?"""
+        return self.consistent and self.within_band()
+
     def to_json_dict(self) -> dict:
         out = {
             "n": self.n,

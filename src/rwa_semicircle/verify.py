@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .distributions import PowerSemicircle
+from .distributions import PowerSemicircle, check_size
 from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import MomentReport, moment_rows
 from .rwa import RwaSpec, check_shards, rwa_batch
@@ -32,12 +32,13 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         if self.sample_count < MIN_SAMPLE_COUNT:
-            raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {self.sample_count}")
+            raise ValueError(f"need at least {MIN_SAMPLE_COUNT} draws, got {self.sample_count}")
         ks_coefficient(self.alpha)
         if self.max_moment_k < 0:
             raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")
         check_shards(self.sample_count, self.shards)
         self.spec.target_law()
+        check_size(self.sample_count, self.spec.n)
         if self.lambda_override is not None:
             PowerSemicircle(lam=self.lambda_override)
 
@@ -63,7 +64,7 @@ class VerifyOutcome:
 
     @property
     def overall_pass(self) -> bool:
-        return self.ks_pass and all(row.within_band() for row in self.moment_rows)
+        return self.ks_pass and all(row.passes() for row in self.moment_rows)
 
     def to_json_dict(self) -> dict:
         return {

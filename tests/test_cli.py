@@ -142,49 +142,52 @@ class TestUsageErrors:
             (["moment", "--n", "3", "--k-max", "-1"],
              "rwa moment: error: argument --k-max: expected an integer >= 0, got '-1'"),
             (["sample", "spacings", "--n", "1", "--count", "5", "--seed", "1"],
-             "rwa sample spacings: error: argument --n: the average needs n >= 2, got '1'"),
+             "rwa: error: sample spacings: need n >= 2 spacings, got 1"),
             (["verify", "--n", "3", "--count", "50"],
-             "rwa verify: error: argument --count: verification needs at least 100 draws, got '50'"),
+             "rwa: error: verify: need at least 100 draws, got 50"),
             (["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "5"],
              "rwa plot-data: error: argument --bins: need at least 10 bins, got '5'"),
             (["verify", "--n", "3", "--alpha", "x"],
              "rwa verify: error: argument --alpha: expected a number, got 'x'"),
             (["moment", "--n", "3", "--k-max", "1", "--a", "1e999"],
-             "rwa moment: error: argument --a: expected a finite number, got '1e999'"),
+             "rwa: error: moment: scale must be positive and finite, at least the smallest normal float "
+             "2.2250738585072014e-308, got a=inf"),
             (["sample", "arcsine", "--a", "-2", "--count", "5", "--seed", "1"],
-             "rwa sample arcsine: error: argument --a: expected a positive number, got '-2'"),
+             "rwa: error: sample arcsine: scale must be positive and finite, at least the smallest normal float "
+             "2.2250738585072014e-308, got a=-2.0"),
             (["sample", "psc", "--lambda", "-1", "--count", "5", "--seed", "1"],
-             "rwa sample psc: error: argument --lambda: exponent must be p/2 for an integer p in 0..1000, got lam=-1.0"),
+             "rwa: error: sample psc: exponent must be p/2 for an integer p in 0..1000, got lam=-1.0"),
             (["verify", "--n", "3", "--alpha", "1.0"],
-             "rwa verify: error: argument --alpha: expected a value in (0, 1), got '1.0'"),
+             "rwa: error: verify: alpha must be in (0, 1), got 1.0"),
             (["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
              "rwa: error: sample rwa: cannot split 5 draws over 6 shards"),
             (["lemma-check", "--params", "1/3", "--r-max", "3"],
              "rwa lemma-check: error: argument --params: 1/3 is not a half-integer"),
             (["verify", "--n", "3", "--count", "100", "--shards", "200"],
              "rwa: error: verify: cannot split 100 draws over 200 shards"),
-            # A size beyond NumPy's index range names its option.
+            # A size beyond NumPy's index range is the draw's own size rule,
+            # which names the count and n of the draw.
             (["sample", "spacings", "--n", "10000000000000000000", "--count", "1", "--seed", "1"],
-             "rwa sample spacings: error: argument --n: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa: error: sample spacings: count=1 draws of n=10000000000000000000 values are "
+             "80000000000000000000 bytes, beyond NumPy's array limit of 9223372036854775807"),
             (["sample", "rwa", "--n", "1" + "0" * 40, "--count", "1", "--seed", "1"],
-             "rwa sample rwa: error: argument --n: expected a size <= 9223372036854775807 "
-             f"(NumPy's index range), got '1{'0' * 40}'"),
+             "rwa: error: sample rwa: count=1 draws of n=about 10^40.0 values are about 10^40.9 bytes, "
+             "beyond NumPy's array limit of 9223372036854775807"),
             (["sample", "rwa", "--n", "3", "--seed", "1", "--count", "10000000000000000000"],
-             "rwa sample rwa: error: argument --count: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa: error: sample rwa: count=10000000000000000000 draws of n=3 values are about 10^20.4 bytes, "
+             "beyond NumPy's array limit of 9223372036854775807"),
             (["sample", "arcsine", "--seed", "1", "--count", "10000000000000000000"],
-             "rwa sample arcsine: error: argument --count: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa: error: sample arcsine: count=10000000000000000000 draws of n=1 values are "
+             "80000000000000000000 bytes, beyond NumPy's array limit of 9223372036854775807"),
             (["sample", "psc", "--lambda", "1", "--seed", "1", "--count", "10000000000000000000"],
-             "rwa sample psc: error: argument --count: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa: error: sample psc: count=10000000000000000000 draws of n=1 values are "
+             "80000000000000000000 bytes, beyond NumPy's array limit of 9223372036854775807"),
             (["plot-data", "--n", "3", "--seed", "1", "--count", "10000000000000000000"],
-             "rwa plot-data: error: argument --count: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa: error: plot-data: count=10000000000000000000 draws of n=3 values are about 10^20.4 bytes, "
+             "beyond NumPy's array limit of 9223372036854775807"),
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "10000000000000000000"],
-             "rwa plot-data: error: argument --bins: expected a size <= 9223372036854775807 "
-             "(NumPy's index range), got '10000000000000000000'"),
+             "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
+             "fit in one NumPy array, got '10000000000000000000'"),
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
              "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
              "fit in one NumPy array, got '4611686018427387904'"),
@@ -225,6 +228,19 @@ class TestUsageErrors:
         assert "warning:" not in err
         assert "n=1002" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("count", ["9223372036854775807", "10000000000000000000"])
+    def test_size_beyond_numpy_is_refused_before_the_walk_warning(self, count, monkeypatch, capsys):
+        from rwa_semicircle import cli
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked the moment table for a draw no array can hold")
+
+        monkeypatch.setattr(cli, "run_verification", no_walk)
+        _usage_error(["verify", "--n", "3", "--count", count, "--k-max", "100000"])
+        err = capsys.readouterr().err
+        assert "warning:" not in err
+        assert f"count={count} draws of n=3 values" in err.splitlines()[-1]
+
     def test_plot_data_settles_its_bins_before_drawing(self, monkeypatch):
         from rwa_semicircle import cli
 
@@ -251,6 +267,13 @@ class TestUsageErrors:
         message = capsys.readouterr().err.splitlines()[-1]
         assert "array is too big" not in message
         assert ("argument --bins" in message) == (code == 2)
+
+    def test_bins_beyond_the_float_range_is_refused(self, capsys):
+        # float(bins + 1) would overflow; the parser refuses the count first.
+        _usage_error(["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "1" + "0" * 400])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("rwa plot-data: error: argument --bins: ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -279,8 +302,8 @@ class TestUsageErrors:
     "argv",
     [
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
-        # The smallest normal scale: the density's 1/a overflows.
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
+        # Near the smallest normal scale, densities of about 12.6 / a overflow.
+        ["plot-data", "--n", "1001", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
         # The largest accepted exponent at a huge scale.
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "500"],
         # 10^15 doubles are 7 PiB, beyond any x86-64 address space.
@@ -321,7 +344,7 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
+        ["plot-data", "--n", "1001", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
         ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
     ],
 )
@@ -831,6 +854,22 @@ class TestVerifyCommand:
         assert payload["ks_pass"] is False
         assert payload["overall_pass"] is False
 
+    def test_route_disagreement_fails_the_verdict(self, monkeypatch, capsys, tmp_path):
+        from rwa_semicircle import moments
+
+        # The Monte Carlo checks pass; only the two exact routes disagree,
+        # from order 2 on.
+        lemma_lhs = moments.lemma_lhs
+        monkeypatch.setattr(moments, "lemma_lhs", lambda params, r: lemma_lhs(params, r) + (1 if r >= 1 else 0))
+        report = tmp_path / "v.json"
+        assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--json", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] ks:" in out and "[PASS] moment order 0:" in out
+        assert "[FAIL] moment order 2:" in out and "verify: FAIL" in out
+        payload = json.loads(report.read_text())
+        assert [row["consistent"] for row in payload["moment_rows"]] == [True, False, False, False]
+        assert payload["overall_pass"] is False
+
     def test_json_report_bytes_reproducible(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -871,13 +910,13 @@ def _read_plot_csv(text: str) -> tuple[list[str], np.ndarray]:
 
 
 def _two_pass_plot_csv(n: int, a: float, count: int, seed: int, bins: int) -> bytes:
-    """plot-data's CSV with the edges made first, then a histogram against them."""
-    spec = RwaSpec(n=n, a=a)
-    edges = np.histogram_bin_edges([], bins=bins, range=(-a, a))
-    density, _ = np.histogram(rwa_batch(spec, count, seed).values, bins=edges, density=True)
+    """plot-data's CSV with the edges made first, then a histogram against
+    them, both in the unit variable values / a."""
+    edges = np.histogram_bin_edges([], bins=bins, range=(-1.0, 1.0))
+    density, _ = np.histogram(rwa_batch(RwaSpec(n=n, a=a), count, seed).values / a, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    return csv_bytes(header, centers, density, spec.target_law().pdf(centers))
+    return csv_bytes(header, a * centers, density / a, RwaSpec(n=n).target_law().pdf(centers) / a)
 
 
 class TestPlotDataCommand:
@@ -923,6 +962,15 @@ class TestPlotDataCommand:
         assert main(["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", "1e300", "--bins", "10"]) == 0
         _, data = _read_plot_csv(capsys.readouterr().out)
         assert np.all(np.isfinite(data[:, 2])) and np.all(data[:, 2] > 0)
+
+    @pytest.mark.parametrize("a", ["2.3e-308", "2.2250738585072014e-308"])
+    def test_density_at_the_smallest_scales(self, a, capsys):
+        # The histogram is taken of values / a, so no bin width of order a
+        # divides the counts.
+        assert main(["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--a", a]) == 0
+        _, data = _read_plot_csv(capsys.readouterr().out)
+        assert np.all(np.isfinite(data))
+        assert np.all(np.abs(data[:, 0]) < float(a)) and np.all(data[:, 2] > 0)
 
     def test_writes_file_and_reproduces(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

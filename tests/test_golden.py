@@ -78,7 +78,7 @@ def test_verify_json_digest_across_ks_blocks():
         (["sample", "spacings", "--n", "64", "--count", "2000", "--seed", "5"],
          "951f51dbf915b313f14f003244a619b8d74481470f39d57e80be5adf2ebcab83"),
         (["plot-data", "--n", "4", "--a", "2.5", "--count", "3000", "--seed", "13"],
-         "fb73fb07531def2c922b9c9030e12d0687363181d57056bc767c2428f6cb88b0"),
+         "f6f1eb1443afba22c45809e604f4dcef8d13206503ef13d1c6fb262c382c45f3"),
         (["sample", "spacings", "--n", "3", "--count", "2000", "--seed", "5"],
          "cf09e8b6773ad98cb9f694ecd81cfb24fd8a40af068634478de873d4d30bc8ea"),
         (["sample", "spacings", "--n", "2", "--count", "2000", "--seed", "5"],
