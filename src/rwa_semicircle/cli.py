@@ -37,7 +37,7 @@ from .moments import (
     lemma_rhs,
     moment_rows,
 )
-from .render import csv_bytes, decimal_str, json_bytes, magnitude, rational_json, rational_str
+from .render import csv_bytes, decimal_str, excerpt, json_bytes, magnitude, rational_json, rational_str
 from .rwa import RwaSpec, rwa_batch
 from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 
@@ -55,14 +55,14 @@ def _int_any(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {excerpt(repr(text))}")
 
 
 def _float_any(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {excerpt(repr(text))}")
 
 
 def _bounded(parse, ok, expected: str):
@@ -72,7 +72,7 @@ def _bounded(parse, ok, expected: str):
     def convert(text: str):
         value = parse(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{expected}, got {excerpt(repr(text))}")
         return value
 
     return convert

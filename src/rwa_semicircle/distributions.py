@@ -226,10 +226,10 @@ def sample_spacings(n: int, rng: np.random.Generator, size=None) -> np.ndarray:
     Returns shape (n,) for size=None, else (size, n).
     """
     if n < 2:
-        raise ValueError(f"need n >= 2 spacings, got {n}")
+        raise ValueError(f"need n >= 2 spacings, got {magnitude(n)}")
     count = 1 if size is None else int(size)
     if count < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+        raise ValueError(f"size must be >= 0, got {magnitude(size)}")
     check_size(count, n)
 
     u = rng.random((count, n - 1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .render import rational_str
+from .render import excerpt, magnitude, rational_str
 
 __all__ = [
     "Composition",
@@ -44,7 +44,7 @@ class HalfInteger:
         if not isinstance(self.twice_value, int):
             raise TypeError(f"twice_value must be an int, got {type(self.twice_value).__name__}")
         if self.twice_value < 1:
-            raise ValueError(f"half-integer must be >= 1/2, got {self.twice_value}/2")
+            raise ValueError(f"half-integer must be >= 1/2, got {magnitude(self.twice_value)}/2")
 
     @classmethod
     def parse(cls, text: str) -> "HalfInteger":
@@ -52,10 +52,10 @@ class HalfInteger:
         try:
             q = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {text!r} as a half-integer") from exc
+            raise ValueError(f"cannot parse {excerpt(repr(text))} as a half-integer") from exc
         doubled = 2 * q
         if doubled.denominator != 1:
-            raise ValueError(f"{text.strip()} is not a half-integer")
+            raise ValueError(f"{excerpt(text.strip())} is not a half-integer")
         return cls(int(doubled))
 
     def __str__(self) -> str:

@@ -173,20 +173,47 @@ def psc_moment(lam, k: int) -> Fraction:
     return rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(q + 1, k)
 
 
-def empirical_moment(values: np.ndarray, k_max: int) -> tuple[tuple[float, float], ...]:
-    """Sample mean of v^(2k) and its standard error, for k = 0..k_max, from
-    one read of the batch: v^2 is formed once and multiplied forward to each
-    v^(2j), j <= 2*k_max.  Row k's standard error comes from the means of
-    orders 2k and 4k; row 0 is exactly (1.0, 0.0)."""
+# Values per leaf of the moment stage's sum tree: each leaf makes its own
+# scaled values, square and power, two arrays of at most this many values.
+_LEAF_VALUES = 1 << 16
+
+
+def _tree_sums(values: np.ndarray, a: float, orders: int) -> np.ndarray:
+    """Sums of (v / a)^(2j) for j = 1..orders (index j; index 0 is 0), over
+    the values cut the way NumPy's pairwise sum cuts them: n values split at
+    n2 = n//2 - (n//2 mod 8), down to leaves of at most `_LEAF_VALUES`.  Each
+    leaf is summed by `np.add.reduce` and the halves' sums are added back up
+    the same tree, so each total has the bits of `np.add.reduce` over the
+    whole array of that order's powers, which is never made."""
+    if values.size > _LEAF_VALUES:
+        half = values.size // 2
+        half -= half % 8
+        return _tree_sums(values[:half], a, orders) + _tree_sums(values[half:], a, orders)
+    square = values / a
+    square *= square
+    power, sums = np.ones_like(square), np.zeros(orders + 1)
+    for j in range(1, orders + 1):
+        power *= square
+        sums[j] = np.add.reduce(power)
+    return sums
+
+
+def empirical_moment(values: np.ndarray, k_max: int, a: float = 1.0) -> tuple[tuple[float, float], ...]:
+    """Sample mean of (v / a)^(2k) and its standard error, for k = 0..k_max,
+    from one read of the batch: per leaf of :func:`_tree_sums`, the square of
+    v / a is formed once and multiplied forward to each order 2j, j <= 2*k_max,
+    so that beyond the batch only arrays of one leaf are held.  Each mean is
+    the total over the count, as `ndarray.mean` computes it, with the same
+    bits as that mean over the whole array of powers.  Row k's standard error
+    comes from the means of orders 2k and 4k; row 0 is exactly (1.0, 0.0)."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("need at least one value")
-    square, power, means = v * v, np.ones_like(v), [1.0]
-    for _ in range(2 * k_max):
-        power *= square
-        means.append(float(power.mean()))
+    means = [1.0]
+    if k_max > 0:
+        means.extend(float(total / v.size) for total in _tree_sums(v, a, 2 * k_max)[1:])
     return tuple((m, math.sqrt(max(means[2 * k] - m * m, 0.0) / v.size)) for k, m in enumerate(means[: k_max + 1]))
 
 
@@ -259,7 +286,7 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     square = exact_scale(spec.a) ** 2
-    estimates = empirical_moment(batch.values / spec.a, k_max) if batch is not None else ()
+    estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     rows = []
     for k in range(k_max + 1):
         unit, scale = rwa_moment_closed(spec.n, k), square**k

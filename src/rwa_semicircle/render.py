@@ -1,5 +1,5 @@
 """Byte formats of every artifact: CSV tables, JSON documents, exact rationals,
-and the text of a number in a message.
+and the text of a number or of a refused input in a message.
 
 Each format is decided here and nowhere else, so a digest pinned on one
 artifact pins the rendering of every artifact of the same kind.
@@ -23,11 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["csv_bytes", "decimal_str", "json_bytes", "magnitude", "rational_json", "rational_str"]
+__all__ = ["csv_bytes", "decimal_str", "excerpt", "json_bytes", "magnitude", "rational_json", "rational_str"]
 
 # Cells (rows times columns) per rendered chunk; each chunk's floats, strings
 # and text are freed before the next one is made.
 _CHUNK_CELLS = 1 << 14
+# The most characters of a text that a message repeats.
+_EXCERPT_CHARS = 40
 
 
 def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
@@ -89,3 +91,12 @@ def magnitude(x) -> str:
         return str(x)
     sign = "-" if q < 0 else ""
     return f"about {sign}10^{math.log10(abs(q.numerator)) - math.log10(q.denominator):.1f}"
+
+
+def excerpt(text: str) -> str:
+    """A text for a message: as it is up to `_EXCERPT_CHARS` characters, else
+    cut there and followed by its length, so that a message stays short
+    whatever was typed."""
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"

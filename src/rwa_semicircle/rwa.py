@@ -41,8 +41,13 @@ from .distributions import Arcsine, PowerSemicircle, check_size, sample_spacings
 __all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
 
 # Values (rows times n) per chunk: the unit of work of one worker, and with
-# it the size of each temporary array the draw makes.
-_CHUNK_VALUES = 1 << 19
+# it the size of each temporary array the draw makes (1 MB of float64).  The
+# bytes do not depend on it.  On a 2-vCPU Xeon, two-thread draws of 10^6
+# rows at n = 64 took a median 1,096 ms at 2^17, against 1,135 ms at 2^18,
+# 1,231 ms at 2^19 and 1,259 ms at 2^16 (7 interleaved runs each), and the
+# three cells of the `verify` benchmark, in one process on one worker,
+# peaked at 48.7 MB RSS, against 50.5 MB at 2^18 and 56.2 MB at 2^19.
+_CHUNK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,8 @@ class RwaSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"need an integer n >= 2, got {self.n!r}")
+            shown = render.magnitude(self.n) if isinstance(self.n, int) else repr(self.n)
+            raise ValueError(f"need an integer n >= 2, got {shown}")
         Arcsine(a=self.a)
 
     def target_law(self) -> PowerSemicircle:
@@ -84,7 +90,7 @@ def _available_cores() -> int:
 def check_shards(count: int, shards: int) -> None:
     """The one split rule: every shard draws at least one of the `count` rows."""
     if not 1 <= shards <= count:
-        raise ValueError(f"cannot split {count} draws over {shards} shards")
+        raise ValueError(f"cannot split {render.magnitude(count)} draws over {render.magnitude(shards)} shards")
 
 
 def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "SampleBatch":
@@ -121,9 +127,8 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     # One worker draws on the calling thread.  Each pool thread allocates its
     # chunk arrays from its own glibc malloc arena, which the caller's later
     # work cannot reuse: `rwa verify` at N=10^6 (n=3, then n=8, in one
-    # process) peaked at 68 MB on the calling thread, 80 MB on a one-thread
-    # pool and 92 MB on two threads (68-70 MB with MALLOC_ARENA_MAX=1), on a
-    # 2-vCPU Xeon.
+    # process) peaked at 48.5 MB on the calling thread and 54.4-55.3 MB on two
+    # threads (50.5-50.7 MB with MALLOC_ARENA_MAX=1), on a 2-vCPU Xeon.
     workers = min(len(chunks), _available_cores())
     if workers == 1:
         for chunk in chunks:

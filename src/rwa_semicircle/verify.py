@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 from .distributions import PowerSemicircle, check_size
 from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import MomentReport, moment_rows
+from .render import magnitude
 from .rwa import RwaSpec, check_shards, rwa_batch
 
 __all__ = ["MIN_SAMPLE_COUNT", "VerifyConfig", "VerifyOutcome", "run_verification"]
@@ -32,10 +33,10 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         if self.sample_count < MIN_SAMPLE_COUNT:
-            raise ValueError(f"need at least {MIN_SAMPLE_COUNT} draws, got {self.sample_count}")
+            raise ValueError(f"need at least {MIN_SAMPLE_COUNT} draws, got {magnitude(self.sample_count)}")
         ks_coefficient(self.alpha)
         if self.max_moment_k < 0:
-            raise ValueError(f"max_moment_k must be >= 0, got {self.max_moment_k}")
+            raise ValueError(f"max_moment_k must be >= 0, got {magnitude(self.max_moment_k)}")
         check_shards(self.sample_count, self.shards)
         self.spec.target_law()
         check_size(self.sample_count, self.spec.n)
@@ -78,15 +79,20 @@ class VerifyOutcome:
 
 
 def run_verification(cfg: VerifyConfig) -> VerifyOutcome:
-    """Draw one batch and test it: one-sample KS against the target power
-    semicircle (exponent (n-1)/2, or the override for negative-control
-    testing), then the standard-error band check of each empirical even
-    moment up to order 2*max_moment_k against the exact values.
+    """Draw one batch and test it: the standard-error band check of each
+    empirical even moment up to order 2*max_moment_k against the exact
+    values, then one-sample KS against the target power semicircle
+    (exponent (n-1)/2, or the override for negative-control testing).
     """
     batch = rwa_batch(cfg.spec, cfg.sample_count, cfg.seed, shards=cfg.shards)
     override = cfg.lambda_override
     law = cfg.spec.target_law() if override is None else PowerSemicircle(lam=override, a=cfg.spec.a)
+    # The moments first: their sums follow NumPy's pairwise tree over the
+    # batch in draw order, and a sorted batch would give other bits.
+    rows = moment_rows(cfg.spec, cfg.max_moment_k, batch)
+    # Then the batch, which this run owns and needs no more in draw order, is
+    # sorted in place, so that KS reads it without a sorted copy.
+    batch.values.sort()
     d = ks_statistic(batch.values, law.cdf)
     critical = ks_critical_one_sample(cfg.alpha, cfg.sample_count)
-    rows = moment_rows(cfg.spec, cfg.max_moment_k, batch)
     return VerifyOutcome(config=cfg, ks_statistic=d, ks_critical=critical, moment_rows=rows)

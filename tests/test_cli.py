@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -204,6 +205,29 @@ class TestUsageErrors:
     def test_bounded_argument_message(self, argv, message, capsys):
         _usage_error(argv)
         assert capsys.readouterr().err.splitlines()[-1] == message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "1" + "0" * 400],
+            ["moment", "--n", "-1" + "0" * 400, "--k-max", "0"],
+            ["sample", "spacings", "--n", "-1" + "0" * 400, "--count", "5", "--seed", "1"],
+            ["verify", "--n", "3", "--count", "-1" + "0" * 400],
+            ["verify", "--n", "3", "--count", "1000", "--shards", "1" + "0" * 400],
+            ["moment", "--n", "x" * 400, "--k-max", "0"],
+            ["lemma-check", "--params", "1/2,-1" + "0" * 400, "--r-max", "1"],
+            ["lemma-check", "--params", "1/3" + "0" * 400, "--r-max", "1"],
+        ],
+        ids=["bins", "moment-n", "spacings-n", "verify-count", "shards", "text", "params-value", "params-text"],
+    )
+    def test_a_long_argument_gives_a_short_error_line(self, argv, capsys):
+        # The refused text is cut, and a refused number is shown by its power
+        # of ten, so the line stays short however long the argument.
+        _usage_error(argv)
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if ": error: " in line]
+        assert len(lines) == 1
+        assert len(lines[0]) <= 200, lines[0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -773,14 +797,33 @@ class TestRunVerification:
         calls = []
         original = moments.empirical_moment
 
-        def counting(values, k_max):
+        def counting(values, k_max, *args, **kwargs):
             calls.append(k_max)
-            return original(values, k_max)
+            return original(values, k_max, *args, **kwargs)
 
         monkeypatch.setattr(moments, "empirical_moment", counting)
         cfg = VerifyConfig(spec=RwaSpec(n=3, a=2.5), sample_count=1_000, seed=7, max_moment_k=3)
         assert len(run_verification(cfg).moment_rows) == 4
         assert calls == [3]
+
+    def test_holds_the_sample_and_a_few_blocks(self, monkeypatch):
+        # After the draw only the sample and arrays of one block are held: the
+        # moments are summed block by block and KS reads the batch sorted in
+        # place.  One worker, so that the bound does not depend on the cores
+        # (each worker holds one chunk's arrays).  Before, the peak was about
+        # four arrays the size of the sample.
+        from rwa_semicircle import rwa
+
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 1)
+        count = 2**20 + 1
+        cfg = VerifyConfig(spec=RwaSpec(n=8, a=2.5), sample_count=count, seed=3, max_moment_k=3)
+        tracemalloc.start()
+        try:
+            run_verification(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * count
 
     def test_zeroth_row_always_inside_band(self):
         cfg = VerifyConfig(spec=RwaSpec(n=2, a=1.0), sample_count=500, seed=1, max_moment_k=0)

@@ -94,6 +94,37 @@ class TestBlockedKS:
         assert math.isnan(_whole_ks(x, law.cdf))
         assert math.isnan(ks_statistic(x, law.cdf))
 
+    @pytest.mark.parametrize("size", [10, B + 1, 3 * B + 7])
+    def test_leaves_an_unsorted_sample_unchanged(self, size):
+        law = PowerSemicircle(lam=1.0)
+        x = law.sample(np.random.default_rng(7), size)
+        before = x.copy()
+        d = ks_statistic(x, law.cdf)
+        assert x.tobytes() == before.tobytes()
+        assert d == ks_statistic(np.sort(x), law.cdf)
+
+    @pytest.mark.parametrize("index", [B - 1, 2 * B - 1])
+    def test_points_out_of_order_across_a_block_edge_are_sorted(self, index):
+        # A perfect fit with the last point of a block and the first of the
+        # next swapped: only the check across the edge sees the disorder,
+        # and read unsorted the gap there would be 3/(2N).
+        size = 3 * B
+        x = (np.arange(size) + 0.5) / size
+        x[[index, index + 1]] = x[[index + 1, index]]
+        assert ks_statistic(x, lambda t: t) == pytest.approx(0.5 / size, rel=1e-9)
+
+    def test_a_sorted_sample_is_read_without_a_copy(self):
+        law = PowerSemicircle(lam=1.0)
+        # A few blocks, where a sorted copy alone would be the sample's size.
+        x = np.sort(law.sample(np.random.default_rng(6), 16 * B))
+        tracemalloc.start()
+        try:
+            ks_statistic(x, law.cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
     def test_memory_is_the_sorted_copy_plus_a_few_blocks(self):
         # At 4B points the CDF and grid arrays of the whole sample would be
         # about 25 blocks; walked in blocks they are about 8.3 (n = 3).

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rwa_semicircle import moments
 from rwa_semicircle.exactmath import HalfInteger, compositions, multinomial, rising_gamma_ratio
 from rwa_semicircle.moments import (
     BAND_Z,
@@ -365,6 +366,46 @@ class TestEmpiricalMoment:
             ref_mean, ref_se = _per_order_moment(values, k)
             assert mean == pytest.approx(ref_mean, rel=1e-15, abs=0)
             assert se == pytest.approx(ref_se, rel=1e-15, abs=0)
+
+
+def _one_pass_moment(values, k_max):
+    """The moment stage as one pass over whole arrays: v^2 of the whole
+    batch, multiplied forward, each order's mean by `ndarray.mean`."""
+    v = np.asarray(values, dtype=np.float64)
+    square, power, means = v * v, np.ones_like(v), [1.0]
+    for _ in range(2 * k_max):
+        power *= square
+        means.append(float(power.mean()))
+    return tuple((m, math.sqrt(max(means[2 * k] - m * m, 0.0) / v.size)) for k, m in enumerate(means[: k_max + 1]))
+
+
+class TestSumTree:
+    """The moment stage sums block by block along NumPy's pairwise tree, so
+    its totals and means have the bits of the one-pass form."""
+
+    @pytest.mark.parametrize("leaf", [128, 136, moments._LEAF_VALUES])
+    @pytest.mark.parametrize(
+        "size",
+        [127, 128, 129, 136, 137, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 8, 2**16 + 9,
+         2**17 - 1, 2**17, 2**17 + 1, 2**17 + 17, 3 * 10**6 + 1],
+    )
+    def test_total_is_numpys_sum(self, leaf, size, monkeypatch):
+        # Squares spread over many binades, so that another order of the
+        # additions would round differently.
+        monkeypatch.setattr(moments, "_LEAF_VALUES", leaf)
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) * np.exp2(rng.integers(-30, 30, size))
+        assert moments._tree_sums(x, 1.0, 1)[1] == np.add.reduce(x * x)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5, 1.5e154])
+    def test_scaled_moments_match_the_one_pass_form(self, a):
+        # A batch at scale a is a times the unit batch, bit for bit.
+        values = a * rwa_batch(RwaSpec(3), 10**6 + 1, seed=11).values
+        assert empirical_moment(values, 3, a) == _one_pass_moment(values / a, 3)
+
+    def test_values_need_not_be_contiguous(self):
+        values = rwa_batch(RwaSpec(3), 2 * (2**17 + 3), seed=12).values
+        assert empirical_moment(values[::2], 2, 2.5) == _one_pass_moment(values[::2] / 2.5, 2)
 
 
 class TestMomentReport:
