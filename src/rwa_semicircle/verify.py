@@ -90,9 +90,13 @@ def run_verification(cfg: VerifyConfig) -> VerifyOutcome:
     # The moments first: their sums follow NumPy's pairwise tree over the
     # batch in draw order, and a sorted batch would give other bits.
     rows = moment_rows(cfg.spec, cfg.max_moment_k, batch)
-    # Then the batch, which this run owns and needs no more in draw order, is
-    # sorted in place, so that KS reads it without a sorted copy.
-    batch.values.sort()
-    d = ks_statistic(batch.values, law.cdf)
+    # Then the draw, which this run owns and needs no more in draw order, is
+    # sorted in place, so that KS reads it without a sorted copy.  The batch
+    # is dropped first: no SampleBatch is left whose values differ from the
+    # draw its seed re-derives.
+    values = batch.values
+    del batch
+    values.sort()
+    d = ks_statistic(values, law.cdf)
     critical = ks_critical_one_sample(cfg.alpha, cfg.sample_count)
     return VerifyOutcome(config=cfg, ks_statistic=d, ks_critical=critical, moment_rows=rows)

@@ -56,3 +56,28 @@ def test_a_pair_missing_a_metric_is_skipped_for_it():
     s = bench_pairs.summarize(pairs, {"m": "lower", "absent": "lower"})
     assert s["m"]["pairs"] == 2
     assert "absent" not in s
+
+
+def test_both_sides_are_revisions_run_for_the_benchmark_length(tmp_path, monkeypatch):
+    # The run length is BENCHMARK.json's, never an option; each side is a
+    # revision extracted on its own, and the record names both exactly.
+    bench = {"run_seconds": 7, "workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(bench_pairs.json.dumps(bench))
+    extracted, runs = {}, []
+
+    def run(root, workload, seed, seconds):
+        runs.append((root.name, seed, seconds))
+        return {"m": 1.0 if root.name == "change" else 2.0}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: f"sha-{args[-1]}")
+    monkeypatch.setattr(bench_pairs, "_extract", lambda rev, into: extracted.setdefault(into.name, rev))
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "2", "--seed", "5"]) == 0
+    assert extracted == {"parent": "sha-P", "change": "sha-HEAD"}
+    assert runs == [("parent", 5, 7), ("change", 5, 7), ("change", 6, 7), ("parent", 6, 7)]
+    (record,) = bench_pairs.json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert (record["parent"], record["commit"], record["seconds"], record["seeds"]) == ("sha-P", "sha-HEAD", 7, [5, 6])
+    assert record["summary"]["m"]["change_won"] == 2
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "2", "--seconds", "10"])

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ import pytest
 
 import rwa_semicircle
 from rwa_semicircle.cli import main
+from rwa_semicircle.gof import ks_statistic
 from rwa_semicircle.moments import oracle_term_count, rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
@@ -824,6 +826,27 @@ class TestRunVerification:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * count
+
+    def test_no_batch_outlives_the_sort(self, monkeypatch):
+        # The draw is sorted in place for KS; by then no SampleBatch may be
+        # left whose values no longer match the draw its seed re-derives.
+        from rwa_semicircle import verify
+
+        drawn = []
+
+        def keeping_a_weak_ref(*args, **kwargs):
+            batch = rwa_batch(*args, **kwargs)
+            drawn.append(weakref.ref(batch))
+            return batch
+
+        def checking(values, cdf):
+            assert drawn and drawn[0]() is None
+            return ks_statistic(values, cdf)
+
+        monkeypatch.setattr(verify, "rwa_batch", keeping_a_weak_ref)
+        monkeypatch.setattr(verify, "ks_statistic", checking)
+        cfg = VerifyConfig(spec=RwaSpec(n=3, a=2.5), sample_count=1_000, seed=7, max_moment_k=2)
+        assert run_verification(cfg).ks_pass
 
     def test_zeroth_row_always_inside_band(self):
         cfg = VerifyConfig(spec=RwaSpec(n=2, a=1.0), sample_count=500, seed=1, max_moment_k=0)

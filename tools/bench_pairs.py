@@ -4,12 +4,13 @@ Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload verify --pairs 10
 
-Each side is a copy of its tree: the parent is extracted from git with
-`git archive`, and the change is the working tree, or with --change a
-revision extracted the same way.  Pair i runs `perfbench/run.py` once on
-each side at seed --seed + i, the parent first in even pairs and the change
-first in odd ones, so that a drift of the host over the run falls on both
-sides alike.  For each end-to-end metric of BENCHMARK.json it prints the
+Both sides are git revisions, each extracted with `git archive` into a
+copy of its own: --parent, and --change (HEAD unless given), so that every
+record names the exact trees it compared; commit a change before measuring
+it.  Pair i runs `perfbench/run.py` once on each side at seed --seed + i,
+for the run length BENCHMARK.json sets, the parent first in even pairs and
+the change first in odd ones, so that a drift of the host over the run falls
+on both sides alike.  For each end-to-end metric of BENCHMARK.json it prints the
 medians and quartiles of both sides and the number of pairs the change won
 (was better in, by the metric's own direction), and appends one record with
 the revisions, the seeds, every pair and that summary to
@@ -110,11 +111,10 @@ def _print(summary: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--change", default=None, help="git revision of the change (default: the working tree)")
+    parser.add_argument("--change", default="HEAD", help="git revision of the change (default: HEAD)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i runs at seed + i")
-    parser.add_argument("--seconds", type=int, default=10, help="--seconds of each perfbench run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -122,24 +122,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         parser.error(f"--workload must be one of {[w['name'] for w in bench['workloads']]}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
 
-    parent = _git("rev-parse", args.parent)
-    if args.change is None:
-        change = _git("rev-parse", "HEAD") + (" with uncommitted changes" if _git("status", "--porcelain") else "")
-    else:
-        change = _git("rev-parse", args.change)
+    revisions = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     seeds = [args.seed + i for i in range(args.pairs)]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"parent": Path(tmp) / "parent", "change": ROOT if args.change is None else Path(tmp) / "change"}
-        _extract(parent, roots["parent"])
-        if args.change is not None:
-            _extract(change, roots["change"])
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            _extract(revisions[side], roots[side])
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = _run(roots[side], args.workload, seed, args.seconds)
+                pair[side] = _run(roots[side], args.workload, seed, seconds)
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
                   + "  ".join(f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
@@ -149,9 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     _print(summary)
     record = {
         "workload": args.workload,
-        "commit": change,
-        "parent": parent,
-        "seconds": args.seconds,
+        "commit": revisions["change"],
+        "parent": revisions["parent"],
+        "seconds": seconds,
         "seeds": seeds,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpu_count": os.cpu_count()},
         "pairs": pairs,
