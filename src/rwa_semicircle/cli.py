@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import traceback
-from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .moments import (
     lemma_rhs,
     moment_rows,
 )
-from .render import csv_bytes, decimal_str, excerpt, json_bytes, magnitude, rational_json, rational_str
+from .render import csv_chunks, decimal_str, excerpt, json_bytes, magnitude, rational_json, rational_str, sha256_hex
 from .rwa import RwaSpec, rwa_batch
 from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 
@@ -113,36 +114,42 @@ def _warn_term_count(parts: int, k_max: int) -> None:
         )
 
 
-def _emit(data: bytes, out: str | None) -> None:
-    """Write one rendered result to stdout, or to the file `out`.
+def _emit(chunks: Iterable[bytes], out: str | None) -> str:
+    """Write one rendered result, chunk by chunk, to stdout or to the file
+    `out`, and return the SHA-256 of its bytes, hashed in the same pass.
 
     The bytes go to stdout's binary layer, after anything already printed,
     with no decoded or re-encoded copy; a text-only stdout (such as
     `io.StringIO` under `contextlib.redirect_stdout`) gets them decoded.
     A reader that has closed stdout is not an error: stdout is pointed at
-    os.devnull, so later writes and the exit flush succeed."""
+    os.devnull, so later chunks, later writes and the exit flush succeed,
+    and the digest still covers every chunk."""
     if out is not None:
-        Path(out).write_bytes(data)
-    elif not hasattr(sys.stdout, "buffer"):
-        sys.stdout.write(data.decode("ascii"))
-    else:
-        try:
-            sys.stdout.flush()
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        with open(out, "wb") as file:
+            return sha256_hex(chunks, file.write)
+    if not hasattr(sys.stdout, "buffer"):
+        return sha256_hex(chunks, lambda chunk: sys.stdout.write(chunk.decode("ascii")))
+    return sha256_hex(chunks, _write_stdout)
+
+
+def _write_stdout(chunk: bytes) -> None:
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(chunk)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> int:
     """Write one exact table: `payload` and its verdict `all_equal` as JSON,
     or else the text `lines`; exit 0 when every row agrees."""
     if as_json:
-        _emit(json_bytes({**payload, "all_equal": all_equal}), None)
+        _emit([json_bytes({**payload, "all_equal": all_equal})], None)
     else:
-        _emit(("\n".join(lines) + "\n").encode("ascii"), None)
+        _emit([("\n".join(lines) + "\n").encode("ascii")], None)
     return 0 if all_equal else 1
 
 
@@ -191,15 +198,15 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
 def _cmd_sample_table(args: argparse.Namespace) -> int:
     """Write the named columns that `args.columns` draws from the seed's generator."""
     columns = args.columns(args, np.random.default_rng(args.seed))
-    _emit(csv_bytes(list(columns), *columns.values()), args.out)
+    _emit(csv_chunks(list(columns), *columns.values()), args.out)
     return 0
 
 
 def _cmd_sample_rwa(args: argparse.Namespace) -> int:
     batch = rwa_batch(RwaSpec(n=args.n, a=args.a), args.count, args.seed, shards=args.shards)
-    _emit(batch.csv_bytes(), args.out)
+    digest = _emit(batch.csv_chunks(), args.out)
     if args.envelope is not None:
-        _emit(batch.envelope_bytes(), args.envelope)
+        _emit([batch.envelope_bytes(digest)], args.envelope)
     return 0
 
 
@@ -227,10 +234,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"(z = {row.z:.2f} vs {BAND_Z})"
         )
     lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
-    _emit(("\n".join(lines) + "\n").encode("ascii"), None)
+    _emit([("\n".join(lines) + "\n").encode("ascii")], None)
 
     if args.json is not None:
-        _emit(json_bytes(outcome.to_json_dict()), args.json)
+        _emit([json_bytes(outcome.to_json_dict())], args.json)
     return 0 if outcome.overall_pass else 1
 
 
@@ -242,16 +249,34 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     density, edges = np.histogram(batch.values / args.a, bins=bins, range=(-1.0, 1.0), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    _emit(csv_bytes(header, args.a * centers, density / args.a, unit_law.pdf(centers) / args.a), args.out)
+    _emit(csv_chunks(header, args.a * centers, density / args.a, unit_law.pdf(centers) / args.a), args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# The parts of argparse's own messages that repeat what was typed: the
+# arguments left over, a refused choice and an ambiguous option.
+_ECHOED = re.compile(
+    r"(?<=^unrecognized arguments: ).*"
+    r"|(?<=invalid choice: ).*?(?= \(choose from )"
+    r"|(?<=ambiguous option: ).*?(?= could match )",
+    re.DOTALL,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error line repeats typed text only through
+    `excerpt`.  Every subparser is one, as `add_subparsers` makes parsers of
+    its parent's class."""
+
+    def error(self, message: str):
+        super().error(_ECHOED.sub(lambda echo: excerpt(echo.group()), message))
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rwa",
         description=(
             "Exact and Monte Carlo checks that the randomly weighted average "

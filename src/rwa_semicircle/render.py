@@ -5,25 +5,26 @@ Each format is decided here and nowhere else, so a digest pinned on one
 artifact pins the rendering of every artifact of the same kind.
 
 A CSV table is rendered in chunks of a fixed number of cells, whatever its
-row and column counts, and each chunk is encoded into one growing buffer, so
-the finished bytes are the only object whose size grows with the table.
-One render of 10^6 draws (19.9 MB) peaks at 22.3 MB of traced Python
-memory, where rendering every float, string and line at once peaked at
-116.1 MB; the `artifact` benchmark's peak RSS fell from 213.0 to 93.5 MB.
+row and column counts, and each chunk is freed before the next one is made.
+An artifact is written in one pass over those chunks, each going to its
+file (or stdout) and into one SHA-256 together, so the table is never held
+whole and never rendered twice; `csv_bytes` collects the same chunks for a
+caller that wants the bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["csv_bytes", "decimal_str", "excerpt", "json_bytes", "magnitude", "rational_json", "rational_str"]
+__all__ = ["csv_bytes", "csv_chunks", "decimal_str", "excerpt", "json_bytes", "magnitude", "rational_json", "rational_str", "sha256_hex"]
 
 # Cells (rows times columns) per rendered chunk; each chunk's floats, strings
 # and text are freed before the next one is made.
@@ -32,21 +33,39 @@ _CHUNK_CELLS = 1 << 14
 _EXCERPT_CHARS = 40
 
 
-def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
-    """CSV of equal-length float64 columns under one header line.
+def csv_chunks(header: Sequence[str], *columns: np.ndarray) -> Iterator[bytes]:
+    """CSV of equal-length float64 columns under one header line, as the
+    header line and then the rows `_CHUNK_CELLS` cells at a time.
 
     Each value is rendered by repr, so it parses back bit-identical; LF line
-    endings, one trailing newline.  The rows are rendered `_CHUNK_CELLS`
-    cells at a time, with the same bytes as one whole render.
+    endings, one trailing newline.  The chunks joined are the bytes of one
+    whole render.
     """
     columns = [np.asarray(col, dtype=np.float64) for col in columns]
     rows = max(1, _CHUNK_CELLS // (len(columns) or 1))
-    out = io.BytesIO()
-    out.write((",".join(header) + "\n").encode("ascii"))
+    yield (",".join(header) + "\n").encode("ascii")
     for start in range(0, min(map(len, columns), default=0), rows):
         cells = [map(repr, col[start : start + rows].tolist()) for col in columns]
-        out.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii"))
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
+
+
+def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
+    """The bytes of `csv_chunks`, collected into one buffer."""
+    out = io.BytesIO()
+    out.writelines(csv_chunks(header, *columns))
     return out.getvalue()
+
+
+def sha256_hex(chunks: Iterable[bytes], write: Callable[[bytes], object] | None = None) -> str:
+    """The SHA-256 hex digest of the bytes of `chunks`, each chunk handed to
+    `write` (when given) as it is hashed, so that a result is written and
+    hashed in one pass without being held whole."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+        if write is not None:
+            write(chunk)
+    return digest.hexdigest()
 
 
 def json_bytes(payload) -> bytes:

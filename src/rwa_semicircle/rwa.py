@@ -26,12 +26,12 @@ thread; the bytes are those of the whole-block draw described above.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -148,22 +148,29 @@ class SampleBatch:
     seed: int
     shards: int
 
+    def csv_chunks(self) -> Iterator[bytes]:
+        """The CSV of the draws, one render chunk at a time."""
+        return render.csv_chunks(["value"], self.values)
+
     def csv_bytes(self) -> bytes:
         return render.csv_bytes(["value"], self.values)
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.csv_bytes())
+        with open(path, "wb") as file:
+            file.writelines(self.csv_chunks())
 
     def values_digest(self) -> str:
-        return hashlib.sha256(self.csv_bytes()).hexdigest()
+        return render.sha256_hex(self.csv_chunks())
 
-    def envelope_bytes(self) -> bytes:
+    def envelope_bytes(self, values_sha256: str | None = None) -> bytes:
+        """The JSON envelope; `values_sha256` is the CSV's digest when the
+        caller has it already (from writing the CSV), else it is computed."""
         return render.json_bytes({
             "spec": {"n": self.spec.n, "a": self.spec.a},
             "seed": self.seed,
             "count": self.values.size,
             "shards": self.shards,
-            "values_sha256": self.values_digest(),
+            "values_sha256": values_sha256 if values_sha256 is not None else self.values_digest(),
         })
 
     def write_envelope(self, path: str | Path) -> None:

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import rwa_semicircle
+from rwa_semicircle import render
 from rwa_semicircle.cli import main
 from rwa_semicircle.gof import ks_statistic
 from rwa_semicircle.moments import oracle_term_count, rwa_moment_closed
@@ -209,6 +210,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines()[-1] == message
 
     @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["sample", "foo"], "rwa sample: error: argument source: invalid choice: 'foo' (choose from "),
+            (["sample", "rwa", "--n", "3", "--count", "5", "--s=1"],
+             "rwa sample rwa: error: ambiguous option: --s=1 could match --seed, --shards"),
+        ],
+    )
+    def test_a_short_argument_is_repeated_in_full(self, argv, text, capsys):
+        # Only a long echo is cut; a short one keeps argparse's own text.
+        _usage_error(argv)
+        assert capsys.readouterr().err.splitlines()[-1].startswith(text)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["plot-data", "--n", "3", "--count", "1000", "--seed", "1", "--bins", "1" + "0" * 400],
@@ -219,8 +233,16 @@ class TestUsageErrors:
             ["moment", "--n", "x" * 400, "--k-max", "0"],
             ["lemma-check", "--params", "1/2,-1" + "0" * 400, "--r-max", "1"],
             ["lemma-check", "--params", "1/3" + "0" * 400, "--r-max", "1"],
+            # argparse's own messages: a stray argument, a refused choice and
+            # an ambiguous option repeat what was typed
+            ["moment", "--n", "3", "--k-max", "1", "--seed=1" + "0" * 400],
+            ["moment", "--n", "3", "--k-max", "1", *["a"] * 300],
+            ["sample", "x" * 300],
+            ["y" * 300],
+            ["sample", "rwa", "--n", "3", "--count", "5", "--s=1" + "0" * 300],
         ],
-        ids=["bins", "moment-n", "spacings-n", "verify-count", "shards", "text", "params-value", "params-text"],
+        ids=["bins", "moment-n", "spacings-n", "verify-count", "shards", "text", "params-value", "params-text",
+             "unrecognized", "many-unrecognized", "source-choice", "command-choice", "ambiguous"],
     )
     def test_a_long_argument_gives_a_short_error_line(self, argv, capsys):
         # The refused text is cut, and a refused number is shown by its power
@@ -387,15 +409,27 @@ def test_numeric_failure_prints_no_warning(argv):
     assert len(lines) == 1 and lines[0].startswith(f"error: {argv[0]}: ")
 
 
+def _run_with_closed_reader(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process whose stdout is a pipe with its read end
+    already closed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rwa_semicircle.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "rwa_semicircle", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_reader_keeps_the_verdict(unbuffered, tmp_path):
     # A reader that closes stdout before the command writes (as `| head -c 1`
     # may) is not an I/O problem: the command writes its files, exits with
     # its verdict and prints nothing on stderr, however stdout is buffered.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(rwa_semicircle.__file__).resolve().parents[1])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     verify = ["verify", "--n", "3", "--count", "1000", "--seed", "1", "--json"]
     cases = [
         ([*verify, str(tmp_path / "pass.json")], 0),
@@ -404,16 +438,22 @@ def test_closed_reader_keeps_the_verdict(unbuffered, tmp_path):
         (["sample", "arcsine", "--count", "10", "--seed", "1"], 0),
     ]
     for argv, code in cases:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "rwa_semicircle", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=120)
-        finally:
-            os.close(write_end)
+        proc = _run_with_closed_reader(argv, unbuffered)
         assert (proc.returncode, proc.stderr) == (code, b""), argv
     for name in ("pass.json", "fail.json"):
         assert json.loads((tmp_path / name).read_text())["overall_pass"] is (name == "pass.json")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_reader_still_gets_the_full_digest(unbuffered, tmp_path):
+    # The CSV is hashed as it is written, so the digest must keep taking
+    # chunks after the reader has gone.
+    env_path = tmp_path / "draws.json"
+    proc = _run_with_closed_reader(
+        ["sample", "rwa", "--n", "3", "--count", "100000", "--seed", "1", "--envelope", str(env_path)], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    digest = rwa_batch(RwaSpec(n=3), 100000, 1).values_digest()
+    assert json.loads(env_path.read_text())["values_sha256"] == digest
 
 
 def test_term_count_warning_threshold(monkeypatch, capsys):
@@ -726,15 +766,39 @@ class TestSampleCommand:
         assert payload["count"] == 30
 
     def test_rwa_file_has_the_stdout_bytes(self, tmp_path, capsysbinary):
-        # Enough rows for several render chunks, on two shards.
-        argv = ["sample", "rwa", "--n", "3", "--count", "49153", "--seed", "20", "--shards", "2"]
-        csv_path, env_path = tmp_path / "draws.csv", tmp_path / "draws.json"
-        assert main([*argv, "--out", str(csv_path), "--envelope", str(env_path)]) == 0
-        assert capsysbinary.readouterr().out == b""
-        assert main(argv) == 0
-        batch = rwa_batch(RwaSpec(n=3), 49153, 20, shards=2)
-        assert csv_path.read_bytes() == batch.csv_bytes() == capsysbinary.readouterr().out
-        assert env_path.read_bytes() == batch.envelope_bytes()
+        # Rows up to and across render chunk edges, on two shards; each CSV
+        # is hashed as it is written, to a file or to stdout.
+        chunk = render._CHUNK_CELLS
+        for count in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+            argv = ["sample", "rwa", "--n", "3", "--count", str(count), "--seed", "20", "--shards", "2"]
+            csv_path, env_path, stdout_env_path = tmp_path / "draws.csv", tmp_path / "draws.json", tmp_path / "out.json"
+            assert main([*argv, "--out", str(csv_path), "--envelope", str(env_path)]) == 0
+            assert capsysbinary.readouterr().out == b""
+            assert main([*argv, "--envelope", str(stdout_env_path)]) == 0
+            batch = rwa_batch(RwaSpec(n=3), count, 20, shards=2)
+            assert csv_path.read_bytes() == batch.csv_bytes() == capsysbinary.readouterr().out, count
+            assert env_path.read_bytes() == stdout_env_path.read_bytes() == batch.envelope_bytes(), count
+            assert json.loads(env_path.read_bytes())["values_sha256"] == batch.values_digest(), count
+
+    def test_rwa_artifact_holds_the_sample_and_one_chunk(self, tmp_path, monkeypatch):
+        # The CSV is rendered once, chunk by chunk, into its file and its
+        # digest together, so the sample is the one array of its size that
+        # is held.  One worker, so that the bound does not depend on the
+        # cores.  Rendering the whole CSV for the file and again for the
+        # envelope peaked at about four times the sample.
+        from rwa_semicircle import rwa
+
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 1)
+        count = 2**20 + 1
+        argv = ["sample", "rwa", "--n", "3", "--count", str(count), "--seed", "5",
+                "--out", str(tmp_path / "draws.csv"), "--envelope", str(tmp_path / "draws.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * count
 
 
 # ---------------------------------------------------------------------------
