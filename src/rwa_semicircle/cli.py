@@ -26,12 +26,13 @@ import os
 import re
 import sys
 import traceback
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
 
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
-from .exactmath import HalfInteger, composition_count
+from .exactmath import HalfInteger
 from .moments import (
     BAND_Z,
     lemma_lhs,
@@ -101,15 +102,22 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _warn_term_count(parts: int, k_max: int) -> None:
-    """Warn before a long walk over the compositions of every k = 0..k_max
-    into `parts` parts: those of k_max into parts + 1 parts (the last part
-    takes k_max - k), each costing `parts`."""
-    count = composition_count(k_max, parts + 1)
-    if count * parts > _TERM_WARN_LIMIT:
+def _warn_term_count(counts: Iterable[int], k_max: int) -> None:
+    """Warn before a long exact table: the integer products that the series
+    route forms for every order k = 0..k_max, over tables repeated `counts`
+    times.  A table repeated c times is squared bit_length(c) - 2 times
+    (never below 0) and leaves popcount(c) + 1 series (1 at c = 1).  With
+    s series in all, each order forms s - 2 products in full, (k+1)(k+2)/2
+    integer products each, beside the squarings, and one of k+1 (none when
+    s = 1); summed over k these are C(k_max+3, 3) and C(k_max+2, 2)."""
+    counts = list(counts)
+    series = sum(c.bit_count() + (c > 1) for c in counts)
+    full = sum(max(c.bit_length() - 2, 0) for c in counts) + max(series - 2, 0)
+    products = full * math.comb(k_max + 3, 3) + (series > 1) * math.comb(k_max + 2, 2)
+    if products > _TERM_WARN_LIMIT:
         print(
-            f"warning: this enumeration visits {magnitude(count)} compositions, "
-            f"{magnitude(count * parts)} parts in all (> {_TERM_WARN_LIMIT}); expect a long run",
+            f"warning: this table forms {magnitude(products)} integer products "
+            f"(> {_TERM_WARN_LIMIT}); expect a long run",
             file=sys.stderr,
         )
 
@@ -160,7 +168,7 @@ def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> 
 def _cmd_moment(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     spec.target_law()
-    _warn_term_count(args.n, args.k_max)
+    _warn_term_count([args.n], args.k_max)
     rows = moment_rows(spec, args.k_max)
     payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
     lines = [
@@ -177,7 +185,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    _warn_term_count(len(params), args.r_max)
+    _warn_term_count(Counter(params).values(), args.r_max)
     rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
     payload = {
         "params": [str(p) for p in params],
@@ -220,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count(args.n, args.k_max)
+    _warn_term_count([args.n], args.k_max)
     outcome = run_verification(cfg)
 
     lines = [

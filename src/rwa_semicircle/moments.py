@@ -10,6 +10,11 @@ share only the mixing constant, and a fault there fails that check; a fault
 in the composition kernel makes the routes disagree (a ``NO`` row in
 `rwa moment`, a failed identity in `rwa lemma-check`).
 
+The composition sum is formed without a walk: its terms, products of one
+integer per part, are grouped by degree, so the sum is the degree-r
+coefficient of a product of integer series cut at degree r.  Every term is
+still multiplied out, and nothing uses the closed side's (1-t)^(-sum a_j).
+
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` tables
 them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
 """
@@ -17,20 +22,16 @@ them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import PowerSemicircle
-from .exactmath import (
-    Composition,
-    HalfInteger,
-    composition_count,
-    compositions,
-    rising_gamma_ratio,
-)
+from .exactmath import HalfInteger, composition_count, rising_gamma_ratio
 from .render import rational_json, rational_str
 from .rwa import RwaSpec, SampleBatch
 
@@ -58,17 +59,52 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     T_a[i] = 4^i C(a + i - 1, i), C(2i, i) at a = 1/2, so the sum is r! times
     an integer over 4^r.  T[i] = T[i-1] 2 (2a + 2i - 2) / i divides exactly:
     at half-integer a, i consecutive odd factors hold the odd part of i! and
-    v_2(i!) < i; at integer a, T_a[i] is 4^i times a binomial.
-    `compositions` checks r.
+    v_2(i!) < i; at integer a, T_a[i] is 4^i times a binomial.  The integer
+    sum of prod_j T_(a_j)[i_j] is the degree-r coefficient of prod_j
+    (sum_i T_(a_j)[i] t^i), which :func:`_series_coefficient` forms with one
+    table per distinct parameter.  `composition_count` checks r and the list.
     """
-    tables = []
-    for a in params:
+    composition_count(r, len(params))
+    factors = []
+    for a, count in Counter(params).items():
         table = [1]
         for i in range(1, r + 1):
             table.append(table[-1] * 2 * (a.twice_value + 2 * i - 2) // i)
-        tables.append(table)
-    total = sum(math.prod(map(list.__getitem__, tables, comp)) for comp in compositions(r, len(params)))
-    return Fraction(math.factorial(r) * total, 4**r)
+        factors.append((table, count))
+    return Fraction(math.factorial(r) * _series_coefficient(factors, r), 4**r)
+
+
+def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int) -> int:
+    """The degree-r coefficient of prod (sum_i table[i] t^i)^count over the
+    (table, count) pairs in `factors`, each table of degree r: the sum, over
+    every composition i of r into the factors' parts, of prod table[i_j].
+
+    Each count is taken by repeated squaring down to a count of at most 3,
+    whose copies of the power join one list of series with the other bits'
+    powers.  Every product but the last is formed to degree r, (r+1)(r+2)/2
+    integer products each; the last forms only degree r, r+1 products.
+    """
+    series = []
+    for table, count in factors:
+        power = table
+        while count > 3:
+            if count & 1:
+                series.append(power)
+            power = _truncated_product(power, power, r)
+            count >>= 1
+        series += [power] * count
+    if len(series) == 1:
+        return series[0][r]
+    product = series[0]
+    for other in series[1:-1]:
+        product = _truncated_product(product, other, r)
+    return sum(map(operator.mul, product, reversed(series[-1])))
+
+
+def _truncated_product(left: list[int], right: list[int], r: int) -> list[int]:
+    """The product of two series of degree r, cut at degree r."""
+    flipped = right[::-1]
+    return [sum(map(operator.mul, left, flipped[r - d :])) for d in range(r + 1)]
 
 
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
@@ -118,12 +154,14 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     cancel to r! (n-1)! / (r+n-1)!, the same for every composition.
 
     Default mode: odd r returns 0 outright, and even r = 2k is the mixing
-    constant times :func:`lemma_lhs` at n parameters 1/2 and r = k, a walk
+    constant times :func:`lemma_lhs` at n parameters 1/2 and r = k, the sum
     over the compositions h of k, the halves of the surviving terms.
 
-    literal_parity=True instead walks every composition of r and drops a
-    term as soon as one of its parts is odd -- much slower, but it verifies
-    rather than assumes the odd cancellation:
+    literal_parity=True instead sums over every composition of r, with an
+    explicit 0 for C(i, i/2) at an odd part i, so that every term with an
+    odd part is still multiplied out: it verifies rather than assumes the
+    odd cancellation.  The sum is the degree-r coefficient of the n-th power
+    of that series, from :func:`_series_coefficient`:
 
         E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
     """
@@ -134,25 +172,13 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
         if r % 2:
             return Fraction(0)
         return _mixing(n, r // 2) * lemma_lhs((HalfInteger(1),) * n, r // 2)
-    # C(i, i/2) at part i (odd entries are never read).
-    central = [math.comb(i, i // 2) for i in range(r + 1)]
-    total = sum(math.prod(map(central.__getitem__, comp)) for comp in _all_parts_even(compositions(r, n)))
+    central = [0 if i % 2 else math.comb(i, i // 2) for i in range(r + 1)]
+    total = _series_coefficient([(central, n)], r)
     return Fraction(math.factorial(r) * math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
 
 
-def _all_parts_even(walk: Iterator[Composition]) -> Iterator[Composition]:
-    """The compositions of `walk` whose parts are all even, each tested part
-    by part and dropped at its first odd part."""
-    for comp in walk:
-        for part in comp:
-            if part & 1:
-                break
-        else:
-            yield comp
-
-
 def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:
-    """How many compositions the oracle would walk for these arguments."""
+    """How many compositions the oracle's sum ranges over for these arguments."""
     if literal_parity:
         return composition_count(r, n)
     if r % 2 == 1:
