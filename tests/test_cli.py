@@ -28,7 +28,7 @@ import rwa_semicircle
 from rwa_semicircle import render
 from rwa_semicircle.cli import main
 from rwa_semicircle.gof import ks_statistic
-from rwa_semicircle.moments import oracle_term_count, rwa_moment_closed
+from rwa_semicircle.moments import rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 from rwa_semicircle.verify import VerifyConfig, VerifyOutcome, run_verification
@@ -459,26 +459,40 @@ def test_closed_reader_still_gets_the_full_digest(unbuffered, tmp_path):
 def test_term_count_warning_threshold(monkeypatch, capsys):
     from rwa_semicircle import cli
 
-    # 3 parts, k = 0..2: 1 + 3 + 6 = 10 compositions, 30 parts in all.
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 30)
-    cli._warn_term_count(3, 2)
+    # 3 parts, k = 0..2: one full product per order, 1 + 3 + 6 = 10 integer
+    # products, and a last coefficient of k + 1, 1 + 2 + 3 = 6.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 16)
+    cli._warn_term_count([3], 2)
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 29)
-    cli._warn_term_count(3, 2)
-    assert "warning: this enumeration visits 10 compositions, 30 parts in all (> 29)" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 15)
+    cli._warn_term_count([3], 2)
+    assert "warning: this table forms 16 integer products (> 15)" in capsys.readouterr().err
 
 
 def test_warning_counts_the_orders_in_closed_form(monkeypatch, capsys):
-    from rwa_semicircle import cli
+    from types import SimpleNamespace
 
-    # The compositions of every k <= K into n parts are those of K into
-    # n + 1 parts; check the closed form against the orders one by one.
+    from rwa_semicircle import cli, moments
+
+    # Every integer product of the series route goes through the kernel's
+    # `operator.mul`; count them while each table is formed and check the
+    # warning's closed form against the count, order by order.
+    products = 0
+
+    def counting_mul(x, y):
+        nonlocal products
+        products += 1
+        return x * y
+
+    monkeypatch.setattr(moments, "operator", SimpleNamespace(mul=counting_mul))
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", -1)
-    for n in range(2, 9):
-        for k_max in range(12):
-            cli._warn_term_count(n, k_max)
-            per_order = sum(oracle_term_count(n, 2 * k) for k in range(k_max + 1))
-            assert f"visits {per_order} compositions, {per_order * n} parts" in capsys.readouterr().err
+    tables = [["moment", "--n", str(n), "--k-max"] for n in (2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65, 1001)]
+    tables += [["lemma-check", "--params", params, "--r-max"] for params in ("1/2", "1/2,1", "1,1/2,1,1", "1/2,3/2,1/2,5/2,1/2")]
+    for argv in tables:
+        for k_max in range(9):
+            products = 0
+            assert main([*argv, str(k_max)]) == 0
+            assert f"warning: this table forms {products} integer products" in capsys.readouterr().err, (argv, k_max)
 
 
 def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
@@ -486,7 +500,7 @@ def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 0)
     main(["verify", "--n", "3", "--count", "200", "--seed", "1", "--k-max", "1"])
-    assert "warning: this enumeration visits 4 compositions" in capsys.readouterr().err
+    assert "warning: this table forms 7 integer products" in capsys.readouterr().err
 
 
 _HUGE = "1000000000000"
@@ -495,17 +509,18 @@ _HUGE = "1000000000000"
 @pytest.mark.parametrize(
     "argv, walker, count",
     [
-        # 1 + 1001 + 501501 = 502503 compositions, under the limit, but of
-        # 1001 parts each.
-        (["moment", "--n", "1001", "--k-max", "2"], "moment_rows", "502503"),
-        (["verify", "--n", "1001", "--count", "1000", "--k-max", "2"], "run_verification", "502503"),
-        # Counted in closed form, not order by order: C(10^12 + 3, 3) and
-        # C(10^12 + 2, 2) compositions, given as powers of ten.
+        # 10117899 integer products at n = 1001, over the limit by its eight
+        # squarings; n = 3 forms 734967 to the same order.
+        (["moment", "--n", "1001", "--k-max", "161"], "moment_rows", "10117899"),
+        (["verify", "--n", "1001", "--count", "1000", "--k-max", "161"], "run_verification", "10117899"),
+        # Counted in closed form, not order by order: C(10^12 + 3, 3) +
+        # C(10^12 + 2, 2) and C(10^12 + 2, 2) integer products, given as
+        # powers of ten.
         (["moment", "--n", "3", "--k-max", _HUGE], "moment_rows", "about 10^35.2"),
         (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], "run_verification", "about 10^35.2"),
         (["lemma-check", "--params", "1/2,1", "--r-max", _HUGE], "lemma_lhs", "about 10^23.7"),
         # A count with more digits than str() of an int allows.
-        (["moment", "--n", "1001", "--k-max", _HUGE], "moment_rows", "about 10^9441.4"),
+        (["moment", "--n", "1001", "--k-max", "1" + "0" * 1500], "moment_rows", "about 10^4500.4"),
     ],
 )
 def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
@@ -514,14 +529,14 @@ def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monke
     assert main(["moment", "--n", "3", "--k-max", "2"]) == 0
     assert capsys.readouterr().err == ""
 
-    # The warning comes before the walk.
+    # The warning comes before the table.
     def walk(*args, **kwargs):
         raise RuntimeError("walked")
 
     monkeypatch.setattr(cli, walker, walk)
     with pytest.raises(RuntimeError):
         main(argv)
-    assert f"warning: this enumeration visits {count} compositions" in capsys.readouterr().err
+    assert f"warning: this table forms {count} integer products" in capsys.readouterr().err
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):

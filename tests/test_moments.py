@@ -181,8 +181,9 @@ class TestOracle:
         assert rwa_moment_oracle(3, r) == 0
 
     def test_literal_parity_verifies_rather_than_assumes(self):
-        """The slow mode walks every composition with an explicit parity
-        factor; it must reproduce both the even values and the odd zeros."""
+        """The literal route sums over every composition with an explicit
+        parity factor; it must reproduce both the even values and the odd
+        zeros."""
         for n in (2, 3, 4):
             for r in range(0, 9):
                 literal = rwa_moment_oracle(n, r, literal_parity=True)
@@ -242,6 +243,114 @@ class TestOracle:
         # 1/(2k+1); the oracle has to find that through the expansion
         for k in range(6):
             assert rwa_moment_oracle(2, 2 * k) == Fraction(1, 2 * k + 1)
+
+
+# Sizes at which repeated squaring splits a count differently: 1 (a list of
+# one), counts below 4 (no squaring), powers of two and their neighbours.
+_SHAPES = (1, 2, 3, 4, 7, 8, 9, 16, 17, 63, 64, 65)
+
+
+def _small_r(n: int) -> int:
+    """The highest order at which walking every composition into n parts
+    stays quick."""
+    return 6 if n <= 9 else 4 if n <= 17 else 2
+
+
+class TestSeriesKernel:
+    """The degree-r series coefficient against the walks it replaced."""
+
+    @pytest.mark.parametrize("n", _SHAPES)
+    def test_lemma_matches_the_multinomial_sum(self, n):
+        # At n = 1/2 the oracle's test below covers the widest lists.
+        for twice in (1, 2, 5) if n <= 17 else (5,):
+            params = (H(twice),) * n
+            for r in range(_small_r(n) + 1):
+                assert lemma_lhs(params, r) == _literal_lemma_sum(params, r), (twice, r)
+
+    @pytest.mark.parametrize("n", [n for n in _SHAPES if n >= 2])
+    def test_both_oracle_routes_match_the_walks(self, n):
+        for r in range(_small_r(n) + 1):
+            reference = _factor_by_factor_oracle(n, r, compositions(r, n))
+            if r % 2 == 0:
+                assert reference == moments._mixing(n, r // 2) * _literal_lemma_sum((H(1),) * n, r // 2)
+            for literal_parity in (False, True):
+                assert rwa_moment_oracle(n, r, literal_parity=literal_parity) == reference, (r, literal_parity)
+
+    @pytest.mark.parametrize(
+        "twice",
+        [
+            (1, 3, 1, 5, 1),
+            (2, 2, 1, 2, 1, 1),
+            (1,) * 7 + (5, 5),
+            (3,) * 5 + (1, 2),
+        ],
+    )
+    def test_mixed_lists_with_repeats_in_any_order(self, twice):
+        orders = sorted(set(itertools.permutations(twice)))[:60]
+        for r in range(7):
+            reference = _literal_lemma_sum(tuple(map(H, twice)), r)
+            assert reference == lemma_rhs(tuple(map(H, twice)), r)
+            for order in orders:
+                assert lemma_lhs(tuple(map(H, order)), r) == reference, (order, r)
+
+    def test_refusals_keep_their_messages(self):
+        for call in (lambda: lemma_lhs((H(1), H(3)), -1), lambda: rwa_moment_oracle(3, -1, literal_parity=True)):
+            with pytest.raises(ValueError, match=r"^r must be >= 0, got -1$"):
+                call()
+        for r in (2, -1):
+            with pytest.raises(ValueError, match=r"^need at least one part, got n=0$"):
+                lemma_lhs((), r)
+
+    def test_the_runtime_path_walks_no_composition(self, monkeypatch, tmp_path):
+        from rwa_semicircle import exactmath
+        from rwa_semicircle.cli import main
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked the compositions at run time")
+
+        monkeypatch.setattr(exactmath, "compositions", no_walk)
+        monkeypatch.setattr(moments, "compositions", no_walk, raising=False)
+        moment_rows(RwaSpec(n=5), 8, rwa_batch(RwaSpec(n=5), 1000, 1))
+        assert rwa_moment_oracle(9, 11, literal_parity=True) == 0
+        assert lemma_lhs((H(1), H(3), H(1)), 9) == lemma_rhs((H(1), H(3), H(1)), 9)
+        assert main(["moment", "--n", "64", "--k-max", "6"]) == 0
+        assert main(["lemma-check", "--params", "1/2,3/2,1/2", "--r-max", "9"]) == 0
+        assert main(["verify", "--n", "3", "--count", "1000", "--seed", "1", "--json", str(tmp_path / "v.json")]) == 0
+
+
+def _lagrange(points: list[tuple[int, Fraction]], x: int) -> Fraction:
+    """The polynomial through `points`, of degree below their number, at x."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+class TestLemmaCertificate:
+    """The lemma at n parameters 1/2, for every n at once.
+
+    Without the lemma, the sum side is k! [t^k] f(t)^n with f(t) = sum_i
+    C(2i, i) (t/4)^i = 1 + O(t), a polynomial in n of degree at most k; the
+    closed side Gamma(n/2 + k)/Gamma(n/2) is one of degree k.  So agreement
+    at the k + 1 sizes n = 2..k+2 proves it at every n.  The interpolant
+    through those sizes must then give both sides at far sizes, and one size
+    fewer must not be enough."""
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_k_plus_one_sizes_fix_the_lemma_at_every_size(self, k):
+        def halves(n):
+            return (H(1),) * n
+
+        points = [(n, lemma_lhs(halves(n), k)) for n in range(2, k + 3)]
+        assert all(value == lemma_rhs(halves(n), k) for n, value in points)
+        for n in (50, 333, 1001):
+            assert _lagrange(points, n) == lemma_rhs(halves(n), k) == lemma_lhs(halves(n), k)
+            if k >= 1:
+                assert _lagrange(points[:-1], n) != lemma_rhs(halves(n), k)
 
 
 class TestPscMoment:
