@@ -253,7 +253,7 @@ _SHAPES = (1, 2, 3, 4, 7, 8, 9, 16, 17, 63, 64, 65)
 def _small_r(n: int) -> int:
     """The highest order at which walking every composition into n parts
     stays quick."""
-    return 6 if n <= 9 else 4 if n <= 17 else 2
+    return 6 if n <= 9 else 3 if n <= 17 else 2
 
 
 class TestSeriesKernel:
@@ -286,7 +286,7 @@ class TestSeriesKernel:
         ],
     )
     def test_mixed_lists_with_repeats_in_any_order(self, twice):
-        orders = sorted(set(itertools.permutations(twice)))[:60]
+        orders = set(itertools.permutations(twice))
         for r in range(7):
             reference = _literal_lemma_sum(tuple(map(H, twice)), r)
             assert reference == lemma_rhs(tuple(map(H, twice)), r)
