@@ -272,15 +272,14 @@ def _product_columns(g: list[np.ndarray], multiplier: np.ndarray) -> list[np.nda
 
 def _round_to_odd(columns: list[np.ndarray]) -> np.ndarray:
     """floor(P / 2^128) of the product P in `columns`, with its lowest bit
-    set when P's bits 64..127 read more than 1.  g is rounded up, which adds
-    less than 2^59 to P, so a product that is exact in 10^-k reads 0 or 1
-    there; Schubfach's analysis shows that an inexact one reads more."""
+    set when P's bits 64..127 are not all 0.  g is rounded up, which adds
+    less than 2^59 to P, so a product that is exact in 10^-k keeps 0 there;
+    Schubfach's analysis shows that an inexact one reads more."""
     x = columns[0] >> _U64(32)
     x += columns[1]
     x >>= _U64(32)
     x += columns[2]
     fraction = x & _LOW32
-    fraction >>= _U64(1)
     x >>= _U64(32)
     x += columns[3]
     fraction |= x << _U64(32)
@@ -338,28 +337,28 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _FloatText:
-    """The repr text of up to `size` float64 values, each followed by its
-    separator byte; the buffers are made once and reused by every call."""
+    """The repr text of float64 values, each followed by its separator byte,
+    rendered `_BLOCK` values at a time into buffers made once per instance."""
 
     def __init__(self, size: int):
-        self._rows = np.empty((size, _WIDTH), np.uint8)
-        self._printed = np.empty(size * _WIDTH, bool)
+        block = min(size, _BLOCK)
+        self._text = np.empty(block * _WIDTH, np.uint8)
+        self._printed = np.empty(block * _WIDTH, bool)
         # A block's own bytes, and one more, so that every slot can be read
         # one slot to the right.
-        self._own = np.zeros(min(size, _BLOCK) * _WIDTH + 4, np.uint8)
-        self._keep = np.empty((min(size, _BLOCK), _WIDTH), np.uint8)
-        self._chars = np.empty((min(size, _BLOCK), _WIDTH), np.uint8)
+        self._own = np.zeros(block * _WIDTH + 4, np.uint8)
+        self._keep = np.empty((block, _WIDTH), np.uint8)
 
     def render(self, values: np.ndarray, separators: np.ndarray) -> bytes:
         """The text of `values` (1-D float64), the i-th followed by the
         byte separators[i]."""
+        pieces = []
         for start in range(0, len(values), _BLOCK):
-            stop = min(start + _BLOCK, len(values))
-            self._block(values[start:stop], separators[start:stop], self._rows[start:stop])
-        rows = self._rows[: len(values)].ravel()
-        return rows[np.not_equal(rows, 0, out=self._printed[: len(rows)])].tobytes()
+            block = values[start : start + _BLOCK]
+            pieces.append(self._block(block, separators[start : start + len(block)]))
+        return b"".join(pieces)
 
-    def _block(self, values: np.ndarray, separators: np.ndarray, rows: np.ndarray) -> None:
+    def _block(self, values: np.ndarray, separators: np.ndarray) -> bytes:
         t = _tables()
         m = len(values)
         bits = np.ascontiguousarray(values).view(np.uint64)
@@ -398,9 +397,10 @@ class _FloatText:
         if any_special:
             code = np.where(magnitude == inf, 2 + sign, np.where(magnitude > inf, 4, sign))
             row = np.where(special, _SPECIAL + code, row)
-        # Each slot's byte: its own, the next slot's, or a constant.
+        # Each slot's byte: a constant, its own or the next slot's; the
+        # slots left at 0 are not printed.
+        out = np.take(t.chars, row, axis=0, out=self._text[: m * _WIDTH].reshape(m, _WIDTH)).ravel()
         keep = np.take(t.keep, row, axis=0, out=self._keep[:m]).ravel()
-        out = rows.ravel()
-        np.multiply(keep & np.uint8(1), self._own[: m * _WIDTH], out=out)
+        out += (keep & np.uint8(1)) * self._own[: m * _WIDTH]
         out += (keep >> np.uint8(1)) * self._own[1 : m * _WIDTH + 1]
-        out += np.take(t.chars, row, axis=0, out=self._chars[:m]).ravel()
+        return out[np.not_equal(out, 0, out=self._printed[: len(out)])].tobytes()
