@@ -200,9 +200,47 @@ def _floor_log10_pow2(q, closer):
     return (q * 1262611 - closer * 524031) >> 22
 
 
+def _form_rows() -> tuple[bytes, bytes]:
+    """The `keep` and `chars` tables, one 32-byte row per form: for each
+    slot, whether it prints the row's own byte (1), the next slot's (2) or
+    neither, and the constant character it prints, if any."""
+    keep_rows, char_rows = [], []
+    for neg, n, form in itertools.product((0, 1), range(1, 18), range(_FORMS)):
+        keep, chars = bytearray(_WIDTH), bytearray(_WIDTH)
+        chars[_SIGN] = ord("-") * neg
+        if form <= 3:  # 0.000ddd
+            lead = b"0.000"[: 5 - form]
+            chars[_LEAD : _LEAD + len(lead)] = lead
+            keep[_DIGITS : _DIGITS + n] = b"\2" * n
+        elif form < 20:  # ddd.ddd, or ddd000.0
+            decpt = form - 3
+            keep[_DIGITS : _DIGITS + decpt] = b"\2" * decpt
+            chars[_DIGITS + decpt] = ord(".")
+            keep[_DIGITS + decpt + 1 : _DIGITS + max(n, decpt + 1) + 1] = b"\1" * (max(n, decpt + 1) - decpt)
+        else:  # d.ddde+XX
+            three, minus = divmod(form - 20, 2)
+            keep[_DIGITS] = 2
+            if n > 1:
+                chars[_DIGITS + 1] = ord(".")
+                keep[_DIGITS + 2 : _DIGITS + n + 1] = b"\1" * (n - 1)
+            chars[_EXP : _EXP + 2] = b"e-" if minus else b"e+"
+            keep[_EXP_DIGITS + 1 - three : _EXP_DIGITS + 3] = b"\1" * (2 + three)
+        keep_rows.append(keep)
+        char_rows.append(chars)
+    for text in (b"0.0", b"-0.0", b"inf", b"-inf", b"nan"):
+        keep, chars = bytearray(_WIDTH), bytearray(_WIDTH)
+        start = _SIGN if text.startswith(b"-") else _SIGN + 1
+        chars[start : start + len(text)] = text
+        keep_rows.append(keep)
+        char_rows.append(chars)
+    for keep in keep_rows:
+        keep[_WIDTH - 1] = 1  # the separator
+    return b"".join(keep_rows), b"".join(char_rows)
+
+
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """The kernel's read-only tables, computed exactly once."""
+    """The kernel's tables, computed exactly once and read-only."""
     powers = []
     for k in range(_K_MIN, _K_MAX + 1):
         # g = 10^-k 2^(127 - floor(log2 10^-k)) rounded up: 2^127 <= g < 2^128.
@@ -210,42 +248,21 @@ def _tables() -> SimpleNamespace:
         num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
         powers.append(-(-(num << max(shift, 0)) // (den << max(-shift, 0))))
     # The four ASCII digits of 0..9999, and the three of 0..999 and a 0 byte.
-    quads = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % np.uint16(10)
+    quads = (digits + np.uint16(ord("0"))).astype(np.uint8)
     exponents = np.zeros((1000, 4), np.uint8)
     exponents[:, :3] = quads[:1000, 1:]
-    keep = np.zeros((_SPECIAL + 5, _WIDTH), np.uint8)  # 1: the slot's own byte, 2: the next slot's
-    chars = np.zeros((_SPECIAL + 5, _WIDTH), np.uint8)
-    for neg, n, form in itertools.product((0, 1), range(1, 18), range(_FORMS)):
-        row = (neg * 17 + n - 1) * _FORMS + form
-        chars[row, _SIGN] = ord("-") * neg
-        if form <= 3:  # 0.000ddd
-            lead = b"0.000"[: 5 - form]
-            chars[row, _LEAD : _LEAD + len(lead)] = np.frombuffer(lead, np.uint8)
-            keep[row, _DIGITS : _DIGITS + n] = 2
-        elif form < 20:  # ddd.ddd, or ddd000.0
-            decpt = form - 3
-            keep[row, _DIGITS : _DIGITS + decpt] = 2
-            chars[row, _DIGITS + decpt] = ord(".")
-            keep[row, _DIGITS + decpt + 1 : _DIGITS + max(n, decpt + 1) + 1] = 1
-        else:  # d.ddde+XX
-            three, minus = divmod(form - 20, 2)
-            keep[row, _DIGITS] = 2
-            if n > 1:
-                chars[row, _DIGITS + 1] = ord(".")
-                keep[row, _DIGITS + 2 : _DIGITS + n + 1] = 1
-            chars[row, _EXP : _EXP + 2] = np.frombuffer(b"e-" if minus else b"e+", np.uint8)
-            keep[row, _EXP_DIGITS + 1 - three : _EXP_DIGITS + 3] = 1
-    for row, text in enumerate([b"0.0", b"-0.0", b"inf", b"-inf", b"nan"], _SPECIAL):
-        start = _SIGN if text.startswith(b"-") else _SIGN + 1
-        chars[row, start : start + len(text)] = np.frombuffer(text, np.uint8)
-    keep[:, _WIDTH - 1] = 1
+    keep, chars = _form_rows()
     tables = SimpleNamespace(
         limbs=[np.array([(g >> (32 * i)) & 0xFFFFFFFF for g in powers], np.uint64) for i in range(4)],
-        quads=quads.view(np.uint32).ravel(), exponents=exponents.view(np.uint32).ravel(), keep=keep, chars=chars,
+        quads=quads.view(np.uint32).ravel(),
+        exponents=exponents.view(np.uint32).ravel(),
+        zeros=np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8),  # trailing, of 4
         powers=np.array([10**i for i in range(18)], np.uint64),
-        zeros=np.cumprod(quads[:, ::-1] == ord("0"), axis=1).sum(axis=1).astype(np.uint8),  # trailing, of 4
+        keep=np.frombuffer(keep, np.uint8).reshape(-1, _WIDTH),
+        chars=np.frombuffer(chars, np.uint8).reshape(-1, _WIDTH),
     )
-    for array in (*tables.limbs, tables.quads, tables.exponents, keep, chars, tables.powers, tables.zeros):
+    for array in (*tables.limbs, tables.quads, tables.exponents, tables.zeros, tables.powers):
         array.flags.writeable = False
     return tables
 
