@@ -207,7 +207,8 @@ class Arcsine(PowerSemicircle):
         x = np.asarray(rng.random(size))
         x *= math.pi
         np.cos(x, out=x)
-        x *= self.a
+        if self.a != 1.0:
+            x *= self.a
         return x if x.ndim else x[()]
 
 

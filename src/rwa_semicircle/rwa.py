@@ -12,9 +12,10 @@ consumes, in order, one (count, n-1) block of uniforms for the weights, then
 one (count, n) block of uniforms for the arcsine draws, both in row-major
 order.  Of a batch's `count` rows over `shards` shards, shard i draws
 count // shards rows, plus one more when i < count % shards.  Shard outputs
-are laid out in shard order.  The scale multiplies the completed unit-scale
-sum, so a batch at scale a is bitwise a times the unit-scale batch for the
-same seed and shard count.
+are laid out in shard order.  Each row of weights times inputs is summed in
+NumPy's pairwise order, the order of `sum(axis=1)`.  The scale multiplies
+the completed unit-scale sum, so a batch at scale a is bitwise a times the
+unit-scale batch for the same seed and shard count.
 
 Each uniform takes exactly one 64-bit output of the stream, so rows [s, s+c)
 of a shard of `count` rows read their weight uniforms from stream offset
@@ -87,6 +88,34 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """The sum of each row of the 2-D float64 array `p`, with the bits of
+    `p.sum(axis=1)`.
+
+    NumPy adds each row's `pairwise_sum` to an output that starts at 0.0.
+    Below 8 values that sum runs left to right from 0.0; from 8 to 15 values
+    it is ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), then the other
+    values left to right.  Here the same adds run a whole column at a time,
+    which spares the reduce's per-row loop (about 20 ns a row), and the 0.0
+    comes last: it only turns a -0.0 sum into +0.0, wherever it is added.
+    From 16 values up the reduce itself is the faster (on a 2-vCPU Xeon,
+    27.9 against 29.7 ns a row at 16 values).
+    """
+    n = p.shape[1]
+    if n >= 16:
+        return p.sum(axis=1)
+    total = p[:, 0] + p[:, 1]
+    if n >= 8:
+        total += p[:, 2] + p[:, 3]
+        half = p[:, 4] + p[:, 5]
+        half += p[:, 6] + p[:, 7]
+        total += half
+    for j in range(2 if n < 8 else 8, n):
+        total += p[:, j]
+    total += 0.0
+    return total
+
+
 def check_shards(count: int, shards: int) -> None:
     """The one split rule: every shard draws at least one of the `count` rows."""
     if not 1 <= shards <= count:
@@ -118,11 +147,16 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
         for start in range(0, shard_values.size, rows):
             chunks.append((shard, shard_values.size, start, shard_values[start : start + rows]))
 
+    # NumPy's floating-point error state belongs to each thread, so every
+    # chunk runs under the caller's, on whichever thread it lands.
+    errors = np.geterr()
+
     def draw(chunk) -> None:
         shard, shard_count, start, out = chunk
-        weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
-        weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
-        out[:] = spec.a * weights.sum(axis=1)
+        with np.errstate(**errors):
+            weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
+            weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
+            np.multiply(_row_sums(weights), spec.a, out=out)
 
     # One worker draws on the calling thread.  Each pool thread allocates its
     # chunk arrays from its own glibc malloc arena, which the caller's later

@@ -1,13 +1,18 @@
-"""The summary arithmetic of tools/bench_pairs.py, on fixed numbers."""
+"""The summary arithmetic of tools/bench_pairs.py, on fixed numbers, and
+its clean-up when it is stopped."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-)
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _TOOL)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
@@ -81,3 +86,76 @@ def test_both_sides_are_revisions_run_for_the_benchmark_length(tmp_path, monkeyp
     assert record["summary"]["m"]["change_won"] == 2
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "2", "--seconds", "10"])
+
+
+# Runs the tool on a stand-in checkout, with the real `_run`: the copy of
+# each side is a tree whose perfbench/run.py starts one worker, writes both
+# process ids, and sleeps.
+_STOPPED_DRIVER = r'''
+import importlib.util, sys
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+RUN = """
+import os, subprocess, sys, time
+worker = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(os.environ["PIDS"] + ".part", "w") as file:
+    file.write(f"{os.getpid()} {worker.pid}")
+os.replace(os.environ["PIDS"] + ".part", os.environ["PIDS"])
+time.sleep(60)
+"""
+
+
+def extract(rev, into):
+    (into / "perfbench").mkdir(parents=True)
+    (into / "perfbench" / "run.py").write_text(RUN)
+
+
+bench_pairs.ROOT = Path(sys.argv[2])
+bench_pairs._git = lambda *args: "rev"
+bench_pairs._extract = extract
+sys.exit(bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "1"]))
+'''
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a process that has not exited (a zombie has)."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_sigterm_removes_the_copies_and_stops_the_run_and_its_workers(tmp_path):
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(bench_pairs.json.dumps(bench))
+    (tmp_path / "driver.py").write_text(_STOPPED_DRIVER)
+    copies, pids = tmp_path / "tmp", tmp_path / "pids"
+    copies.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, str(tmp_path / "driver.py"), str(_TOOL), str(tmp_path)],
+        env={**os.environ, "TMPDIR": str(copies), "PIDS": str(pids)},
+    )
+    started = []
+    try:
+        deadline = time.monotonic() + 30
+        while not pids.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert [p.name[:12] for p in copies.iterdir()] == ["bench-pairs-"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(copies.iterdir()) == []
+        deadline = time.monotonic() + 10
+        while any(map(_running, started)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, started))
+    finally:
+        for pid in [proc.pid, *started]:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

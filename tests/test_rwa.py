@@ -114,6 +114,18 @@ class TestWorkers:
         assert inline.values.tobytes() == pooled.values.tobytes()
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunks_run_under_the_callers_error_state(self, monkeypatch, threads):
+        """NumPy's error state belongs to each thread; a chunk that
+        overflows meets the caller's, on a pool thread as on the caller's."""
+        monkeypatch.setattr(rwa, "_available_cores", lambda: threads)
+        monkeypatch.setattr(rwa, "_row_sums", lambda p: np.full(p.shape[0], 1e308) * 10.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            rwa_batch(RwaSpec(3), 100, 1, shards=2)
+        with np.errstate(over="ignore"):
+            assert np.isposinf(rwa_batch(RwaSpec(3), 100, 1, shards=2).values).all()
+
+
 class TestChunkedDraw:
     """The chunked sampler reads each chunk from stream offsets; whatever the
     chunk size, worker count and shard count, its bytes are the whole-block
@@ -130,6 +142,31 @@ class TestChunkedDraw:
         batch = rwa_batch(spec, count, 2024, shards=shards)
         reference = _whole_block_batch(spec, count, 2024, shards)
         assert batch.values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_every_row_size_is_the_whole_block_draw(self, monkeypatch, n):
+        """The golden digests pin n = 2, 3, 8 and 64 only; this reaches every
+        branch of the row-sum kernel, on chunks that split the shards."""
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", 7 * n)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 2)
+        spec = RwaSpec(n, 2.5)
+        batch = rwa_batch(spec, 101, 2024, shards=3)
+        assert batch.values.tobytes() == _whole_block_batch(spec, 101, 2024, 3).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_row_sums_have_the_bits_of_numpys_reduce(self, n):
+        rng = np.random.default_rng(n)
+        shape = (400, n)
+        # Signed magnitudes from subnormal to near the float maximum, and
+        # values drawn from the special cases; rows of one magnitude, which
+        # round differently in every order; and rows of -0.0.
+        wide = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320, 308, shape)
+        special = rng.choice([0.0, -0.0, 5e-324, -3e-320, 2.2e-308, np.inf, -np.inf, 1e300, -1e-300], shape)
+        close = rng.standard_normal(shape)
+        mixed = np.where(rng.random(shape) < 0.5, special, close)
+        p = np.concatenate([wide, special, mixed, close, np.full((2, n), -0.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rwa._row_sums(p).tobytes() == np.add.reduce(p, axis=1).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, threads):

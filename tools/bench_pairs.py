@@ -17,16 +17,20 @@ the revisions, the seeds, every pair and that summary to
 BENCH_<workload>.json in the checkout.
 
 Only the standard library is used.  The copies live in a temporary
-directory (TMPDIR picks where) that is removed at the end.
+directory (TMPDIR picks where) that is removed at the end, also when the
+run is stopped by SIGTERM or Ctrl-C, which kill the running benchmark and
+its workers too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -89,16 +93,38 @@ def _extract(rev: str, into: Path) -> None:
 
 
 def _run(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run in `root`; its metrics by name (None where absent)."""
-    proc = subprocess.run(
+    """One benchmark run in `root`; its metrics by name (None where absent).
+
+    The run gets a process group of its own, which is killed whole if this
+    call is interrupted, so that no worker of the run outlives it."""
+    with subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
-    )
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
     if proc.returncode != 0:
-        raise RuntimeError(f"perfbench in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RuntimeError(f"perfbench in {root} exited {proc.returncode}:\n{stderr[-2000:]}")
+    result = json.loads(stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """While the body runs, SIGTERM raises SystemExit, as Ctrl-C raises
+    KeyboardInterrupt, so that every `with` block inside it exits."""
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _print(summary: dict) -> None:
@@ -127,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     revisions = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     seeds = [args.seed + i for i in range(args.pairs)]
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+    with _sigterm_unwinds(), tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             _extract(revisions[side], roots[side])
