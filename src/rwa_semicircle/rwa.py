@@ -88,9 +88,9 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _row_sums(p: np.ndarray) -> np.ndarray:
-    """The sum of each row of the 2-D float64 array `p`, with the bits of
-    `p.sum(axis=1)`.
+def _row_sums(p: np.ndarray, out: np.ndarray) -> None:
+    """Write the sum of each row of the 2-D float64 array `p` into `out`,
+    with the bits of `p.sum(axis=1)`.
 
     NumPy adds each row's `pairwise_sum` to an output that starts at 0.0.
     Below 8 values that sum runs left to right from 0.0; from 8 to 15 values
@@ -103,17 +103,17 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     """
     n = p.shape[1]
     if n >= 16:
-        return p.sum(axis=1)
-    total = p[:, 0] + p[:, 1]
+        p.sum(axis=1, out=out)
+        return
+    np.add(p[:, 0], p[:, 1], out=out)
     if n >= 8:
-        total += p[:, 2] + p[:, 3]
+        out += p[:, 2] + p[:, 3]
         half = p[:, 4] + p[:, 5]
         half += p[:, 6] + p[:, 7]
-        total += half
+        out += half
     for j in range(2 if n < 8 else 8, n):
-        total += p[:, j]
-    total += 0.0
-    return total
+        out += p[:, j]
+    out += 0.0
 
 
 def check_shards(count: int, shards: int) -> None:
@@ -156,7 +156,8 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
         with np.errstate(**errors):
             weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
             weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
-            np.multiply(_row_sums(weights), spec.a, out=out)
+            _row_sums(weights, out)
+            out *= spec.a
 
     # One worker draws on the calling thread.  Each pool thread allocates its
     # chunk arrays from its own glibc malloc arena, which the caller's later

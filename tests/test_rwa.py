@@ -119,7 +119,11 @@ class TestWorkers:
         """NumPy's error state belongs to each thread; a chunk that
         overflows meets the caller's, on a pool thread as on the caller's."""
         monkeypatch.setattr(rwa, "_available_cores", lambda: threads)
-        monkeypatch.setattr(rwa, "_row_sums", lambda p: np.full(p.shape[0], 1e308) * 10.0)
+        def overflow(p, out):
+            out.fill(1e308)
+            out *= 10.0
+
+        monkeypatch.setattr(rwa, "_row_sums", overflow)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             rwa_batch(RwaSpec(3), 100, 1, shards=2)
         with np.errstate(over="ignore"):
@@ -166,7 +170,8 @@ class TestChunkedDraw:
         mixed = np.where(rng.random(shape) < 0.5, special, close)
         p = np.concatenate([wide, special, mixed, close, np.full((2, n), -0.0)])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert rwa._row_sums(p).tobytes() == np.add.reduce(p, axis=1).tobytes()
+            rwa._row_sums(p, out := np.empty(len(p)))
+            assert out.tobytes() == np.add.reduce(p, axis=1).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, threads):
