@@ -98,8 +98,10 @@ def _row_sums(p: np.ndarray, out: np.ndarray) -> None:
     values left to right.  Here the same adds run a whole column at a time,
     which spares the reduce's per-row loop (about 20 ns a row), and the 0.0
     comes last: it only turns a -0.0 sum into +0.0, wherever it is added.
-    From 16 values up the reduce itself is the faster (on a 2-vCPU Xeon,
-    27.9 against 29.7 ns a row at 16 values).
+    From 16 values up, where each of the eight partial sums takes two or
+    more values, the reduce itself is the faster: on a 2-vCPU Xeon, 28
+    against 54 ns a row at 16 values, where at 8 and 15 values the columns
+    take 4.4 and 9.6 ns a row against 20.6 and 25.9.
     """
     n = p.shape[1]
     if n >= 16:

@@ -113,12 +113,12 @@ class TestWorkers:
         inline = rwa_batch(spec, 100, 2024, shards=2)
         assert inline.values.tobytes() == pooled.values.tobytes()
 
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_run_under_the_callers_error_state(self, monkeypatch, threads):
         """NumPy's error state belongs to each thread; a chunk that
         overflows meets the caller's, on a pool thread as on the caller's."""
         monkeypatch.setattr(rwa, "_available_cores", lambda: threads)
+
         def overflow(p, out):
             out.fill(1e308)
             out *= 10.0
@@ -169,8 +169,9 @@ class TestChunkedDraw:
         close = rng.standard_normal(shape)
         mixed = np.where(rng.random(shape) < 0.5, special, close)
         p = np.concatenate([wide, special, mixed, close, np.full((2, n), -0.0)])
+        out = np.empty(len(p))
         with np.errstate(over="ignore", invalid="ignore"):
-            rwa._row_sums(p, out := np.empty(len(p)))
+            rwa._row_sums(p, out)
             assert out.tobytes() == np.add.reduce(p, axis=1).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
