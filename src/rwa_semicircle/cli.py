@@ -33,18 +33,16 @@ import numpy as np
 
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
 from .exactmath import HalfInteger
-from .moments import (
-    BAND_Z,
-    lemma_lhs,
-    lemma_rhs,
-    moment_rows,
-)
+from .moments import BAND_Z, lemma_rows, moment_rows, table_product_count
 from .render import csv_chunks, decimal_str, excerpt, json_bytes, magnitude, rational_json, rational_str, sha256_hex
 from .rwa import RwaSpec, rwa_batch
 from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 
 __all__ = ["build_parser", "main"]
 
+# Integer products above which an exact table warns: tables of 10^7 took
+# 13 s (moment --n 1001 --k-max 1153) to 85 s (--n 3 --k-max 3160, where
+# the rows' Fractions are widest) in-process on a 2-vCPU VM.
 _TERM_WARN_LIMIT = 10_000_000
 _MIN_BINS = 10  # the fewest histogram bins plot-data accepts
 
@@ -102,18 +100,10 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _warn_term_count(counts: Iterable[int], k_max: int) -> None:
-    """Warn before a long exact table: the integer products that the series
-    route forms for every order k = 0..k_max, over tables repeated `counts`
-    times.  A table repeated c times is squared bit_length(c) - 2 times
-    (never below 0) and leaves popcount(c) + 1 series (1 at c = 1).  With
-    s series in all, each order forms s - 2 products in full, (k+1)(k+2)/2
-    integer products each, beside the squarings, and one of k+1 (none when
-    s = 1); summed over k these are C(k_max+3, 3) and C(k_max+2, 2)."""
-    counts = list(counts)
-    series = sum(c.bit_count() + (c > 1) for c in counts)
-    full = sum(max(c.bit_length() - 2, 0) for c in counts) + max(series - 2, 0)
-    products = full * math.comb(k_max + 3, 3) + (series > 1) * math.comb(k_max + 2, 2)
+def _warn_long_table(counts: Iterable[int], degree: int) -> None:
+    """Warn before an exact table whose series route forms more than
+    `_TERM_WARN_LIMIT` integer products."""
+    products = table_product_count(counts, degree)
     if products > _TERM_WARN_LIMIT:
         print(
             f"warning: this table forms {magnitude(products)} integer products "
@@ -168,7 +158,7 @@ def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> 
 def _cmd_moment(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     spec.target_law()
-    _warn_term_count([args.n], args.k_max)
+    _warn_long_table([args.n], args.k_max)
     rows = moment_rows(spec, args.k_max)
     payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
     lines = [
@@ -185,8 +175,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    _warn_term_count(Counter(params).values(), args.r_max)
-    rows = [(r, lemma_lhs(params, r), lemma_rhs(params, r)) for r in range(args.r_max + 1)]
+    _warn_long_table(Counter(params).values(), args.r_max)
+    rows = lemma_rows(params, args.r_max)
     payload = {
         "params": [str(p) for p in params],
         "rows": [
@@ -228,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_term_count([args.n], args.k_max)
+    _warn_long_table([args.n], args.k_max)
     outcome = run_verification(cfg)
 
     lines = [
@@ -273,11 +263,20 @@ _ECHOED = re.compile(
     re.DOTALL,
 )
 
+# How every text that float() reads and that starts with "-" begins: argparse
+# takes such a text after an option as its value.  Its own pattern misses
+# "-1e-3" and "-inf", which it then reads as options.
+_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose error line repeats typed text only through
     `excerpt`.  Every subparser is one, as `add_subparsers` makes parsers of
     its parent's class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NUMBER
 
     def error(self, message: str):
         super().error(_ECHOED.sub(lambda echo: excerpt(echo.group()), message))

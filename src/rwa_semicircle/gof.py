@@ -1,4 +1,6 @@
-"""Kolmogorov-Smirnov statistics and asymptotic critical values.
+"""Kolmogorov-Smirnov statistics, and critical values whose type I error is
+at most alpha at every N: the Dvoretzky-Kiefer-Wolfowitz bound with Massart's
+constant (Massart 1990, Ann. Probab. 18(3)).
 
 The one-sample statistic walks the sorted sample in blocks of
 `_BLOCK_POINTS` points, so that beyond the sample it holds only a few arrays
@@ -64,7 +66,9 @@ def ks_statistic(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 
 
 def ks_coefficient(alpha: float) -> float:
-    """c(alpha) = sqrt(-ln(alpha / 2) / 2), the asymptotic KS quantile factor."""
+    """c(alpha) = sqrt(-ln(alpha / 2) / 2), so that 2 exp(-2 c^2) = alpha: the
+    Dvoretzky-Kiefer-Wolfowitz-Massart bound on P(sqrt(N) D > c), which holds
+    at every N and every continuous F."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if alpha / 2.0 == 0.0:
@@ -74,7 +78,8 @@ def ks_coefficient(alpha: float) -> float:
 
 
 def ks_critical_one_sample(alpha: float, n: int) -> float:
-    """Asymptotic rejection threshold c(alpha) / sqrt(n) for one sample."""
+    """Rejection threshold c(alpha) / sqrt(n) for one sample: its type I
+    error is at most alpha at every n, for every continuous F."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return ks_coefficient(alpha) / math.sqrt(n)

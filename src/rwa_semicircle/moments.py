@@ -14,9 +14,12 @@ The composition sum is formed without a walk: its terms, products of one
 integer per part, are grouped by degree, so the sum is the degree-r
 coefficient of a product of integer series cut at degree r.  Every term is
 still multiplied out, and nothing uses the closed side's (1-t)^(-sum a_j).
+A table, :func:`moment_rows` for k = 0..k_max or :func:`lemma_rows` for
+r = 0..r_max, forms that product once, cut at its last degree, and reads
+each row off it; :func:`table_product_count` counts its integer products.
 
-Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` tables
-them for k = 0..k_max, beside one :func:`empirical_moment` pass over a batch.
+Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` sets
+them beside one :func:`empirical_moment` pass over a batch.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ __all__ = [
     "exact_scale",
     "lemma_lhs",
     "lemma_rhs",
+    "lemma_rows",
     "moment_rows",
     "oracle_term_count",
     "psc_moment",
     "rwa_moment_closed",
     "rwa_moment_oracle",
+    "table_product_count",
 ]
 
 
@@ -64,6 +69,22 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     (sum_i T_(a_j)[i] t^i), which :func:`_series_coefficient` forms with one
     table per distinct parameter.  `composition_count` checks r and the list.
     """
+    return Fraction(_series_coefficient(_lemma_factors(params, r), r) * math.factorial(r), 4**r)
+
+
+def _lemma_column(params: Sequence[HalfInteger], r_max: int) -> list[Fraction]:
+    """:func:`lemma_lhs` at r = 0..r_max, read off one product cut at degree r_max."""
+    totals = _series_coefficient(_lemma_factors(params, r_max), r_max, whole=True)
+    return [Fraction(math.factorial(r) * total, 4**r) for r, total in enumerate(totals)]
+
+
+def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """The identity table r = 0..r_max: (r, :func:`lemma_lhs`, :func:`lemma_rhs`)."""
+    return tuple((r, lhs, lemma_rhs(params, r)) for r, lhs in enumerate(_lemma_column(params, r_max)))
+
+
+def _lemma_factors(params: Sequence[HalfInteger], r: int) -> list[tuple[list[int], int]]:
+    """(T_a cut at degree r, how often a occurs) for each distinct a in params."""
     composition_count(r, len(params))
     factors = []
     for a, count in Counter(params).items():
@@ -71,18 +92,20 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
         for i in range(1, r + 1):
             table.append(table[-1] * 2 * (a.twice_value + 2 * i - 2) // i)
         factors.append((table, count))
-    return Fraction(math.factorial(r) * _series_coefficient(factors, r), 4**r)
+    return factors
 
 
-def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int) -> int:
+def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int, *, whole: bool = False):
     """The degree-r coefficient of prod (sum_i table[i] t^i)^count over the
     (table, count) pairs in `factors`, each table of degree r: the sum, over
     every composition i of r into the factors' parts, of prod table[i_j].
+    With `whole`, the list of every coefficient of degree 0..r instead.
 
     Each count is taken by repeated squaring down to a count of at most 3,
     whose copies of the power join one list of series with the other bits'
     powers.  Every product but the last is formed to degree r, (r+1)(r+2)/2
-    integer products each; the last forms only degree r, r+1 products.
+    integer products each; the last forms only degree r, r+1 products,
+    unless `whole` asks for every degree (:func:`table_product_count`).
     """
     series = []
     for table, count in factors:
@@ -93,12 +116,26 @@ def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int) -> int
             power = _truncated_product(power, power, r)
             count >>= 1
         series += [power] * count
-    if len(series) == 1:
-        return series[0][r]
     product = series[0]
-    for other in series[1:-1]:
+    for other in series[1:] if whole else series[1:-1]:
         product = _truncated_product(product, other, r)
+    if whole:
+        return product
+    if len(series) == 1:
+        return product[r]
     return sum(map(operator.mul, product, reversed(series[-1])))
+
+
+def table_product_count(counts: Iterable[int], degree: int) -> int:
+    """The integer products :func:`_series_coefficient` forms for a whole
+    table cut at `degree`, of series repeated `counts` times: a count c is
+    squared bit_length(c) - 2 times (never below 0) and leaves popcount(c) + 1
+    series (1 at c = 1), s series in all take s - 1 products, and each
+    squaring and product takes C(degree + 2, 2) integer products."""
+    counts = list(counts)
+    squarings = sum(max(c.bit_length() - 2, 0) for c in counts)
+    series = sum(c.bit_count() + (c > 1) for c in counts)
+    return (squarings + series - 1) * math.comb(degree + 2, 2)
 
 
 def _truncated_product(left: list[int], right: list[int], r: int) -> list[int]:
@@ -302,8 +339,9 @@ class MomentReport:
 
 
 def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
-    """The moment table k = 0..k_max: both exact routes times the exact a^(2k)
-    of :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
+    """The moment table k = 0..k_max: both exact routes, the oracle's rows read
+    off one power cut at degree k_max, times the exact a^(2k) of
+    :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
     error are the unit ones times a^(2k), rounded once."""
@@ -314,9 +352,9 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     square = exact_scale(spec.a) ** 2
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     rows = []
-    for k in range(k_max + 1):
+    for k, lhs in enumerate(_lemma_column((HalfInteger(1),) * spec.n, k_max)):
         unit, scale = rwa_moment_closed(spec.n, k), square**k
-        oracle = rwa_moment_oracle(spec.n, 2 * k)
+        oracle = _mixing(spec.n, k) * lhs
         monte_carlo = {}
         if batch is not None:
             mean, se = estimates[k]

@@ -5,9 +5,11 @@ M seeded runs at n = 3 and N = 2,000 are counted, and each rejection count
 must lie in the binomial acceptance region of its rate, two-sided for KS
 and one-sided for the moment band, whose rate is a Bonferroni bound:
 
-- KS rejects when D >= c(alpha)/sqrt(N).  That threshold is asymptotic; its
-  exact size at N = 2,000 is P(D >= c(alpha)/sqrt(N)) = 0.00975 (the
-  `scipy.stats.kstwo` law of D), not alpha = 0.01.
+- KS rejects when D >= c(alpha)/sqrt(N).  That threshold is the
+  Dvoretzky-Kiefer-Wolfowitz bound with Massart's constant (Massart 1990),
+  so its size is at most alpha at every N; its exact size at N = 2,000 is
+  P(D >= c(alpha)/sqrt(N)) = 0.00975 (the `scipy.stats.kstwo` law of D),
+  just below alpha = 0.01.
 - The moment band rejects when any of the k_max non-trivial rows is more
   than BAND_Z standard errors off, at most k_max P(|Z| > BAND_Z) = 1.9e-4.
 

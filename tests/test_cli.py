@@ -210,6 +210,37 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines()[-1] == message
 
     @pytest.mark.parametrize(
+        "argv, option, value, message",
+        [
+            (["verify", "--n", "3"], "--a", "-1e-3", "verify: scale must be positive and finite"),
+            (["verify", "--n", "3"], "--a", "-inf", "verify: scale must be positive and finite"),
+            (["moment", "--n", "3", "--k-max", "2"], "--a", "-1E+2", "moment: scale must be positive and finite"),
+            (["verify", "--n", "3"], "--alpha", "-1e-3", "verify: alpha must be in (0, 1), got -0.001"),
+            (["verify", "--n", "3"], "--lambda-override", "-nan", "verify: exponent must be p/2"),
+            (["sample", "psc", "--count", "5", "--seed", "1"], "--lambda", "-1e1", "sample psc: exponent must be p/2"),
+            (["moment", "--k-max", "2"], "--n", "-1_0", "moment: need an integer n >= 2, got -10"),
+        ],
+    )
+    def test_a_negative_number_in_any_spelling_is_a_value(self, argv, option, value, message, capsys):
+        # argparse's own pattern takes "-1" and "-.5" as values but read
+        # "-1e-3" or "-inf" as an option, which left the option before it
+        # with no value; any text float() reads now gets the library's
+        # message, the same as when it is joined to its option by "=".
+        _usage_error([*argv, option, value])
+        split = capsys.readouterr().err.splitlines()[-1]
+        _usage_error([*argv, f"{option}={value}"])
+        assert capsys.readouterr().err.splitlines()[-1] == split
+        assert split.startswith(f"rwa: error: {message}")
+
+    def test_an_option_after_an_option_is_still_an_option(self, capsys):
+        _usage_error(["moment", "--n", "3", "--k-max", "2", "--a", "-h"])
+        assert capsys.readouterr().err.splitlines()[-1] == "rwa moment: error: argument --a: expected one argument"
+        with pytest.raises(SystemExit) as exc:
+            main(["moment", "--k-max", "2", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rwa moment ")
+
+    @pytest.mark.parametrize(
         "argv, text",
         [
             (["sample", "foo"], "rwa sample: error: argument source: invalid choice: 'foo' (choose from "),
@@ -459,14 +490,14 @@ def test_closed_reader_still_gets_the_full_digest(unbuffered, tmp_path):
 def test_term_count_warning_threshold(monkeypatch, capsys):
     from rwa_semicircle import cli
 
-    # 3 parts, k = 0..2: one full product per order, 1 + 3 + 6 = 10 integer
-    # products, and a last coefficient of k + 1, 1 + 2 + 3 = 6.
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 16)
-    cli._warn_term_count([3], 2)
+    # 3 parts cut at degree 2: two products of three series, each of
+    # 1 + 2 + 3 = 6 integer products.
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 12)
+    cli._warn_long_table([3], 2)
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 15)
-    cli._warn_term_count([3], 2)
-    assert "warning: this table forms 16 integer products (> 15)" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 11)
+    cli._warn_long_table([3], 2)
+    assert "warning: this table forms 12 integer products (> 11)" in capsys.readouterr().err
 
 
 def test_warning_counts_the_orders_in_closed_form(monkeypatch, capsys):
@@ -476,7 +507,7 @@ def test_warning_counts_the_orders_in_closed_form(monkeypatch, capsys):
 
     # Every integer product of the series route goes through the kernel's
     # `operator.mul`; count them while each table is formed and check the
-    # warning's closed form against the count, order by order.
+    # warning's closed form against the count, table by table.
     products = 0
 
     def counting_mul(x, y):
@@ -495,32 +526,42 @@ def test_warning_counts_the_orders_in_closed_form(monkeypatch, capsys):
             assert f"warning: this table forms {products} integer products" in capsys.readouterr().err, (argv, k_max)
 
 
+@pytest.mark.parametrize(
+    "argv", [["moment", "--n", "3", "--k-max", "400"], ["lemma-check", "--params", "1/2,1,3/2,5/2", "--r-max", "400"]]
+)
+def test_a_table_of_one_power_is_no_long_run(argv, capsys):
+    # Each table raises its series to their counts once, 161202 and 241803
+    # integer products, far below the warning's limit.
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_warns_before_a_long_enumeration(monkeypatch, capsys):
     from rwa_semicircle import cli
 
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 0)
     main(["verify", "--n", "3", "--count", "200", "--seed", "1", "--k-max", "1"])
-    assert "warning: this table forms 7 integer products" in capsys.readouterr().err
+    assert "warning: this table forms 6 integer products" in capsys.readouterr().err
 
 
-_HUGE = "1000000000000"
+_HUGE = "400000000000000000"
 
 
 @pytest.mark.parametrize(
     "argv, walker, count",
     [
-        # 10117899 integer products at n = 1001, over the limit by its eight
-        # squarings; n = 3 forms 734967 to the same order.
-        (["moment", "--n", "1001", "--k-max", "161"], "moment_rows", "10117899"),
-        (["verify", "--n", "1001", "--count", "1000", "--k-max", "161"], "run_verification", "10117899"),
-        # Counted in closed form, not order by order: C(10^12 + 3, 3) +
-        # C(10^12 + 2, 2) and C(10^12 + 2, 2) integer products, given as
-        # powers of ten.
+        # n = 1001 takes 8 squarings and 7 products of its 8 series, each of
+        # C(1157, 2) integer products: 10031190, just over the limit; n = 3
+        # forms 2 such products, 1337292.
+        (["moment", "--n", "1001", "--k-max", "1155"], "moment_rows", "10031190"),
+        (["verify", "--n", "1001", "--count", "1000", "--k-max", "1155"], "run_verification", "10031190"),
+        # Counted in closed form: 2 C(4 10^17 + 2, 2) and C(10^12 + 2, 2)
+        # integer products, given as powers of ten.
         (["moment", "--n", "3", "--k-max", _HUGE], "moment_rows", "about 10^35.2"),
         (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], "run_verification", "about 10^35.2"),
-        (["lemma-check", "--params", "1/2,1", "--r-max", _HUGE], "lemma_lhs", "about 10^23.7"),
+        (["lemma-check", "--params", "1/2,1", "--r-max", "1000000000000"], "lemma_rows", "about 10^23.7"),
         # A count with more digits than str() of an int allows.
-        (["moment", "--n", "1001", "--k-max", "1" + "0" * 1500], "moment_rows", "about 10^4500.4"),
+        (["moment", "--n", "1001", "--k-max", "6" + "0" * 2249], "moment_rows", "about 10^4500.4"),
     ],
 )
 def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
@@ -662,8 +703,9 @@ class TestMomentCommand:
 
         # A composition kernel that is off by one from r = 1 on disagrees
         # with the closed form from order 2 on.
-        lemma_lhs = moments.lemma_lhs
-        monkeypatch.setattr(moments, "lemma_lhs", lambda params, r: lemma_lhs(params, r) + (1 if r >= 1 else 0))
+        column = moments._lemma_column
+        monkeypatch.setattr(moments, "_lemma_column", lambda params, r_max: [
+            lhs + (1 if r >= 1 else 0) for r, lhs in enumerate(column(params, r_max))])
         argv = ["moment", "--n", "3", "--k-max", "2"]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -1004,8 +1046,9 @@ class TestVerifyCommand:
 
         # The Monte Carlo checks pass; only the two exact routes disagree,
         # from order 2 on.
-        lemma_lhs = moments.lemma_lhs
-        monkeypatch.setattr(moments, "lemma_lhs", lambda params, r: lemma_lhs(params, r) + (1 if r >= 1 else 0))
+        column = moments._lemma_column
+        monkeypatch.setattr(moments, "_lemma_column", lambda params, r_max: [
+            lhs + (1 if r >= 1 else 0) for r, lhs in enumerate(column(params, r_max))])
         report = tmp_path / "v.json"
         assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--json", str(report)]) == 1
         out = capsys.readouterr().out

@@ -179,7 +179,8 @@ class TestCriticalValues:
 
     def test_false_positive_rate_is_near_alpha(self):
         """With the null true, rejections at level alpha should occur at
-        roughly rate alpha (asymptotic threshold, so only roughly)."""
+        roughly rate alpha: by the Dvoretzky-Kiefer-Wolfowitz-Massart bound
+        the threshold's size is at most alpha at every n, and close to it."""
         rng = np.random.default_rng(42)
         alpha = 0.05
         n = 2000

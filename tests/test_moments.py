@@ -17,6 +17,7 @@ from rwa_semicircle.moments import (
     exact_scale,
     lemma_lhs,
     lemma_rhs,
+    lemma_rows,
     moment_rows,
     oracle_term_count,
     psc_moment,
@@ -292,6 +293,24 @@ class TestSeriesKernel:
             assert reference == lemma_rhs(tuple(map(H, twice)), r)
             for order in orders:
                 assert lemma_lhs(tuple(map(H, order)), r) == reference, (order, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 1001])
+    def test_moment_table_rows_are_the_single_values(self, n):
+        # The table reads every row off one power cut at degree k_max.
+        rows = moment_rows(RwaSpec(n=n, a=2.5), 30)
+        assert [row.k for row in rows] == list(range(31))
+        for row in rows:
+            assert row.oracle == rwa_moment_oracle(n, 2 * row.k) * exact_scale(2.5) ** (2 * row.k), row.k
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_lemma_table_rows_are_the_single_values(self, count):
+        # A parameter repeated 1 to 9 times, alone and beside another one
+        # repeated 10 - count times: every squaring and bit pattern of a count.
+        for params in ((H(1),) * count, (H(1),) * count + (H(4),) * (10 - count)):
+            rows = lemma_rows(params, 12)
+            assert [r for r, _, _ in rows] == list(range(13))
+            for r, lhs, rhs in rows:
+                assert (lhs, rhs) == (lemma_lhs(params, r), lemma_rhs(params, r)), (params, r)
 
     def test_refusals_keep_their_messages(self):
         for call in (lambda: lemma_lhs((H(1), H(3)), -1), lambda: rwa_moment_oracle(3, -1, literal_parity=True)):
