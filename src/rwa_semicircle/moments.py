@@ -349,6 +349,7 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
+    spec.target_law()  # before the oracle's series of n parts is built
     square = exact_scale(spec.a) ** 2
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     rows = []

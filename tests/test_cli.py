@@ -222,10 +222,10 @@ class TestUsageErrors:
         ],
     )
     def test_a_negative_number_in_any_spelling_is_a_value(self, argv, option, value, message, capsys):
-        # argparse's own pattern takes "-1" and "-.5" as values but read
-        # "-1e-3" or "-inf" as an option, which left the option before it
-        # with no value; any text float() reads now gets the library's
-        # message, the same as when it is joined to its option by "=".
+        # argparse's own pattern takes "-1" and "-.5" as values but reads
+        # "-1e-3" or "-inf" as an option, which leaves the option before it
+        # with no value; any text float() reads gets the library's message,
+        # the same as when it is joined to its option by "=".
         _usage_error([*argv, option, value])
         split = capsys.readouterr().err.splitlines()[-1]
         _usage_error([*argv, f"{option}={value}"])

@@ -302,6 +302,12 @@ class TestSeriesKernel:
         for row in rows:
             assert row.oracle == rwa_moment_oracle(n, 2 * row.k) * exact_scale(2.5) ** (2 * row.k), row.k
 
+    def test_a_size_without_target_law_is_refused_before_the_table(self):
+        # The oracle's table holds n copies of one parameter; the law is
+        # asked first, so a huge n is refused before any of them is made.
+        with pytest.raises(ValueError, match=r"^n=1000000000000 has no target law: "):
+            moment_rows(RwaSpec(n=10**12), 0)
+
     @pytest.mark.parametrize("count", range(1, 10))
     def test_lemma_table_rows_are_the_single_values(self, count):
         # A parameter repeated 1 to 9 times, alone and beside another one
