@@ -194,10 +194,17 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_table(args: argparse.Namespace) -> int:
-    """Write the named columns that `args.columns` draws from the seed's generator."""
-    columns = args.columns(args, np.random.default_rng(args.seed))
-    _emit(csv_chunks(list(columns), *columns.values()), args.out)
+    """Write the header and table that `args.draw` draws from the seed's generator."""
+    header, table = args.draw(args, np.random.default_rng(args.seed))
+    _emit(csv_chunks(header, table), args.out)
     return 0
+
+
+def _spacings_table(args: argparse.Namespace, rng: np.random.Generator) -> tuple[list[str], np.ndarray]:
+    # The header is built from the drawn table's width, after sample_spacings
+    # has checked the size, so a refused --n never builds --n header fields.
+    weights = sample_spacings(args.n, rng, size=args.count)
+    return [f"w{i + 1}" for i in range(weights.shape[1])], weights
 
 
 def _cmd_sample_rwa(args: argparse.Namespace) -> int:
@@ -247,7 +254,8 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     density, edges = np.histogram(batch.values / args.a, bins=bins, range=(-1.0, 1.0), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    _emit(csv_chunks(header, args.a * centers, density / args.a, unit_law.pdf(centers) / args.a), args.out)
+    table = np.stack([args.a * centers, density / args.a, unit_law.pdf(centers) / args.a], axis=1)
+    _emit(csv_chunks(header, table), args.out)
     return 0
 
 
@@ -323,17 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_arc = sample_sub.add_parser("arcsine", parents=[draws], help="arcsine law on (-a, a)")
     p_arc.add_argument("--a", type=_float_any, default=1.0)
-    p_arc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {"value": Arcsine(a=args.a).sample(rng, args.count)})
+    p_arc.set_defaults(func=_cmd_sample_table, draw=lambda args, rng: (["value"], Arcsine(a=args.a).sample(rng, args.count)[:, None]))
 
     p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
     p_psc.add_argument("--lambda", dest="lam", type=_float_any, required=True, help="exponent p/2, p an integer in 0..1000")
     p_psc.add_argument("--a", type=_float_any, default=1.0)
-    p_psc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {"value": PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)})
+    p_psc.set_defaults(func=_cmd_sample_table, draw=lambda args, rng: (["value"], PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)[:, None]))
 
     p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_int_any, required=True, help="number of spacings per row (>= 2)")
-    p_spc.set_defaults(func=_cmd_sample_table, columns=lambda args, rng: {
-        f"w{i + 1}": weights for i, weights in enumerate(sample_spacings(args.n, rng, size=args.count).T)})
+    p_spc.set_defaults(func=_cmd_sample_table, draw=_spacings_table)
 
     p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, sharded], help="the randomly weighted average itself")
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")
@@ -367,7 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # the library's argument checks, and NumPy's size-product limit
         parser.error(f"{command}: {exc}")
     except (OSError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {command}: {exc} (in {_failing_function(exc)})", file=sys.stderr)
+        # An exception with no text, such as MemoryError(), is named by its class.
+        print(f"error: {command}: {str(exc) or type(exc).__name__} (in {_failing_function(exc)})", file=sys.stderr)
         return 1
 
 

@@ -4,29 +4,24 @@ and the text of a number or of a refused input in a message.
 Each format is decided here and nowhere else, so a digest pinned on one
 artifact pins the rendering of every artifact of the same kind.
 
-A CSV table is rendered in chunks of a fixed number of cells, whatever its
-row and column counts, and each chunk is freed before the next one is made.
-An artifact is written in one pass over those chunks, each going to its
-file (or stdout) and into one SHA-256 together, so the table is never held
-whole and never rendered twice; `csv_bytes` collects the same chunks for a
-caller that wants the bytes.
+A CSV table is one row-major 2-D array.  Its cells are rendered in the
+order of `table.ravel()`, `_BLOCK` cells at a time, whatever its row and
+column counts: a block may end inside a row, and a row may span blocks.
+Each block is a slice of those cells, and its separators are a slice of one
+row pattern made once per table.  An artifact is written in one pass
+over those blocks, each going to its file (or stdout) and into one SHA-256
+together, so its text is never held whole and never rendered twice;
+`csv_bytes` joins the same blocks for a caller that wants the bytes.
 
 Each float is written as the bytes of its repr, but not by repr: a NumPy
-kernel (below) finds the shortest round-trip digits of 4096 values at a
-time from their bit patterns and lays them out with lookup tables, the
-same path for every column count.  It writes 10^6 draws in 0.36-0.38 s on
-a 2-vCPU VM, where repr took 1.01-1.29 s.  Writing 10^6 draws at n = 3 and
-at n = 64 to a CSV and an envelope (the `artifact` benchmark) took a median
-2.45 s there, against 4.12 s with repr (10 alternating pairs,
-`BENCH_artifact.json`); rendering each CSV twice, once for its file and
-once for its digest, had taken 5.88 s.
+kernel (below) finds the shortest round-trip digits of a block at a time
+from their bit patterns and lays them out with lookup tables.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -42,48 +37,42 @@ __all__ = [
     "sha256_hex",
 ]
 
-# Cells (rows times columns) per rendered chunk; each chunk's floats, strings
-# and text are freed before the next one is made.
-_CHUNK_CELLS = 1 << 14
 # The most characters of a text that a message repeats.
 _EXCERPT_CHARS = 40
 
 
-def csv_chunks(header: Sequence[str], *columns: np.ndarray) -> Iterator[bytes]:
-    """CSV of equal-length float64 columns under one header line, as the
-    header line and then the rows `_CHUNK_CELLS` cells at a time.
+def csv_chunks(header: Sequence[str], table: np.ndarray) -> Iterator[bytes]:
+    """CSV of a 2-D float64 table under one header line, as the header line
+    and then the cells `_BLOCK` at a time, in row-major order (a table that
+    is not C-contiguous is copied once into that order).
 
     Each value is written as the bytes of its repr, so it parses back
     bit-identical; cells are joined by "," and rows end in LF.  The chunks
-    joined are the bytes of one whole render.  A header whose field count
-    is not the column count, or columns that are not 1-D of one length,
-    raise ValueError.
+    joined are the bytes of one whole render.  A table that is not 2-D, or
+    whose width is not the header's field count, raises ValueError.
     """
-    columns = [np.asarray(col, dtype=np.float64) for col in columns]
-    if len(header) != len(columns):
-        raise ValueError(f"a CSV header of {len(header)} fields over {len(columns)} columns")
-    shapes = {col.shape for col in columns}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise ValueError(f"CSV columns must be 1-D of one length, got shapes {sorted(shapes)}")
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"a CSV header of {len(header)} fields over a table of shape {table.shape}")
     yield (",".join(header) + "\n").encode("ascii")
-    count = len(columns[0]) if columns else 0
-    if count == 0:
+    if table.size == 0:
         return
-    rows = max(1, _CHUNK_CELLS // len(columns))
-    cells = np.empty((min(rows, count), len(columns)))
-    separators = np.full(cells.shape, ord(","), np.uint8)
-    separators[:, -1] = ord("\n")
+    width = len(header)
+    cells = table.ravel()
+    # The separator of cell i is pattern[i % width]; a block starting at
+    # cell `start` reads its separators from pattern[start % width:].
+    pattern = np.full(_BLOCK + width, ord(","), np.uint8)
+    pattern[width - 1 :: width] = ord("\n")
     text = _FloatText(cells.size)
-    for start in range(0, count, rows):
-        chunk = np.stack([col[start : start + rows] for col in columns], axis=1, out=cells[: min(rows, count - start)])
-        yield text.render(chunk.ravel(), separators.ravel())
+    for start in range(0, cells.size, _BLOCK):
+        block = cells[start : start + _BLOCK]
+        offset = start % width
+        yield text.render(block, pattern[offset : offset + len(block)])
 
 
-def csv_bytes(header: Sequence[str], *columns: np.ndarray) -> bytes:
-    """The bytes of `csv_chunks`, collected into one buffer."""
-    out = io.BytesIO()
-    out.writelines(csv_chunks(header, *columns))
-    return out.getvalue()
+def csv_bytes(header: Sequence[str], table: np.ndarray) -> bytes:
+    """The bytes of `csv_chunks`, joined."""
+    return b"".join(csv_chunks(header, table))
 
 
 def sha256_hex(chunks: Iterable[bytes], write: Callable[[bytes], object] | None = None) -> str:
@@ -363,7 +352,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _FloatText:
     """The repr text of float64 values, each followed by its separator byte,
-    rendered `_BLOCK` values at a time into buffers made once per instance."""
+    one block per call, into buffers of min(size, `_BLOCK`) values made once
+    per instance."""
 
     def __init__(self, size: int):
         block = min(size, _BLOCK)
@@ -375,16 +365,8 @@ class _FloatText:
         self._keep = np.empty((block, _WIDTH), np.uint8)
 
     def render(self, values: np.ndarray, separators: np.ndarray) -> bytes:
-        """The text of `values` (1-D float64), the i-th followed by the
-        byte separators[i]."""
-        pieces = []
-        for start in range(0, len(values), _BLOCK):
-            block = values[start : start + _BLOCK]
-            pieces.append(self._block(block, separators[start : start + len(block)]))
-        return b"".join(pieces)
-
-    def _block(self, values: np.ndarray, separators: np.ndarray) -> bytes:
-        """The text of at most `_BLOCK` values."""
+        """The text of `values` (1-D float64, at most the buffers' size), the
+        i-th followed by the byte separators[i]."""
         t = _tables()
         m = len(values)
         bits = np.ascontiguousarray(values).view(np.uint64)

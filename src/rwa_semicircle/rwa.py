@@ -186,11 +186,11 @@ class SampleBatch:
     shards: int
 
     def csv_chunks(self) -> Iterator[bytes]:
-        """The CSV of the draws, one render chunk at a time."""
-        return render.csv_chunks(["value"], self.values)
+        """The CSV of the draws, one render block at a time."""
+        return render.csv_chunks(["value"], self.values[:, None])
 
     def csv_bytes(self) -> bytes:
-        return render.csv_bytes(["value"], self.values)
+        return render.csv_bytes(["value"], self.values[:, None])
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "wb") as file:

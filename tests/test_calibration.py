@@ -37,11 +37,11 @@ REGION = 0.999  # probability of the acceptance region under the stated rate
 
 @pytest.fixture(scope="module")
 def rejections():
-    # The exact moments do not depend on the seed, so each is computed once;
-    # every draw, statistic and band check still runs once per seed.
+    # The closed-form moments do not depend on the seed, so each is computed
+    # once; the oracle's rows still come off one truncated power per run, as
+    # do every draw, statistic and band check.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moments, "rwa_moment_closed", functools.cache(moments.rwa_moment_closed))
-        patch.setattr(moments, "rwa_moment_oracle", functools.cache(moments.rwa_moment_oracle))
         outcomes = [
             run_verification(VerifyConfig(spec=RwaSpec(n=3), sample_count=COUNT, seed=seed, max_moment_k=K_MAX, alpha=ALPHA))
             for seed in range(RUNS)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import rwa_semicircle
-from rwa_semicircle import render
+from rwa_semicircle import moments, render
 from rwa_semicircle.cli import main
 from rwa_semicircle.gof import ks_statistic
 from rwa_semicircle.moments import rwa_moment_closed
@@ -418,6 +418,18 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     # A moment row out of the float range names its order and the scale.
     if argv[-1] == "1e300":
         assert errors[0] == "error: verify: moment order 2 at a=1e+300 is beyond the float range (in moments.moment_rows)"
+
+
+def test_an_exception_with_no_text_is_named_by_its_class(monkeypatch, capsys):
+    # A table too large for memory raises MemoryError(), whose text is empty.
+    def exhausted(params, r_max):
+        raise MemoryError()
+
+    monkeypatch.setattr(moments, "_lemma_column", exhausted)
+    assert main(["moment", "--n", "3", "--k-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: moment: MemoryError (in moments.moment_rows)"]
 
 
 @pytest.mark.parametrize(
@@ -823,10 +835,10 @@ class TestSampleCommand:
         assert payload["count"] == 30
 
     def test_rwa_file_has_the_stdout_bytes(self, tmp_path, capsysbinary):
-        # Rows up to and across render chunk edges, on two shards; each CSV
+        # Rows up to and across render block edges, on two shards; each CSV
         # is hashed as it is written, to a file or to stdout.
-        chunk = render._CHUNK_CELLS
-        for count in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+        block = render._BLOCK
+        for count in (block - 1, block, block + 1, 3 * block + 1):
             argv = ["sample", "rwa", "--n", "3", "--count", str(count), "--seed", "20", "--shards", "2"]
             csv_path, env_path, stdout_env_path = tmp_path / "draws.csv", tmp_path / "draws.json", tmp_path / "out.json"
             assert main([*argv, "--out", str(csv_path), "--envelope", str(env_path)]) == 0
@@ -1104,7 +1116,7 @@ def _two_pass_plot_csv(n: int, a: float, count: int, seed: int, bins: int) -> by
     density, _ = np.histogram(rwa_batch(RwaSpec(n=n, a=a), count, seed).values / a, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     header = ["bin_center", "empirical_density", "theoretical_density"]
-    return csv_bytes(header, a * centers, density / a, RwaSpec(n=n).target_law().pdf(centers) / a)
+    return csv_bytes(header, np.stack([a * centers, density / a, RwaSpec(n=n).target_law().pdf(centers) / a], axis=1))
 
 
 class TestPlotDataCommand:

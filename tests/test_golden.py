@@ -83,6 +83,9 @@ def test_verify_json_digest_across_ks_blocks():
          "cf09e8b6773ad98cb9f694ecd81cfb24fd8a40af068634478de873d4d30bc8ea"),
         (["sample", "spacings", "--n", "2", "--count", "2000", "--seed", "5"],
          "70fb3fd93696b19c9010a1106c9b3705038aaeaffc52f9ee717312f60dea57c3"),
+        # Rows wider than a render block.
+        (["sample", "spacings", "--n", "5000", "--count", "3", "--seed", "5"],
+         "b8f5a773cad6695cc1c8eabde8fad7f2ea629237d669faee43141c13b3037b02"),
     ],
 )
 def test_cli_artifact_digest(argv, expected, tmp_path):
@@ -101,11 +104,11 @@ def test_cli_artifact_digest(argv, expected, tmp_path):
     ],
 )
 def test_cli_artifact_digest_across_render_chunks(argv, columns, expected, tmp_path):
-    # Pinned when the CSV was rendered in one piece: 3C + 1 rows, C the rows
-    # of one render chunk, so the digest covers three chunk boundaries and a
-    # one-row last chunk.
-    rows_per_chunk = render._CHUNK_CELLS // columns
-    assert int(argv[argv.index("--count") + 1]) == 3 * rows_per_chunk + 1
+    # Pinned when the CSV was rendered in one piece: more than three render
+    # blocks of cells, the last of them one row, so the digest covers block
+    # boundaries and a one-row last block.
+    cells = int(argv[argv.index("--count") + 1]) * columns
+    assert cells > 3 * render._BLOCK and cells % render._BLOCK == columns
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     _check(hashlib.sha256(out.read_bytes()).hexdigest(), expected, " ".join(argv))

@@ -1,5 +1,5 @@
-"""The CSV renderer: its chunked rendering has the bytes of one whole
-render at every chunk boundary, its float kernel writes the bytes of repr
+"""The CSV renderer: its block-by-block rendering has the bytes of one whole
+render at every block boundary, its float kernel writes the bytes of repr
 for every float64, and its memory is bounded by its output."""
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import pytest
 from rwa_semicircle import render
 
 
-def _whole_render(header, *columns) -> bytes:
+def _whole_render(header, table) -> bytes:
     """The CSV rendered in one piece, every float, string and line at once:
-    the renderer before it rendered in chunks, kept as the reference."""
-    cells = [map(repr, np.asarray(col, dtype=np.float64).tolist()) for col in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    the renderer before it rendered in blocks, kept as the reference."""
+    rows = [",".join(map(repr, row)) for row in np.asarray(table, dtype=np.float64).tolist()]
+    return ("\n".join([",".join(header), *rows]) + "\n").encode("ascii")
 
 
 # Signed zeros, subnormals, integral floats, values whose repr takes the
@@ -33,27 +32,33 @@ _SPECIAL = [
 ]
 
 
-def _table(rows: int, columns: int) -> list[np.ndarray]:
-    """`columns` columns of `rows` values cycling through the special values
-    and random values of every magnitude, so each lands on chunk boundaries."""
+def _table(rows: int, columns: int) -> np.ndarray:
+    """A `rows` x `columns` table of values cycling through the special
+    values and random values of every magnitude, so each lands on block
+    boundaries."""
     rng = np.random.default_rng(rows * 1009 + columns)
     pool = np.concatenate([_SPECIAL, rng.standard_normal(77) * 10.0 ** rng.integers(-320, 300, 77)])
-    return list(np.resize(pool, rows * columns).reshape(rows, columns).T)
+    return np.resize(pool, rows * columns).reshape(rows, columns)
 
 
-@pytest.mark.parametrize("columns", [1, 2, 3, 1000])
+# Column counts: a block of whole rows, blocks that end inside a row
+# (3, 1000, one less than a block), and a row wider than a block.
+_COLUMNS = [1, 2, 3, 1000, render._BLOCK - 1, render._BLOCK + 1]
+
+
+@pytest.mark.parametrize("columns", _COLUMNS)
 @pytest.mark.parametrize("rows_of", [
     lambda c: 0, lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 3 * c + 7,
 ], ids=["0", "1", "C-1", "C", "C+1", "3C+7"])
 def test_chunked_render_equals_whole_render(columns, rows_of):
-    rows_per_chunk = max(1, render._CHUNK_CELLS // columns)
-    table = _table(rows_of(rows_per_chunk), columns)
+    rows_per_block = max(1, render._BLOCK // columns)
+    table = _table(rows_of(rows_per_block), columns)
     header = [f"c{i}" for i in range(columns)]
-    assert render.csv_bytes(header, *table) == _whole_render(header, *table)
+    assert render.csv_bytes(header, table) == _whole_render(header, table)
 
 
 def test_special_values_render_by_repr():
-    text = render.csv_bytes(["value"], np.array(_SPECIAL)).decode("ascii")
+    text = render.csv_bytes(["value"], np.array(_SPECIAL)[:, None]).decode("ascii")
     assert text.splitlines() == ["value", *map(repr, _SPECIAL)]
     assert {"-0.0", "5e-324", "1.0", "1e+16", "1.5e+17", "inf", "-inf", "nan"} <= set(text.splitlines())
 
@@ -61,9 +66,9 @@ def test_special_values_render_by_repr():
 def _kernel_matches_repr(values) -> None:
     """The kernel's text of `values`, one per line, equals repr's; on a
     mismatch, name the first few values that differ."""
-    values = np.asarray(values, dtype=np.float64)
-    got = render.csv_bytes(["value"], values)
-    want = _whole_render(["value"], values)
+    table = np.asarray(values, dtype=np.float64)[:, None]
+    got = render.csv_bytes(["value"], table)
+    want = _whole_render(["value"], table)
     if got != want:
         pairs = zip(got.decode("ascii").splitlines()[1:], want.decode("ascii").splitlines()[1:])
         wrong = [(g, w) for g, w in pairs if g != w]
@@ -133,16 +138,16 @@ class TestFloatKernel:
     def test_signed_zero_infinities_and_nans(self):
         nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], np.uint64)
         values = np.concatenate([[0.0, -0.0, math.inf, -math.inf, math.nan], nans.view(np.float64)])
-        text = render.csv_bytes(["value"], values).decode("ascii")
+        text = render.csv_bytes(["value"], values[:, None]).decode("ascii")
         assert text.splitlines()[1:] == ["0.0", "-0.0", "inf", "-inf", "nan", "nan", "nan", "nan", "nan"]
         _kernel_matches_repr(values)
 
-    @pytest.mark.parametrize("columns", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("columns", _COLUMNS)
     def test_random_bits_in_every_column_count(self, columns):
-        rows = 2 * max(1, render._CHUNK_CELLS // columns) + 3
-        table = list(_random_bits(rows * columns, columns).reshape(rows, columns).T)
+        rows = 2 * max(1, render._BLOCK // columns) + 3
+        table = _random_bits(rows * columns, columns).reshape(rows, columns)
         header = [f"c{i}" for i in range(columns)]
-        assert render.csv_bytes(header, *table) == _whole_render(header, *table)
+        assert render.csv_bytes(header, table) == _whole_render(header, table)
 
     def test_exponent_tables_are_exact(self):
         # floor(log2 10^e) and floor(log10 2^q), floor(log10 3/4 2^q) by
@@ -165,44 +170,38 @@ class TestFloatKernel:
             assert g == math.ceil(scaled) and 2**127 <= g < 2**128, k
 
 
-@pytest.mark.parametrize("header, columns", [
-    (["a", "b"], [[1.0, 2.0, 3.0], [4.0]]),
-    (["a", "b"], [[1.0, 2.0, 3.0]]),
+@pytest.mark.parametrize("header, table", [
+    (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]]),
     (["a"], [[1.0, 2.0], [3.0, 4.0]]),
-    (["a"], [[[1.0, 2.0]]]),
-], ids=["unequal-columns", "header-wider", "header-narrower", "not-1-D"])
-def test_a_malformed_table_is_refused_before_any_byte(header, columns):
+    (["a"], [1.0, 2.0]),
+    (["a"], [[[1.0], [2.0]]]),
+], ids=["header-wider", "header-narrower", "1-D", "3-D"])
+def test_a_malformed_table_is_refused_before_any_byte(header, table):
     with pytest.raises(ValueError):
-        next(render.csv_chunks(header, *columns))
+        next(render.csv_chunks(header, table))
 
 
-def test_columns_that_part_after_a_chunk_are_refused_before_any_byte():
-    rows = render._CHUNK_CELLS // 2
-    with pytest.raises(ValueError):
-        next(render.csv_chunks(["a", "b"], np.zeros(2 * rows + 1), np.zeros(2 * rows)))
-
-
-def _traced_peak(columns: np.ndarray) -> tuple[bytes, int]:
-    """One render of `columns` as a value table, and the peak of the Python
-    memory it allocated."""
+def _traced_peak(values: np.ndarray) -> tuple[bytes, int]:
+    """One render of `values` as a one-column table, and the peak of the
+    Python memory it allocated."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = render.csv_bytes(["value"], columns)
+        out = render.csv_bytes(["value"], values[:, None])
         return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
 
 def test_render_memory_is_bounded_by_its_output():
-    """A render holds its output plus one chunk's floats and strings; the
+    """A render holds its output plus one block's floats and strings; the
     whole render held about six times its output."""
-    chunk = render._CHUNK_CELLS
-    values = np.random.default_rng(5).standard_normal(4 * chunk)
-    _, one_chunk = _traced_peak(values[:chunk])
+    block = render._BLOCK
+    values = np.random.default_rng(5).standard_normal(4 * block)
+    _, one_block = _traced_peak(values[:block])
     out, peak = _traced_peak(values)
-    assert peak <= 2 * len(out) + one_chunk
+    assert peak <= 2 * len(out) + one_block
 
 
 def test_rational_text_is_str_below_the_digit_limit():

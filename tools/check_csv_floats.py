@@ -32,7 +32,7 @@ def by_repr(values: np.ndarray) -> bytes:
 
 def differences(values: np.ndarray) -> list[tuple[str, str]]:
     """(kernel, repr) for each value whose text differs."""
-    got = render.csv_bytes(["value"], values)
+    got = render.csv_bytes(["value"], values[:, None])
     want = by_repr(values)
     if got == want:
         return []
