@@ -233,9 +233,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{outcome.ks_critical:.5f} (alpha = {cfg.alpha:g}, N = {cfg.sample_count})"
     ]
     for row in outcome.moment_rows:
+        empirical = "outside the float range" if row.empirical is None else f"{row.empirical:.6g}"
         lines.append(
             f"[{'PASS' if row.passes() else 'FAIL'}] moment order {2 * row.k}: "
-            f"empirical {row.empirical:.6g} vs exact {decimal_str(row.closed_form, 8)} "
+            f"empirical {empirical} vs exact {decimal_str(row.closed_form, 8)} "
             f"(z = {row.z:.2f} vs {BAND_Z})"
         )
     lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")

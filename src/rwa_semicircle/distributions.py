@@ -156,8 +156,10 @@ class PowerSemicircle:
             raise ValueError("density is unbounded at |x| = a when lam = 0")
         # At |s| = 1 the base is 0, and 0.0**0.0 == 1, 0.0**p == 0 give the
         # continuous limit for lam >= 1/2.  np.power, not **, so a scalar x
-        # takes the same ufunc loop as an array and gets the same bits.
-        out = math.exp(self._log_norm) * np.power((1.0 - s) * (1.0 + s), self.lam - 0.5) / self.a
+        # takes the same ufunc loop as an array and gets the same bits.  An
+        # overflow raises the error below, under any caller's error state.
+        with np.errstate(over="ignore"):
+            out = math.exp(self._log_norm) * np.power((1.0 - s) * (1.0 + s), self.lam - 0.5) / self.a
         if not np.all(np.isfinite(out)):
             raise ArithmeticError(f"density overflows at scale a={self.a:g}")
         return float(out) if np.ndim(x) == 0 else out

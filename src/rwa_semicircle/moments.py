@@ -301,6 +301,7 @@ class MomentReport:
     k: int
     closed_form: Fraction
     oracle: Fraction
+    # The scaled Monte Carlo estimate; None also where it does not fit in a float.
     empirical: float | None = None
     std_error: float | None = None
     mc_count: int | None = None
@@ -333,9 +334,19 @@ class MomentReport:
             "oracle": rational_json(self.oracle),
             "consistent": self.consistent,
         }
-        if self.empirical is not None:
+        if self.mc_count is not None:
             out.update(empirical=self.empirical, std_error=self.std_error, mc_count=self.mc_count, seed=self.seed)
         return out
+
+
+def _as_float(value: Fraction) -> float | None:
+    """`value` rounded to a float, or None where it does not fit: beyond the
+    float range, or nonzero and rounded to 0.0."""
+    try:
+        rounded = float(value)
+    except OverflowError:
+        return None
+    return rounded if rounded or not value else None
 
 
 def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
@@ -344,7 +355,8 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
-    error are the unit ones times a^(2k), rounded once."""
+    error are the unit ones times a^(2k), rounded once, and each is None
+    where that does not fit in a float."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if batch is not None and batch.spec != spec:
@@ -361,10 +373,7 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
             mean, se = estimates[k]
             gap = abs(mean - float(unit))
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
-            try:
-                empirical, std_error = float(Fraction(mean) * scale), float(Fraction(se) * scale)
-            except OverflowError:
-                raise OverflowError(f"moment order {2 * k} at a={spec.a!r} is beyond the float range") from None
+            empirical, std_error = (_as_float(Fraction(x) * scale) for x in (mean, se))
             monte_carlo = dict(empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
         rows.append(MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=oracle * scale, **monte_carlo))
     return tuple(rows)

@@ -128,10 +128,10 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     """Draw `count` averages, reproducibly, split over `shards` streams.
 
     The per-shard streams depend only on (seed, shard index), so the output
-    is byte-identical across runs, chunk sizes and worker counts.  The
-    chunks share one pool of workers, one per core in this process's
-    affinity mask (so `taskset` limits it) and never more than there are
-    chunks; with one worker they run on the calling thread.
+    is byte-identical across runs, chunk sizes and worker counts.  One
+    worker per core in this process's affinity mask (so `taskset` limits
+    it), and never more than there are chunks, takes chunks from one shared
+    queue.  The calling thread is one of them, so one core starts no thread.
     """
     check_shards(count, shards)
     # Every array the batch makes (the values, each chunk's weights and
@@ -150,29 +150,27 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
             chunks.append((shard, shard_values.size, start, shard_values[start : start + rows]))
 
     # NumPy's floating-point error state belongs to each thread, so every
-    # chunk runs under the caller's, on whichever thread it lands.
+    # chunk runs under the caller's, on whichever thread it lands.  Under the
+    # GIL, `next` on the one iterator hands each chunk to one thread; on a
+    # free-threaded build a chunk may be taken twice, but none is skipped,
+    # and both draws write the same bytes.
     errors = np.geterr()
+    source = iter(chunks)
 
-    def draw(chunk) -> None:
-        shard, shard_count, start, out = chunk
+    def draw() -> None:
         with np.errstate(**errors):
-            weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
-            weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
-            _row_sums(weights, out)
-            out *= spec.a
+            for shard, shard_count, start, out in source:
+                weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
+                weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
+                _row_sums(weights, out)
+                out *= spec.a
 
-    # One worker draws on the calling thread.  Each pool thread allocates its
-    # chunk arrays from its own glibc malloc arena, which the caller's later
-    # work cannot reuse: `rwa verify` at N=10^6 (n=3, then n=8, in one
-    # process) peaked at 48.5 MB on the calling thread and 54.4-55.3 MB on two
-    # threads (50.5-50.7 MB with MALLOC_ARENA_MAX=1), on a 2-vCPU Xeon.
     workers = min(len(chunks), _available_cores())
-    if workers == 1:
-        for chunk in chunks:
-            draw(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(draw, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(draw) for _ in range(workers - 1)]
+        draw()
+        for helper in helpers:
+            helper.result()  # re-raises a helper's error here
     return SampleBatch(values=values, spec=spec, seed=seed, shards=shards)
 
 

@@ -380,19 +380,16 @@ class TestUsageErrors:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
         # Near the smallest normal scale, densities of about 12.6 / a overflow.
         ["plot-data", "--n", "1001", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
-        # The largest accepted exponent at a huge scale.
-        ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "500"],
         # 10^15 doubles are 7 PiB, beyond any x86-64 address space.
         ["sample", "rwa", "--n", "3", "--seed", "1", "--count", str(10**15)],
         ["verify", "--n", "3", "--count", str(10**15)],
         ["plot-data", "--n", "3", "--seed", "1", "--count", str(10**15)],
-        # The scaled order-2 moment a^2 / 4 leaves the float range.
-        ["verify", "--n", "3", "--count", "1000", "--a", "1e200"],
-        # The moment rows are computed even where the KS test fails.
-        ["verify", "--n", "3", "--count", "1000", "--a", "1e300", "--lambda-override", "3"],
+        # ... and each building-block sampler meets it at its own allocation.
+        ["sample", "arcsine", "--seed", "1", "--count", str(10**15)],
+        ["sample", "psc", "--lambda", "1.5", "--seed", "1", "--count", str(10**15)],
+        ["sample", "spacings", "--n", "3", "--seed", "1", "--count", str(10**15)],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
@@ -404,20 +401,15 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
     # The line names the subcommand and the innermost package function.
-    where = {
-        "1e300": "moments.moment_rows",
-        "3": "moments.moment_rows",
-        "500": "moments.moment_rows",
-        "1e200": "moments.moment_rows",
-        "2.3e-308": "cli._cmd_plot_data",
-        str(10**15): "rwa.rwa_batch",
-    }[argv[-1]]
     command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("--"), argv))
+    where = {
+        "plot-data": "cli._cmd_plot_data" if argv[-1] == "2.3e-308" else "rwa.rwa_batch",
+        "sample arcsine": "distributions.sample",
+        "sample psc": "distributions.sample",
+        "sample spacings": "distributions.sample_spacings",
+    }.get(command, "rwa.rwa_batch")
     assert errors[0].startswith(f"error: {command}: ")
     assert errors[0].endswith(f" (in {where})")
-    # A moment row out of the float range names its order and the scale.
-    if argv[-1] == "1e300":
-        assert errors[0] == "error: verify: moment order 2 at a=1e+300 is beyond the float range (in moments.moment_rows)"
 
 
 def test_an_exception_with_no_text_is_named_by_its_class(monkeypatch, capsys):
@@ -436,7 +428,6 @@ def test_an_exception_with_no_text_is_named_by_its_class(monkeypatch, capsys):
     "argv",
     [
         ["plot-data", "--n", "1001", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
-        ["verify", "--n", "3", "--count", "1000", "--a", "1e300"],
     ],
 )
 def test_numeric_failure_prints_no_warning(argv):
@@ -1023,17 +1014,57 @@ class TestVerifyCommand:
         assert "verify: PASS" in capsys.readouterr().out
 
     def test_scale_whose_square_overflows_passes(self, capsys):
-        # a^2 overflows, but the scaled E S^2 = a^2 / 4 = 5.6e307 is in range
-        argv = ["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", "1.5e154", "--k-max", "1"]
+        # a^2 overflows, but the scaled E S^2 = a^2 / 4 = 5.6e307 is in range;
+        # orders 4 and 6 are beyond it, and keep their a = 1 z all the same
+        argv = ["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", "1.5e154", "--k-max", "3"]
         assert main(argv) == 0
-        assert "verify: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verify: PASS" in out
+        zs = [line.rsplit("(z = ", 1)[1] for line in out.splitlines() if "moment order" in line]
+        assert zs == ["0.00 vs 4.0)", "1.64 vs 4.0)", "1.93 vs 4.0)", "2.06 vs 4.0)"]
 
     def test_underflowing_rows_keep_their_z(self, capsys):
-        # orders 4 and 6 underflow to 0 at a = 1e-150; their z is the a = 1 one
+        # orders 4 and 6 underflow at a = 1e-150; their z is the a = 1 one
         assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--a", "1e-150"]) == 0
         out = capsys.readouterr().out
-        assert "moment order 4: empirical 0 vs exact 1.25E-601 (z = 1.93 vs 4.0)" in out
-        assert "moment order 6: empirical 0 vs exact 7.8125E-902 (z = 2.06 vs 4.0)" in out
+        assert "moment order 4: empirical outside the float range vs exact 1.25E-601 (z = 1.93 vs 4.0)" in out
+        assert "moment order 6: empirical outside the float range vs exact 7.8125E-902 (z = 2.06 vs 4.0)" in out
+
+    @pytest.mark.parametrize(
+        ("a", "extra", "code", "null_orders"),
+        [
+            ("1.5e154", [], 0, [4, 6]),
+            ("1e-150", [], 0, [4, 6]),
+            # The scaled order-2 moment a^2 / 4 leaves the float range.
+            ("1e200", [], 0, [2, 4, 6]),
+            ("1e300", [], 0, [2, 4, 6]),
+            # The largest accepted exponent at a huge scale, and a wrong one:
+            # KS fails, and the rows are still reported.
+            ("1e300", ["--lambda-override", "500"], 1, [2, 4, 6]),
+            ("1e300", ["--lambda-override", "3"], 1, [2, 4, 6]),
+        ],
+        ids=["1.5e154", "1e-150", "1e200", "1e300", "1e300-lambda-500", "1e300-lambda-3"],
+    )
+    def test_rows_outside_the_float_range_are_null_and_keep_the_verdict(self, a, extra, code, null_orders, tmp_path, capsys):
+        # An estimate that overflows, or is nonzero and rounds to 0.0, is null
+        # in the JSON and named in the text; the exit code follows the
+        # verdicts, and z, taken on values / a, is the a = 1 one.
+        base = ["verify", "--n", "3", "--count", "2000", "--seed", "7", "--k-max", "3", *extra]
+        assert main(base) == code
+        unit_z = [line.rsplit("(z = ", 1)[1] for line in capsys.readouterr().out.splitlines() if "moment order" in line]
+        report = tmp_path / "out.json"
+        assert main([*base, "--a", a, "--json", str(report)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = [line for line in captured.out.splitlines() if "moment order" in line]
+        assert [line.rsplit("(z = ", 1)[1] for line in lines] == unit_z
+        assert [line.split(": ")[1].startswith("empirical outside the float range ") for line in lines] == [
+            order in null_orders for order in (0, 2, 4, 6)
+        ]
+        for row in json.loads(report.read_text())["moment_rows"]:
+            null = row["order"] in null_orders
+            assert (row["empirical"] is None, row["std_error"] is None) == (null, null)
+            assert (row["mc_count"], row["seed"]) == (2000, 7)
 
     def test_n2_reduces_to_uniform_and_passes(self, capsys):
         code = main(["verify", "--n", "2", "--count", "100000", "--seed", "7"])

@@ -204,6 +204,14 @@ class TestPowerSemicircle:
         x = np.linspace(-0.999, 0.999, 1001)
         np.testing.assert_allclose(a * law(a).pdf(a * x), law(1.0).pdf(x), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("state", ["warn", "raise"])
+    def test_pdf_overflow_is_the_library_error_alone(self, state):
+        # f(0) = C_500 / a, about 12.6 / a, is beyond the float range just
+        # above the smallest normal scale; NumPy neither warns nor raises first.
+        law = PowerSemicircle(lam=500, a=2.3e-308)
+        with np.errstate(over=state), pytest.raises(ArithmeticError, match=r"^density overflows at scale a=2.3e-308$"):
+            law.pdf(0.0)
+
     def test_endpoint_rules(self):
         # lam >= 1/2: the density extends continuously to the edge
         assert PowerSemicircle(lam=1.0, a=1.0).pdf(1.0) == 0.0

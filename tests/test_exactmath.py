@@ -92,8 +92,9 @@ class TestMultinomial:
             multinomial(5, (2, 2))
 
     def test_negative_part_rejected(self):
-        with pytest.raises(ValueError):
-            multinomial(1, (2, -1))
+        for r, parts in ((1, (2, -1)), (2, (3, -1))):
+            with pytest.raises(ValueError, match=r"^composition parts must be >= 0, got -1$"):
+                multinomial(r, parts)
 
 
 class TestCompositions:

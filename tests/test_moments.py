@@ -319,12 +319,18 @@ class TestSeriesKernel:
                 assert (lhs, rhs) == (lemma_lhs(params, r), lemma_rhs(params, r)), (params, r)
 
     def test_refusals_keep_their_messages(self):
-        for call in (lambda: lemma_lhs((H(1), H(3)), -1), lambda: rwa_moment_oracle(3, -1, literal_parity=True)):
+        for call in (
+            lambda: lemma_lhs((H(1), H(3)), -1),
+            lambda: lemma_rhs((H(1), H(3)), -1),
+            lambda: rwa_moment_oracle(3, -1, literal_parity=True),
+        ):
             with pytest.raises(ValueError, match=r"^r must be >= 0, got -1$"):
                 call()
         for r in (2, -1):
             with pytest.raises(ValueError, match=r"^need at least one part, got n=0$"):
                 lemma_lhs((), r)
+        with pytest.raises(ValueError, match=r"^need at least one Dirichlet parameter$"):
+            lemma_rhs((), 3)
 
     def test_the_runtime_path_walks_no_composition(self, monkeypatch, tmp_path):
         from rwa_semicircle import exactmath
@@ -634,9 +640,18 @@ class TestMomentReport:
             moment_rows(RwaSpec(3, 1.0), -1)
 
     def test_row_beyond_the_float_range_names_order_and_scale(self):
-        batch = rwa_batch(RwaSpec(3, 1e200), 200, seed=1)
-        with pytest.raises(OverflowError, match=r"^moment order 2 at a=1e\+200 is beyond the float range$"):
-            moment_rows(batch.spec, 2, batch)
+        # a^2 / 4 overflows at a = 1e200: the row keeps its order, scale and
+        # z, and its estimate is None; so is one that underflows at 1e-150.
+        for a, null_ks in ((1e200, [1, 2]), (1e-150, [2])):
+            batch = rwa_batch(RwaSpec(3, a), 200, seed=1)
+            unit = moment_rows(RwaSpec(3), 2, rwa_batch(RwaSpec(3), 200, seed=1))
+            rows = moment_rows(batch.spec, 2, batch)
+            assert [(row.k, row.a) for row in rows] == [(0, a), (1, a), (2, a)]
+            assert [row.z for row in rows] == pytest.approx([row.z for row in unit], rel=1e-9, abs=0)
+            for row in rows:
+                null = row.k in null_ks
+                assert (row.empirical is None, row.std_error is None) == (null, null)
+                assert row.to_json_dict()["empirical"] is None if null else row.to_json_dict()["empirical"] > 0
 
     def test_inconsistent_report_possible_in_principle(self):
         rep = MomentReport(

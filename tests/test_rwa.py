@@ -2,7 +2,9 @@ import json
 import hashlib
 import math
 import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -105,13 +107,50 @@ class TestWorkers:
         monkeypatch.setattr(rwa, "_available_cores", lambda: 3)
         pooled = rwa_batch(spec, 100, 2024, shards=2)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("one core must not start a thread pool")
+        class NoThreads(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise AssertionError("one core must not start a thread")
 
-        monkeypatch.setattr(rwa, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(rwa, "ThreadPoolExecutor", NoThreads)
         monkeypatch.setattr(rwa, "_available_cores", lambda: 1)
         inline = rwa_batch(spec, 100, 2024, shards=2)
         assert inline.values.tobytes() == pooled.values.tobytes()
+
+    def test_k_cores_submit_k_minus_1_helpers_beside_the_caller(self, monkeypatch):
+        spec = RwaSpec(5, 2.5)
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", 7 * spec.n)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 3)
+        pools = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.submitted = 0
+                pools.append(self)
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(*args, **kwargs)
+
+        # A helper's first chunk waits until the caller has drawn one, so
+        # that the helpers cannot take every chunk before the caller starts.
+        caller, drawn_by, caller_drew = threading.get_ident(), [], threading.Event()
+        row_sums = rwa._row_sums
+
+        def recorded(p, out):
+            if threading.get_ident() == caller:
+                caller_drew.set()
+            else:
+                caller_drew.wait(timeout=10)
+            drawn_by.append(threading.get_ident())
+            row_sums(p, out)
+
+        monkeypatch.setattr(rwa, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(rwa, "_row_sums", recorded)
+        batch = rwa_batch(spec, 100, 2024, shards=2)
+        assert [(pool._max_workers, pool.submitted) for pool in pools] == [(3, 2)]
+        assert caller in drawn_by and len(drawn_by) == 16
+        assert batch.values.tobytes() == _whole_block_batch(spec, 100, 2024, 2).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_run_under_the_callers_error_state(self, monkeypatch, threads):
