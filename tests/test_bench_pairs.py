@@ -88,6 +88,32 @@ def test_both_sides_are_revisions_run_for_the_benchmark_length(tmp_path, monkeyp
         bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "2", "--seconds", "10"])
 
 
+def test_every_run_gets_a_fresh_copy_of_its_side(tmp_path, monkeypatch):
+    # A copy's own offset in peak RSS must not follow one side into all of
+    # its runs: each run extracts its side anew, into a directory of its own.
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [{"name": "m", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(bench_pairs.json.dumps(bench))
+    extracted, ran = [], []
+
+    def extract(rev, into):
+        into.mkdir(parents=True)
+        extracted.append((rev, into))
+
+    def run(root, workload, seed, seconds):
+        assert root == extracted[-1][1] and root.is_dir()
+        ran.append(root)
+        return {"m": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: f"sha-{args[-1]}")
+    monkeypatch.setattr(bench_pairs, "_extract", extract)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "3"]) == 0
+    assert [rev for rev, _ in extracted] == ["sha-P", "sha-HEAD", "sha-HEAD", "sha-P", "sha-P", "sha-HEAD"]
+    assert ran == [into for _, into in extracted] and len(set(ran)) == 6
+    assert not any(root.exists() for root in ran)
+
+
 # Runs the tool on a stand-in checkout, with the real `_run`: the copy of
 # each side is a tree whose perfbench/run.py starts one worker, writes both
 # process ids, and sleeps.

@@ -2,6 +2,7 @@ import json
 import hashlib
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,29 @@ class TestWorkers:
         assert [(pool._max_workers, pool.submitted) for pool in pools] == [(3, 2)]
         assert caller in drawn_by and len(drawn_by) == 16
         assert batch.values.tobytes() == _whole_block_batch(spec, 100, 2024, 2).tobytes()
+
+    def test_many_workers_draw_every_chunk_once(self, monkeypatch):
+        # More workers than cores, switching threads as often as the
+        # interpreter allows, on chunks of one row each: a chunk skipped
+        # would leave its row unwritten, one taken twice would count twice.
+        spec = RwaSpec(3)
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", spec.n)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: 8)
+        drawn, row_sums = [], rwa._row_sums
+
+        def counted(p, out):
+            drawn.append(out.size)
+            row_sums(p, out)
+
+        monkeypatch.setattr(rwa, "_row_sums", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = rwa_batch(spec, 2000, 2024, shards=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert drawn == [1] * 2000
+        assert batch.values.tobytes() == _whole_block_batch(spec, 2000, 2024, 3).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_run_under_the_callers_error_state(self, monkeypatch, threads):
