@@ -390,6 +390,8 @@ class TestUsageErrors:
         ["sample", "arcsine", "--seed", "1", "--count", str(10**15)],
         ["sample", "psc", "--lambda", "1.5", "--seed", "1", "--count", str(10**15)],
         ["sample", "spacings", "--n", "3", "--seed", "1", "--count", str(10**15)],
+        # One draw of 10^15 values is as far beyond it as 10^15 draws of three.
+        ["sample", "rwa", "--n", str(10**15), "--seed", "1", "--count", "1"],
     ],
 )
 def test_numeric_failure_is_one_error_line(argv, capsys):
@@ -407,6 +409,7 @@ def test_numeric_failure_is_one_error_line(argv, capsys):
         "sample arcsine": "distributions.sample",
         "sample psc": "distributions.sample",
         "sample spacings": "distributions.sample_spacings",
+        "sample rwa": "rwa.rwa_batch" if argv[-1] == str(10**15) else "distributions.sample_spacings",
     }.get(command, "rwa.rwa_batch")
     assert errors[0].startswith(f"error: {command}: ")
     assert errors[0].endswith(f" (in {where})")
@@ -428,6 +431,7 @@ def test_an_exception_with_no_text_is_named_by_its_class(monkeypatch, capsys):
     "argv",
     [
         ["plot-data", "--n", "1001", "--count", "1000", "--seed", "1", "--a", "2.3e-308"],
+        ["verify", "--n", "3", "--count", str(10**15)],
     ],
 )
 def test_numeric_failure_prints_no_warning(argv):
