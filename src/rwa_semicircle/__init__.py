@@ -7,14 +7,7 @@ identity underneath, and verifies the match by seeded Monte Carlo.
 """
 
 from .distributions import Arcsine, PowerSemicircle, sample_spacings
-from .exactmath import (
-    Composition,
-    HalfInteger,
-    composition_count,
-    compositions,
-    multinomial,
-    rising_gamma_ratio,
-)
+from .exactmath import HalfInteger, composition_count, rising_gamma_ratio
 from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
 from .moments import (
     MomentReport,
@@ -32,14 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arcsine",
-    "Composition",
     "HalfInteger",
     "MomentReport",
     "PowerSemicircle",
     "RwaSpec",
     "SampleBatch",
     "composition_count",
-    "compositions",
     "empirical_moment",
     "ks_coefficient",
     "ks_critical_one_sample",
@@ -47,7 +38,6 @@ __all__ = [
     "lemma_lhs",
     "lemma_rhs",
     "moment_rows",
-    "multinomial",
     "psc_moment",
     "rising_gamma_ratio",
     "rwa_batch",

@@ -14,6 +14,7 @@ by the continuous limit where that limit exists.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -30,24 +31,21 @@ __all__ = ["Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
 _WALLIS_MAX_P = 1000
 
 
-def check_size(count: int, n: int = 1) -> None:
-    """The one size rule of every sampler, checked before any draw: `count`
-    draws of `n` float64 values each must fit in one NumPy array, so that no
-    array the draw makes is beyond NumPy's index range."""
+def check_size(size) -> None:
+    """The one size rule of every sampler, checked before any draw: a NumPy
+    `size` (None for one draw, a count, or a shape (count, n, ...)) of
+    float64 values must fit in one NumPy array, so that no array the draw
+    makes is beyond NumPy's index range.  Each dimension is read as an exact
+    int, so a huge one is reported as typed, not as a rounded float."""
+    dims = () if size is None else size if np.iterable(size) else (size,)
+    shape = [operator.index(dim) for dim in dims]
+    count, n = math.prod(shape[:1]), math.prod(shape[1:])
     limit = np.iinfo(np.intp).max
     if 8 * count * n > limit:
         raise ValueError(
             f"count={magnitude(count)} draws of n={magnitude(n)} values are "
             f"{magnitude(8 * count * n)} bytes, beyond NumPy's array limit of {limit}"
         )
-
-
-def _check_sample_size(size) -> None:
-    """`check_size` for a NumPy `size`: None (one draw), a count, or a shape
-    (count, n, ...)."""
-    if size is not None:
-        shape = np.atleast_1d(size).tolist()
-        check_size(math.prod(shape[:1]), math.prod(shape[1:]))
 
 
 def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -181,7 +179,7 @@ class PowerSemicircle:
         """Draw through the Beta(lam+1/2, lam+1/2) representation, itself
         built from two gamma draws so only the generator's gamma stream is
         consumed."""
-        _check_sample_size(size)
+        check_size(size)
         s = self.lam + 0.5
         g1 = rng.standard_gamma(s, size)
         g2 = rng.standard_gamma(s, size)
@@ -205,7 +203,7 @@ class Arcsine(PowerSemicircle):
         times the unit-scale samples from the same generator state; the
         weighted-average sampler draws its inputs here at unit scale.
         size=None gives one np.float64."""
-        _check_sample_size(size)
+        check_size(size)
         x = np.asarray(rng.random(size))
         x *= math.pi
         np.cos(x, out=x)
@@ -233,7 +231,7 @@ def sample_spacings(n: int, rng: np.random.Generator, size=None) -> np.ndarray:
     count = 1 if size is None else int(size)
     if count < 0:
         raise ValueError(f"size must be >= 0, got {magnitude(size)}")
-    check_size(count, n)
+    check_size((count, n))
 
     u = rng.random((count, n - 1))
     if n == 3:

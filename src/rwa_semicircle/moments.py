@@ -35,7 +35,7 @@ import numpy as np
 
 from .distributions import PowerSemicircle
 from .exactmath import HalfInteger, composition_count, rising_gamma_ratio
-from .render import rational_json, rational_str
+from .render import magnitude, rational_json, rational_str
 from .rwa import RwaSpec, SampleBatch
 
 __all__ = [
@@ -83,9 +83,23 @@ def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fr
     return tuple((r, lhs, lemma_rhs(params, r)) for r, lhs in enumerate(_lemma_column(params, r_max)))
 
 
+def _check_series_bytes(r: int, least: int) -> None:
+    """Refuse a series of degree r that holds at least `least` bytes when
+    that is beyond the array limit of `check_size`, before it is built."""
+    limit = np.iinfo(np.intp).max
+    if least > limit:
+        raise ValueError(
+            f"a series of degree {magnitude(r)} holds at least {magnitude(least)} bytes, "
+            f"beyond NumPy's array limit of {limit}"
+        )
+
+
 def _lemma_factors(params: Sequence[HalfInteger], r: int) -> list[tuple[list[int], int]]:
-    """(T_a cut at degree r, how often a occurs) for each distinct a in params."""
+    """(T_a cut at degree r, how often a occurs) for each distinct a in params.
+    At a >= 1/2, T_a[i] >= C(2i, i) >= 4^i / (2 sqrt(i)) takes about 2i bits,
+    so each table holds at least about r^2/8 bytes."""
     composition_count(r, len(params))
+    _check_series_bytes(r, r * r // 8)
     factors = []
     for a, count in Counter(params).items():
         table = [1]
@@ -208,7 +222,9 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     if not literal_parity:
         if r % 2:
             return Fraction(0)
-        return _mixing(n, r // 2) * lemma_lhs((HalfInteger(1),) * n, r // 2)
+        return lemma_lhs((HalfInteger(1),) * n, r // 2) * _mixing(n, r // 2)  # the series' rule first
+    # C(i, i/2) >= 2^i / sqrt(2i) takes about i bits at each even i <= r.
+    _check_series_bytes(r, r * r // 32)
     central = [0 if i % 2 else math.comb(i, i // 2) for i in range(r + 1)]
     total = _series_coefficient([(central, n)], r)
     return Fraction(math.factorial(r) * math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
@@ -362,10 +378,11 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     spec.target_law()  # before the oracle's series of n parts is built
+    column = _lemma_column((HalfInteger(1),) * spec.n, k_max)  # refuses a degree no array holds
     square = exact_scale(spec.a) ** 2
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     rows = []
-    for k, lhs in enumerate(_lemma_column((HalfInteger(1),) * spec.n, k_max)):
+    for k, lhs in enumerate(column):
         unit, scale = rwa_moment_closed(spec.n, k), square**k
         oracle = _mixing(spec.n, k) * lhs
         monte_carlo = {}

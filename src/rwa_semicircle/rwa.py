@@ -28,6 +28,7 @@ thread; the bytes are those of the whole-block draw described above.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,7 +137,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     check_shards(count, shards)
     # Every array the batch makes (the values, each chunk's weights and
     # inputs) is at most count by n.
-    check_size(count, spec.n)
+    check_size((count, spec.n))
 
     n = spec.n
     values = np.empty(count)
@@ -153,17 +154,22 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     # chunk runs under the caller's, on whichever thread it lands.  Under the
     # GIL, `next` on the one iterator hands each chunk to one thread; on a
     # free-threaded build a chunk may be taken twice, but none is skipped,
-    # and both draws write the same bytes.
+    # and both draws write the same bytes.  A chunk that fails empties the
+    # iterator, so every other worker stops after the chunk in hand.
     errors = np.geterr()
     source = iter(chunks)
 
     def draw() -> None:
         with np.errstate(**errors):
-            for shard, shard_count, start, out in source:
-                weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
-                weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
-                _row_sums(weights, out)
-                out *= spec.a
+            try:
+                for shard, shard_count, start, out in source:
+                    weights = sample_spacings(n, _stream(seed, shard, start * (n - 1)), size=out.size)
+                    weights *= Arcsine().sample(_stream(seed, shard, shard_count * (n - 1) + start * n), (out.size, n))
+                    _row_sums(weights, out)
+                    out *= spec.a
+            except BaseException:
+                deque(source, maxlen=0)
+                raise
 
     workers = min(len(chunks), _available_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -39,7 +39,7 @@ class VerifyConfig:
             raise ValueError(f"max_moment_k must be >= 0, got {magnitude(self.max_moment_k)}")
         check_shards(self.sample_count, self.shards)
         self.spec.target_law()
-        check_size(self.sample_count, self.spec.n)
+        check_size((self.sample_count, self.spec.n))
         if self.lambda_override is not None:
             PowerSemicircle(lam=self.lambda_override)
 

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -585,6 +586,30 @@ def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monke
     with pytest.raises(RuntimeError):
         main(argv)
     assert f"warning: this table forms {count} integer products" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--n", "3", "--k-max", str(10**12)],
+        ["lemma-check", "--params", "1/2,1", "--r-max", str(10**12)],
+    ],
+)
+def test_series_no_array_holds_is_a_usage_error(argv):
+    # A degree-r table holds at least about r^2/8 bytes.  The command runs
+    # in a child process with its address space capped at 2 GiB, so that a
+    # table built despite the rule fails there, not on the host.
+    env = {**os.environ, "PYTHONPATH": str(Path(rwa_semicircle.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwa_semicircle", *argv], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        f"rwa: error: {argv[0]}: a series of degree 1000000000000 holds at least about 10^23.1 bytes, "
+        f"beyond NumPy's array limit of {np.iinfo(np.intp).max}"
+    )
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):

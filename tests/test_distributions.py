@@ -347,11 +347,22 @@ class TestSizeRule:
     def test_bound_is_numpy_array_limit(self):
         limit = np.iinfo(np.intp).max
         check_size(limit // 8)
-        check_size(limit // 16, 2)
+        check_size((limit // 16, 2))
         with pytest.raises(ValueError, match=rf"count={limit // 8 + 1} draws of n=1 values"):
             check_size(limit // 8 + 1)
         with pytest.raises(ValueError, match=rf"count=2 draws of n={limit // 8} values"):
-            check_size(2, limit // 8)
+            check_size((2, limit // 8))
+
+    @pytest.mark.parametrize("law", [Arcsine(), PowerSemicircle(lam=1)])
+    def test_every_dimension_is_reported_as_an_exact_int(self, law):
+        # A shape of a small and a huge int is not read through a float array.
+        message = (
+            f"count=1 draws of n={10**19} values are {8 * 10**19} bytes, "
+            f"beyond NumPy's array limit of {np.iinfo(np.intp).max}"
+        )
+        with pytest.raises(ValueError) as exc:
+            law.sample(np.random.default_rng(0), (1, 10**19))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("law", [Arcsine(), PowerSemicircle(lam=1.5)])
     @pytest.mark.parametrize("size", [(), 0, (2, 3, 4), np.int64(5)])

@@ -1,9 +1,14 @@
 import itertools
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +387,78 @@ class TestLemmaCertificate:
             assert _lagrange(points, n) == lemma_rhs(halves(n), k) == lemma_lhs(halves(n), k)
             if k >= 1:
                 assert _lagrange(points[:-1], n) != lemma_rhs(halves(n), k)
+
+
+@pytest.mark.parametrize(
+    "call, degree, least",
+    [
+        ("lemma_lhs((HalfInteger(1),) * 3, 10**12)", 10**12, "10^23.1"),
+        ("lemma_rows((HalfInteger(1), HalfInteger(2)), 10**12)", 10**12, "10^23.1"),
+        ("moment_rows(RwaSpec(3), 10**12)", 10**12, "10^23.1"),
+        ("rwa_moment_oracle(3, 2 * 10**12)", 10**12, "10^23.1"),
+        # The literal route's C(i, i/2) take about i bits at even i: r^2/32 bytes.
+        ("rwa_moment_oracle(3, 10**12, literal_parity=True)", 10**12, "10^22.5"),
+    ],
+)
+def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least):
+    # Run in a child process with its address space capped at 2 GiB, so that
+    # a series built despite the rule fails there, not on the host.
+    code = (
+        "from rwa_semicircle.exactmath import HalfInteger\n"
+        "from rwa_semicircle.moments import lemma_lhs, lemma_rows, moment_rows, rwa_moment_oracle\n"
+        "from rwa_semicircle.rwa import RwaSpec\n"
+        f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(moments.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"a series of degree {degree} holds at least about {least} bytes, "
+        f"beyond NumPy's array limit of {np.iinfo(np.intp).max}\n"
+    )
+
+
+def test_largest_series_degree_is_about_8_6e9():
+    limit = np.iinfo(np.intp).max
+    largest = math.isqrt(8 * limit + 7)
+    moments._check_series_bytes(largest, largest * largest // 8)
+    with pytest.raises(ValueError, match=f"degree {largest + 1} holds"):
+        moments._check_series_bytes(largest + 1, (largest + 1) ** 2 // 8)
+    assert 8.5e9 < largest < 8.7e9
+
+
+def _differences(values: list, order: int) -> list:
+    """The order-th forward differences of values at consecutive sizes."""
+    for _ in range(order):
+        values = [right - left for left, right in zip(values, values[1:])]
+    return values
+
+
+class TestClosedFormCertificate:
+    """The closed route's two forms at n parameters 1/2, for every n at once.
+
+    The forms are _mixing(n, k) Gamma(n/2 + k)/Gamma(n/2) and
+    psc_moment((n-1)/2, k).  Multiplied by P(n) = n (n+1) ... (n+2k-1)
+    = 4^k (n/2)_k ((n+1)/2)_k, which is not 0 at any n >= 1, the first is
+    (2k)!/k! (n/2)_k and the second 4^k (1/2)_k (n/2)_k: each is a
+    polynomial in n of degree at most k.  So agreement at k + 1 sizes proves
+    the forms equal at every n.  They are checked at the k + 2 sizes
+    n = 2..k+3, where each form times P must have a (k+1)-th difference of
+    0, as a degree of at most k requires, and a k-th difference that is not
+    0.  With `TestLemmaCertificate`, oracle = closed form at every n for
+    every order 2k <= 20."""
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_k_plus_two_sizes_fix_the_closed_form_at_every_size(self, k):
+        sizes = range(2, k + 4)
+        mixed = [math.prod(range(n, n + 2 * k)) * moments._mixing(n, k) * lemma_rhs((H(1),) * n, k) for n in sizes]
+        law = [math.prod(range(n, n + 2 * k)) * psc_moment(Fraction(n - 1, 2), k) for n in sizes]
+        assert mixed == law
+        assert _differences(law, k + 1) == [0]
+        assert 0 not in _differences(law, k)
 
 
 class TestPscMoment:

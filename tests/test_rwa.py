@@ -176,6 +176,24 @@ class TestWorkers:
         assert drawn == [1] * 2000
         assert batch.values.tobytes() == _whole_block_batch(spec, 2000, 2024, 3).tobytes()
 
+    def test_a_failed_chunk_ends_the_draw(self, monkeypatch):
+        # 200 chunks of one row on two workers; the first chunk drawn fails,
+        # so at most the other worker's chunk in hand is drawn after it.
+        workers = 2
+        monkeypatch.setattr(rwa, "_CHUNK_VALUES", 3)
+        monkeypatch.setattr(rwa, "_available_cores", lambda: workers)
+        calls = []
+
+        def failing(p, out):
+            calls.append(out.size)
+            if len(calls) == 1:
+                raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(rwa, "_row_sums", failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            rwa_batch(RwaSpec(3), 200, 1)
+        assert len(calls) <= workers + 1
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_run_under_the_callers_error_state(self, monkeypatch, threads):
         """NumPy's error state belongs to each thread; a chunk that
