@@ -40,7 +40,7 @@ def check_size(size) -> None:
     dims = () if size is None else size if np.iterable(size) else (size,)
     shape = [operator.index(dim) for dim in dims]
     count, n = math.prod(shape[:1]), math.prod(shape[1:])
-    limit = np.iinfo(np.intp).max
+    limit = sys.maxsize  # np.iinfo(np.intp).max: NumPy's intp is the size of ssize_t
     if 8 * count * n > limit:
         raise ValueError(
             f"count={magnitude(count)} draws of n={magnitude(n)} values are "

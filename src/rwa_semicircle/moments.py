@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,7 @@ def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fr
 def _check_series_bytes(r: int, least: int) -> None:
     """Refuse a series of degree r that holds at least `least` bytes when
     that is beyond the array limit of `check_size`, before it is built."""
-    limit = np.iinfo(np.intp).max
+    limit = sys.maxsize
     if least > limit:
         raise ValueError(
             f"a series of degree {magnitude(r)} holds at least {magnitude(least)} bytes, "
