@@ -593,6 +593,7 @@ def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monke
     [
         ["moment", "--n", "3", "--k-max", str(10**12)],
         ["lemma-check", "--params", "1/2,1", "--r-max", str(10**12)],
+        ["verify", "--n", "3", "--count", "1000", "--seed", "1", "--k-max", str(10**12)],
     ],
 )
 def test_series_no_array_holds_is_a_usage_error(argv):

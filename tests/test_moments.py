@@ -390,17 +390,17 @@ class TestLemmaCertificate:
 
 
 @pytest.mark.parametrize(
-    "call, degree, least",
+    "call, least",
     [
-        ("lemma_lhs((HalfInteger(1),) * 3, 10**12)", 10**12, "10^23.1"),
-        ("lemma_rows((HalfInteger(1), HalfInteger(2)), 10**12)", 10**12, "10^23.1"),
-        ("moment_rows(RwaSpec(3), 10**12)", 10**12, "10^23.1"),
-        ("rwa_moment_oracle(3, 2 * 10**12)", 10**12, "10^23.1"),
+        ("lemma_lhs((HalfInteger(1),) * 3, 10**12)", "10^23.1"),
+        ("lemma_rows((HalfInteger(1), HalfInteger(2)), 10**12)", "10^23.1"),
+        ("moment_rows(RwaSpec(3), 10**12)", "10^23.1"),
+        ("rwa_moment_oracle(3, 2 * 10**12)", "10^23.1"),
         # The literal route's C(i, i/2) take about i bits at even i: r^2/32 bytes.
-        ("rwa_moment_oracle(3, 10**12, literal_parity=True)", 10**12, "10^22.5"),
+        ("rwa_moment_oracle(3, 10**12, literal_parity=True)", "10^22.5"),
     ],
 )
-def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least):
+def test_series_no_array_holds_is_refused_before_it_is_built(call, least):
     # Run in a child process with its address space capped at 2 GiB, so that
     # a series built despite the rule fails there, not on the host.
     code = (
@@ -416,7 +416,7 @@ def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (
-        f"a series of degree {degree} holds at least about {least} bytes, "
+        f"a series of degree {10**12} holds at least about {least} bytes, "
         f"beyond NumPy's array limit of {np.iinfo(np.intp).max}\n"
     )
 
