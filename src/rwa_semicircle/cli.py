@@ -80,9 +80,9 @@ def _bounded(parse, ok, expected: str):
 
 _positive_int = _bounded(_int_any, lambda v: v >= 1, "expected a positive integer")
 _nonneg_int = _bounded(_int_any, lambda v: v >= 0, "expected an integer >= 0")
-# NumPy sizes the bins + 1 float64 edges from float(bins + 1), which v < intp.max keeps finite.
+# NumPy sizes the bins + 1 float64 edges from float(bins + 1), which v < intp.max (sys.maxsize) keeps finite.
 _bins = _bounded(_bounded(_int_any, lambda v: v >= _MIN_BINS, f"need at least {_MIN_BINS} bins"),
-                 lambda v: v < np.iinfo(np.intp).max and 8 * float(v + 1) <= np.iinfo(np.intp).max,
+                 lambda v: v < sys.maxsize and 8 * float(v + 1) <= sys.maxsize,
                  "expected a bin count whose bins + 1 float64 edges fit in one NumPy array")
 
 
@@ -250,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     # Binned in the unit variable values / a, so no width of order a divides the counts.
     unit_law = RwaSpec(n=args.n).target_law()
-    batch = rwa_batch(RwaSpec(n=args.n, a=args.a), args.count, args.seed, shards=args.shards)
+    batch = rwa_batch(RwaSpec(n=args.n, a=args.a), args.count, args.seed)
     bins = args.bins if args.bins is not None else max(_MIN_BINS, math.ceil(2.0 * args.count ** (1.0 / 3.0)))
     density, edges = np.histogram(batch.values / args.a, bins=bins, range=(-1.0, 1.0), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -301,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Options shared by every subcommand that acts on one (n, a) instance.
+    # The n and a of every subcommand on one (n, a) instance; the one-law samplers take a alone.
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--n", type=_int_any, required=True, help="number of averaged variables (>= 2)")
-    instance.add_argument("--a", type=_float_any, default=1.0, help="arcsine scale (default 1)")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--a", type=_float_any, default=1.0, help="scale: every value lies in (-a, a) (default 1)")
 
     # Options shared by every subcommand that draws and writes a CSV.
     draws = argparse.ArgumentParser(add_help=False)
@@ -312,11 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     draws.add_argument("--seed", type=_nonneg_int, required=True)
     draws.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
-    # The worker-shard count of every subcommand that draws the average.
-    sharded = argparse.ArgumentParser(add_help=False)
-    sharded.add_argument("--shards", type=_int_any, default=1)
-
-    p_moment = sub.add_parser("moment", parents=[instance], help="exact moment table, both routes side by side")
+    p_moment = sub.add_parser("moment", parents=[instance, scale], help="exact moment table, both routes side by side")
     p_moment.add_argument("--k-max", type=_nonneg_int, required=True, help="table covers E S^(2k) for k = 0..k_max")
     p_moment.add_argument("--json", action="store_true", help="emit the table as JSON")
     p_moment.set_defaults(func=_cmd_moment)
@@ -330,33 +327,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw from one of the laws involved")
     sample_sub = p_sample.add_subparsers(dest="source", required=True)
 
-    p_arc = sample_sub.add_parser("arcsine", parents=[draws], help="arcsine law on (-a, a)")
-    p_arc.add_argument("--a", type=_float_any, default=1.0)
+    p_arc = sample_sub.add_parser("arcsine", parents=[draws, scale], help="arcsine law on (-a, a)")
     p_arc.set_defaults(func=_cmd_sample_table, draw=lambda args, rng: (["value"], Arcsine(a=args.a).sample(rng, args.count)[:, None]))
 
-    p_psc = sample_sub.add_parser("psc", parents=[draws], help="power semicircle law on (-a, a)")
+    p_psc = sample_sub.add_parser("psc", parents=[draws, scale], help="power semicircle law on (-a, a)")
     p_psc.add_argument("--lambda", dest="lam", type=_float_any, required=True, help="exponent p/2, p an integer in 0..1000")
-    p_psc.add_argument("--a", type=_float_any, default=1.0)
     p_psc.set_defaults(func=_cmd_sample_table, draw=lambda args, rng: (["value"], PowerSemicircle(lam=args.lam, a=args.a).sample(rng, args.count)[:, None]))
 
     p_spc = sample_sub.add_parser("spacings", parents=[draws], help="uniform spacing weights (flat Dirichlet rows)")
     p_spc.add_argument("--n", type=_int_any, required=True, help="number of spacings per row (>= 2)")
     p_spc.set_defaults(func=_cmd_sample_table, draw=_spacings_table)
 
-    p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, sharded], help="the randomly weighted average itself")
+    p_rwa = sample_sub.add_parser("rwa", parents=[draws, instance, scale], help="the randomly weighted average itself")
+    p_rwa.add_argument("--shards", type=_int_any, default=1)
     p_rwa.add_argument("--envelope", default=None, help="also write a JSON envelope with a values digest")
     p_rwa.set_defaults(func=_cmd_sample_rwa)
 
-    p_verify = sub.add_parser("verify", parents=[instance, sharded], help="KS + moment-band verification of one (n, a) instance")
-    p_verify.add_argument("--count", type=_int_any, default=100_000, help=f"Monte Carlo draws (>= {MIN_SAMPLE_COUNT}, default 100000)")
-    p_verify.add_argument("--seed", type=_nonneg_int, default=1234)
-    p_verify.add_argument("--k-max", type=_nonneg_int, default=3, help="band-check moments up to order 2*k_max (default 3)")
-    p_verify.add_argument("--alpha", type=_float_any, default=0.01, help="KS significance level (default 0.01)")
+    p_verify = sub.add_parser("verify", parents=[instance, scale], help="KS + moment-band verification of one (n, a) instance")
+    p_verify.add_argument("--shards", type=_int_any, default=VerifyConfig.shards)
+    p_verify.add_argument("--count", type=_int_any, default=VerifyConfig.sample_count, help=f"Monte Carlo draws (>= {MIN_SAMPLE_COUNT}, default {VerifyConfig.sample_count})")
+    p_verify.add_argument("--seed", type=_nonneg_int, default=VerifyConfig.seed)
+    p_verify.add_argument("--k-max", type=_nonneg_int, default=VerifyConfig.max_moment_k, help=f"band-check moments up to order 2*k_max (default {VerifyConfig.max_moment_k})")
+    p_verify.add_argument("--alpha", type=_float_any, default=VerifyConfig.alpha, help=f"KS significance level (default {VerifyConfig.alpha})")
     p_verify.add_argument("--json", default=None, help="also write the full outcome as JSON to this path")
-    p_verify.add_argument("--lambda-override", type=_float_any, default=None, help="(testing only) force this exponent, p/2 with p an integer in 0..1000, as the KS null instead of (n-1)/2")
+    p_verify.add_argument("--lambda-override", type=_float_any, default=VerifyConfig.lambda_override, help="(testing only) force this exponent, p/2 with p an integer in 0..1000, as the KS null instead of (n-1)/2")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_plot = sub.add_parser("plot-data", parents=[draws, instance, sharded], help="histogram vs target density, as CSV")
+    p_plot = sub.add_parser("plot-data", parents=[draws, instance, scale], help="histogram vs target density, as CSV")
     p_plot.add_argument("--bins", type=_bins, default=None, help=f"histogram bins, >= {_MIN_BINS} (default: Rice rule)")
     p_plot.set_defaults(func=_cmd_plot_data)
 

@@ -224,13 +224,12 @@ def sample_spacings(n: int, rng: np.random.Generator, size=None) -> np.ndarray:
     literally on the same uniforms: a full row sort, then `np.diff` of the
     padded rows.
 
-    Returns shape (n,) for size=None, else (size, n).
+    Returns shape (n,) for size=None, else (size, n).  `size` is read with
+    `operator.index`, as `check_size` reads a dimension, before any draw.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 spacings, got {magnitude(n)}")
-    count = 1 if size is None else int(size)
-    if count < 0:
-        raise ValueError(f"size must be >= 0, got {magnitude(size)}")
+    count = operator.index(1 if size is None else size)
     check_size((count, n))
 
     u = rng.random((count, n - 1))

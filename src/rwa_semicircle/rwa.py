@@ -27,6 +27,7 @@ thread; the bytes are those of the whole-block draw described above.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -119,10 +120,12 @@ def _row_sums(p: np.ndarray, out: np.ndarray) -> None:
     out += 0.0
 
 
-def check_shards(count: int, shards: int) -> None:
-    """The one split rule: every shard draws at least one of the `count` rows."""
+def check_shards(count: int, shards: int) -> int:
+    """The one split rule, on `shards` read as an exact int: every shard draws at least one of the `count` rows."""
+    shards = operator.index(shards)
     if not 1 <= shards <= count:
         raise ValueError(f"cannot split {render.magnitude(count)} draws over {render.magnitude(shards)} shards")
+    return shards
 
 
 def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "SampleBatch":
@@ -134,7 +137,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     it), and never more than there are chunks, takes chunks from one shared
     queue.  The calling thread is one of them, so one core starts no thread.
     """
-    check_shards(count, shards)
+    shards = check_shards(count, shards)
     # Every array the batch makes (the values, each chunk's weights and
     # inputs) is at most count by n.
     check_size((count, spec.n))

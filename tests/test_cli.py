@@ -7,6 +7,7 @@ exactly as a shell user would see them.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -27,7 +28,7 @@ import pytest
 
 import rwa_semicircle
 from rwa_semicircle import moments, render
-from rwa_semicircle.cli import main
+from rwa_semicircle.cli import build_parser, main
 from rwa_semicircle.gof import ks_statistic
 from rwa_semicircle.moments import rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
@@ -57,7 +58,7 @@ _BAD_VALUES = [
     ["plot-data", "--n", "3", "--count", "100", "--seed", "-1"],
     ["verify", "--n", "3", "--count", "100", "--shards", "200"],
     ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "6"],
-    ["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"],
+    ["sample", "rwa", "--n", "3", "--count", "5", "--seed", "1", "--shards", "0"],
     # the exponent is p/2 for an integer p in 0..1000
     ["sample", "psc", "--lambda", "0.3", "--count", "5", "--seed", "1"],
     ["sample", "psc", "--lambda", "500.5", "--count", "5", "--seed", "1"],
@@ -913,6 +914,24 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), sample_count=100, shards=shards)
 
+    def test_rejects_a_shard_count_that_is_no_int(self):
+        # A float would be written into the JSON as a count no command can give.
+        with pytest.raises(TypeError):
+            VerifyConfig(spec=RwaSpec(n=3, a=1.0), sample_count=100, shards=2.0)
+
+    def test_verify_options_default_to_the_config_fields(self, capsys):
+        defaults = {field.name: field.default for field in dataclasses.fields(VerifyConfig) if field.name != "spec"}
+        args = build_parser().parse_args(["verify", "--n", "3"])
+        assert defaults == {
+            "sample_count": args.count, "seed": args.seed, "max_moment_k": args.k_max,
+            "alpha": args.alpha, "shards": args.shards, "lambda_override": args.lambda_override,
+        }
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name in ("sample_count", "max_moment_k", "alpha"):
+            assert f"default {defaults[name]})" in text
+
     @pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
     def test_rejects_lambda_override_outside_finite_nonnegative(self, lam):
         with pytest.raises(ValueError):
@@ -1232,6 +1251,12 @@ class TestPlotDataCommand:
         _, data = _read_plot_csv(capsys.readouterr().out)
         assert np.all(np.isfinite(data))
         assert np.all(np.abs(data[:, 0]) < float(a)) and np.all(data[:, 2] > 0)
+
+    def test_shards_is_not_an_option(self, capsys):
+        # Its CSV records no shard count, so no plot-data output names one.
+        _usage_error(["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "2"])
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+        _usage_error(["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--shards", "101"])
 
     def test_writes_file_and_reproduces(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

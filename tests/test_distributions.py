@@ -342,6 +342,15 @@ class TestSpacings:
         with pytest.raises(ValueError):
             sample_spacings(3, rng, size=-1)
 
+    @pytest.mark.parametrize("size", [2.5, "3"])
+    def test_size_is_read_as_an_exact_int_before_any_draw(self, size):
+        # As check_size reads a dimension: no float is truncated, no string parsed.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            sample_spacings(3, rng, size=size)
+        assert rng.bit_generator.state == state
+
 
 class TestSizeRule:
     def test_bound_is_numpy_array_limit(self):

@@ -293,6 +293,18 @@ class TestSupportAndHooks:
         with pytest.raises(ValueError):
             rwa_batch(RwaSpec(2, 1.0), 3, seed=1, shards=5)
 
+    def test_shard_count_that_is_no_int_is_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew from a stream for a shard count no command can give")
+
+        monkeypatch.setattr(rwa, "_stream", no_draw)
+        with pytest.raises(TypeError):
+            rwa_batch(RwaSpec(3), 10, seed=1, shards=2.5)
+
+    def test_shard_count_is_recorded_as_the_int_it_reads(self):
+        batch = rwa_batch(RwaSpec(3), 10, seed=1, shards=np.int64(2))
+        assert batch.envelope_bytes() == rwa_batch(RwaSpec(3), 10, seed=1, shards=2).envelope_bytes()
+
     def test_count_beyond_numpy_index_range_is_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew from a stream for a batch no array can hold")
