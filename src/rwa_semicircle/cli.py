@@ -26,7 +26,6 @@ import os
 import re
 import sys
 import traceback
-from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -100,10 +99,10 @@ def _half_integer_list(text: str) -> tuple[HalfInteger, ...]:
 # small output helpers
 
 
-def _warn_long_table(counts: Iterable[int], degree: int) -> None:
+def _warn_long_table(params: tuple[HalfInteger, ...], degree: int) -> None:
     """Warn before an exact table whose series route forms more than
-    `_TERM_WARN_LIMIT` integer products."""
-    products = table_product_count(counts, degree)
+    `_TERM_WARN_LIMIT` integer products, or refuse its degree first."""
+    products = table_product_count(params, degree)
     if products > _TERM_WARN_LIMIT:
         print(
             f"warning: this table forms {magnitude(products)} integer products "
@@ -158,7 +157,7 @@ def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> 
 def _cmd_moment(args: argparse.Namespace) -> int:
     spec = RwaSpec(n=args.n, a=args.a)
     spec.target_law()
-    _warn_long_table([args.n], args.k_max)
+    _warn_long_table((HalfInteger(1),) * args.n, args.k_max)
     rows = moment_rows(spec, args.k_max)
     payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
     lines = [
@@ -175,7 +174,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
-    _warn_long_table(Counter(params).values(), args.r_max)
+    _warn_long_table(params, args.r_max)
     rows = lemma_rows(params, args.r_max)
     payload = {
         "params": [str(p) for p in params],
@@ -225,7 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shards=args.shards,
         lambda_override=args.lambda_override,
     )
-    _warn_long_table([args.n], args.k_max)
+    _warn_long_table((HalfInteger(1),) * args.n, args.k_max)
     outcome = run_verification(cfg)
 
     lines = [

@@ -17,6 +17,7 @@ still multiplied out, and nothing uses the closed side's (1-t)^(-sum a_j).
 A table, :func:`moment_rows` for k = 0..k_max or :func:`lemma_rows` for
 r = 0..r_max, forms that product once, cut at its last degree, and reads
 each row off it; :func:`table_product_count` counts its integer products.
+Every route reads its degree through one rule, :func:`check_degree`.
 
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` sets
 them beside one :func:`empirical_moment` pass over a batch.
@@ -30,6 +31,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ from .rwa import RwaSpec, SampleBatch
 __all__ = [
     "BAND_Z",
     "MomentReport",
+    "check_degree",
     "empirical_moment",
     "exact_scale",
     "lemma_lhs",
@@ -68,14 +71,16 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     v_2(i!) < i; at integer a, T_a[i] is 4^i times a binomial.  The integer
     sum of prod_j T_(a_j)[i_j] is the degree-r coefficient of prod_j
     (sum_i T_(a_j)[i] t^i), which :func:`_series_coefficient` forms with one
-    table per distinct parameter.  `composition_count` checks r and the list.
+    table per distinct parameter.  :func:`_lemma_factors` checks the list and r.
     """
-    return Fraction(_series_coefficient(_lemma_factors(params, r), r) * math.factorial(r), 4**r)
+    factors, r = _lemma_factors(params, r)
+    return Fraction(_series_coefficient(factors, r) * math.factorial(r), 4**r)
 
 
 def _lemma_column(params: Sequence[HalfInteger], r_max: int) -> list[Fraction]:
     """:func:`lemma_lhs` at r = 0..r_max, read off one product cut at degree r_max."""
-    totals = _series_coefficient(_lemma_factors(params, r_max), r_max, whole=True)
+    factors, r_max = _lemma_factors(params, r_max)
+    totals = _series_coefficient(factors, r_max, whole=True)
     return [Fraction(math.factorial(r) * total, 4**r) for r, total in enumerate(totals)]
 
 
@@ -84,30 +89,36 @@ def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fr
     return tuple((r, lhs, lemma_rhs(params, r)) for r, lhs in enumerate(_lemma_column(params, r_max)))
 
 
-def _check_series_bytes(r: int, least: int) -> None:
-    """Refuse a series of degree r that holds at least `least` bytes when
-    that is beyond the array limit of `check_size`, before it is built."""
-    limit = sys.maxsize
-    if least > limit:
+def check_degree(value: int, name: str = "r", *, order: bool = False) -> int:
+    """The exact layer's one degree rule: `value` (called `name`) read as an
+    exact int, as `check_size` reads a dimension, and returned if it is >= 0
+    and its series fits `check_size`'s limit: T_a[i] >= C(2i, i) takes about 2i
+    bits, so a series of degree r holds at least about r^2/8 bytes.  With
+    `order`, value is a moment order, of a series of degree value // 2."""
+    value = index(value)  # by name, not through `operator`, whose `mul` calls a test may count
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {magnitude(value)}")
+    degree = value // 2 if order else value
+    if degree * degree // 8 > sys.maxsize:
         raise ValueError(
-            f"a series of degree {magnitude(r)} holds at least {magnitude(least)} bytes, "
-            f"beyond NumPy's array limit of {limit}"
+            f"a series of degree {magnitude(degree)} holds at least {magnitude(degree * degree // 8)} bytes, "
+            f"beyond NumPy's array limit of {sys.maxsize}"
         )
+    return value
 
 
-def _lemma_factors(params: Sequence[HalfInteger], r: int) -> list[tuple[list[int], int]]:
-    """(T_a cut at degree r, how often a occurs) for each distinct a in params.
-    At a >= 1/2, T_a[i] >= C(2i, i) >= 4^i / (2 sqrt(i)) takes about 2i bits,
-    so each table holds at least about r^2/8 bytes."""
-    composition_count(r, len(params))
-    _check_series_bytes(r, r * r // 8)
+def _lemma_factors(params: Sequence[HalfInteger], r: int) -> tuple[list[tuple[list[int], int]], int]:
+    """(T_a cut at degree r, how often a occurs) for each distinct a in params, and r as read."""
+    if not params:
+        raise ValueError("need at least one part, got n=0")
+    r = check_degree(r)
     factors = []
     for a, count in Counter(params).items():
         table = [1]
         for i in range(1, r + 1):
             table.append(table[-1] * 2 * (a.twice_value + 2 * i - 2) // i)
         factors.append((table, count))
-    return factors
+    return factors, r
 
 
 def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int, *, whole: bool = False):
@@ -141,13 +152,14 @@ def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int, *, who
     return sum(map(operator.mul, product, reversed(series[-1])))
 
 
-def table_product_count(counts: Iterable[int], degree: int) -> int:
-    """The integer products :func:`_series_coefficient` forms for a whole
-    table cut at `degree`, of series repeated `counts` times: a count c is
-    squared bit_length(c) - 2 times (never below 0) and leaves popcount(c) + 1
-    series (1 at c = 1), s series in all take s - 1 products, and each
-    squaring and product takes C(degree + 2, 2) integer products."""
-    counts = list(counts)
+def table_product_count(params: Sequence[HalfInteger], degree: int) -> int:
+    """The integer products :func:`_series_coefficient` forms for a table of
+    `params` cut at `degree`, read by :func:`check_degree`: a parameter that
+    occurs c times is squared bit_length(c) - 2 times (never below 0) and leaves
+    popcount(c) + 1 series (1 at c = 1), s series in all take s - 1 products,
+    and each squaring and product takes C(degree + 2, 2) integer products."""
+    degree = check_degree(degree, "degree")
+    counts = Counter(params).values()
     squarings = sum(max(c.bit_length() - 2, 0) for c in counts)
     series = sum(c.bit_count() + (c > 1) for c in counts)
     return (squarings + series - 1) * math.comb(degree + 2, 2)
@@ -161,8 +173,7 @@ def _truncated_product(left: list[int], right: list[int], r: int) -> list[int]:
 
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     """Closed side of the same identity: Gamma(A + r)/Gamma(A), A = sum a_j."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    r = check_degree(r)
     if not params:
         raise ValueError("need at least one Dirichlet parameter")
     return rising_gamma_ratio(Fraction(sum(p.twice_value for p in params), 2), r)
@@ -218,14 +229,12 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
         E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
     """
     RwaSpec(n)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    r = check_degree(r, order=True)
     if not literal_parity:
         if r % 2:
             return Fraction(0)
-        return lemma_lhs((HalfInteger(1),) * n, r // 2) * _mixing(n, r // 2)  # the series' rule first
-    # C(i, i/2) >= 2^i / sqrt(2i) takes about i bits at each even i <= r.
-    _check_series_bytes(r, r * r // 32)
+        return lemma_lhs((HalfInteger(1),) * n, r // 2) * _mixing(n, r // 2)
+    # C(i, i/2) >= 2^i / sqrt(2i) takes about i bits at each even i <= r: r^2/32 bytes in all.
     central = [0 if i % 2 else math.comb(i, i // 2) for i in range(r + 1)]
     total = _series_coefficient([(central, n)], r)
     return Fraction(math.factorial(r) * math.factorial(n - 1) * total, math.factorial(r + n - 1) * 2**r)
@@ -248,8 +257,7 @@ def psc_moment(lam, k: int) -> Fraction:
     """
     q = Fraction(lam)
     PowerSemicircle(lam=q)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = check_degree(k, "k")
     return rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(q + 1, k)
 
 
@@ -374,12 +382,11 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     is taken against the unit moment, so a cannot move it; mean and standard
     error are the unit ones times a^(2k), rounded once, and each is None
     where that does not fit in a float."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = check_degree(k_max, "k_max")
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     spec.target_law()  # before the oracle's series of n parts is built
-    column = _lemma_column((HalfInteger(1),) * spec.n, k_max)  # refuses a degree no array holds
+    column = _lemma_column((HalfInteger(1),) * spec.n, k_max)
     square = exact_scale(spec.a) ** 2
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     rows = []

@@ -138,6 +138,7 @@ def rwa_batch(spec: RwaSpec, count: int, seed: int, *, shards: int = 1) -> "Samp
     queue.  The calling thread is one of them, so one core starts no thread.
     """
     shards = check_shards(count, shards)
+    seed = operator.index(seed)
     # Every array the batch makes (the values, each chunk's weights and
     # inputs) is at most count by n.
     check_size((count, spec.n))

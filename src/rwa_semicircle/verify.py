@@ -7,11 +7,12 @@ exact rows of one :func:`~rwa_semicircle.moments.moment_rows` table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 
 from .distributions import PowerSemicircle, check_size
 from .gof import ks_coefficient, ks_critical_one_sample, ks_statistic
-from .moments import MomentReport, moment_rows
+from .moments import MomentReport, check_degree, moment_rows
 from .render import magnitude
 from .rwa import RwaSpec, check_shards, rwa_batch
 
@@ -21,7 +22,7 @@ MIN_SAMPLE_COUNT = 100  # the fewest draws a verification run accepts
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Everything one verification run depends on."""
+    """Everything one verification run depends on, each count kept as the exact int its rule reads."""
 
     spec: RwaSpec
     sample_count: int = 100_000
@@ -32,12 +33,13 @@ class VerifyConfig:
     lambda_override: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sample_count", operator.index(self.sample_count))
         if self.sample_count < MIN_SAMPLE_COUNT:
             raise ValueError(f"need at least {MIN_SAMPLE_COUNT} draws, got {magnitude(self.sample_count)}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         ks_coefficient(self.alpha)
-        if self.max_moment_k < 0:
-            raise ValueError(f"max_moment_k must be >= 0, got {magnitude(self.max_moment_k)}")
-        check_shards(self.sample_count, self.shards)
+        object.__setattr__(self, "max_moment_k", check_degree(self.max_moment_k, "max_moment_k"))
+        object.__setattr__(self, "shards", check_shards(self.sample_count, self.shards))
         self.spec.target_law()
         check_size((self.sample_count, self.spec.n))
         if self.lambda_override is not None:

@@ -29,6 +29,7 @@ import pytest
 import rwa_semicircle
 from rwa_semicircle import moments, render
 from rwa_semicircle.cli import build_parser, main
+from rwa_semicircle.exactmath import HalfInteger
 from rwa_semicircle.gof import ks_statistic
 from rwa_semicircle.moments import rwa_moment_closed
 from rwa_semicircle.render import csv_bytes
@@ -502,10 +503,10 @@ def test_term_count_warning_threshold(monkeypatch, capsys):
     # 3 parts cut at degree 2: two products of three series, each of
     # 1 + 2 + 3 = 6 integer products.
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 12)
-    cli._warn_long_table([3], 2)
+    cli._warn_long_table((HalfInteger(1),) * 3, 2)
     assert capsys.readouterr().err == ""
     monkeypatch.setattr(cli, "_TERM_WARN_LIMIT", 11)
-    cli._warn_long_table([3], 2)
+    cli._warn_long_table((HalfInteger(1),) * 3, 2)
     assert "warning: this table forms 12 integer products (> 11)" in capsys.readouterr().err
 
 
@@ -564,13 +565,9 @@ _HUGE = "400000000000000000"
         # forms 2 such products, 1337292.
         (["moment", "--n", "1001", "--k-max", "1155"], "moment_rows", "10031190"),
         (["verify", "--n", "1001", "--count", "1000", "--k-max", "1155"], "run_verification", "10031190"),
-        # Counted in closed form: 2 C(4 10^17 + 2, 2) and C(10^12 + 2, 2)
-        # integer products, given as powers of ten.
-        (["moment", "--n", "3", "--k-max", _HUGE], "moment_rows", "about 10^35.2"),
-        (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], "run_verification", "about 10^35.2"),
-        (["lemma-check", "--params", "1/2,1", "--r-max", "1000000000000"], "lemma_rows", "about 10^23.7"),
-        # A count with more digits than str() of an int allows.
-        (["moment", "--n", "1001", "--k-max", "6" + "0" * 2249], "moment_rows", "about 10^4500.4"),
+        # Counted in closed form: 15 C(8 10^9 + 2, 2) integer products, given
+        # as a power of ten, at a degree just below the exact layer's limit.
+        (["moment", "--n", "1001", "--k-max", "8000000000"], "moment_rows", "about 10^20.7"),
     ],
 )
 def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
@@ -590,17 +587,24 @@ def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monke
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, degree, least",
     [
-        ["moment", "--n", "3", "--k-max", str(10**12)],
-        ["lemma-check", "--params", "1/2,1", "--r-max", str(10**12)],
-        ["verify", "--n", "3", "--count", "1000", "--seed", "1", "--k-max", str(10**12)],
+        (["moment", "--n", "3", "--k-max", str(10**12)], "1000000000000", "about 10^23.1"),
+        (["lemma-check", "--params", "1/2,1", "--r-max", str(10**12)], "1000000000000", "about 10^23.1"),
+        (["verify", "--n", "3", "--count", "1000", "--seed", "1", "--k-max", str(10**12)], "1000000000000", "about 10^23.1"),
+        (["verify", "--n", "3", "--count", "10000000", "--seed", "1", "--k-max", str(10**12)], "1000000000000", "about 10^23.1"),
+        (["moment", "--n", "3", "--k-max", _HUGE], _HUGE, "about 10^34.3"),
+        (["verify", "--n", "3", "--count", "1000", "--k-max", _HUGE], _HUGE, "about 10^34.3"),
+        # A degree with more digits than str() of an int allows.
+        (["moment", "--n", "1001", "--k-max", "6" + "0" * 2249], "about 10^2249.8", "about 10^4498.7"),
     ],
+    ids=[f"argv{i}" for i in range(7)],
 )
-def test_series_no_array_holds_is_a_usage_error(argv):
+def test_series_no_array_holds_is_a_usage_error(argv, degree, least):
     # A degree-r table holds at least about r^2/8 bytes.  The command runs
     # in a child process with its address space capped at 2 GiB, so that a
-    # table built despite the rule fails there, not on the host.
+    # table built despite the rule fails there, not on the host.  The degree
+    # is refused before anything else: no warning, no count, no draw.
     env = {**os.environ, "PYTHONPATH": str(Path(rwa_semicircle.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "rwa_semicircle", *argv], capture_output=True, text=True, env=env, timeout=60,
@@ -608,10 +612,20 @@ def test_series_no_array_holds_is_a_usage_error(argv):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1] == (
-        f"rwa: error: {argv[0]}: a series of degree 1000000000000 holds at least about 10^23.1 bytes, "
-        f"beyond NumPy's array limit of {np.iinfo(np.intp).max}"
+    assert proc.stderr == build_parser().format_usage() + (
+        f"rwa: error: {argv[0]}: a series of degree {degree} holds at least {least} bytes, "
+        f"beyond NumPy's array limit of {np.iinfo(np.intp).max}\n"
     )
+
+
+def test_verify_refuses_a_degree_before_it_draws(monkeypatch):
+    from rwa_semicircle import verify
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a batch for a table no array can hold")
+
+    monkeypatch.setattr(verify, "rwa_batch", no_draw)
+    _usage_error(["verify", "--n", "3", "--count", "10000000", "--seed", "1", "--k-max", "1000000000000"])
 
 
 def test_json_rows_and_rationals_share_one_form(capsys):
@@ -908,6 +922,16 @@ class TestVerifyConfig:
     def test_rejects_negative_k_max(self):
         with pytest.raises(ValueError):
             VerifyConfig(spec=RwaSpec(n=3, a=1.0), max_moment_k=-1)
+
+    def test_rejects_a_degree_no_array_holds(self):
+        with pytest.raises(ValueError, match="a series of degree 1000000000000 holds"):
+            VerifyConfig(spec=RwaSpec(3), max_moment_k=10**12)
+
+    @pytest.mark.parametrize("field", ["sample_count", "seed", "max_moment_k", "shards"])
+    def test_records_each_count_as_the_int_it_reads(self, field):
+        given = dict(spec=RwaSpec(3), sample_count=100, seed=5, max_moment_k=2, shards=2)
+        cfg = VerifyConfig(**{**given, field: np.int64(given[field])})
+        assert render.json_bytes(cfg.to_json_dict()) == render.json_bytes(VerifyConfig(**given).to_json_dict())
 
     @pytest.mark.parametrize("shards", [0, 101])
     def test_rejects_shards_outside_one_to_count(self, shards):

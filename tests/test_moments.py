@@ -389,23 +389,40 @@ class TestLemmaCertificate:
                 assert _lagrange(points[:-1], n) != lemma_rhs(halves(n), k)
 
 
+_LIBRARY_REFUSALS = [
+    ("lemma_lhs((HalfInteger(1),) * 3, 10**12)", 10**12, "about 10^23.1"),
+    ("lemma_rows((HalfInteger(1), HalfInteger(2)), 10**12)", 10**12, "about 10^23.1"),
+    ("moment_rows(RwaSpec(3), 10**12)", 10**12, "about 10^23.1"),
+    ("rwa_moment_oracle(3, 2 * 10**12)", 10**12, "about 10^23.1"),
+    # The literal route's C(i, i/2) take about i bits at even i: r^2/32
+    # bytes, those of a series of degree r // 2.
+    ("rwa_moment_oracle(3, 10**12, literal_parity=True)", 5 * 10**11, "about 10^22.5"),
+    # The closed routes share the oracle's domain.
+    ("psc_moment(1, 10**12)", 10**12, "about 10^23.1"),
+    ("rwa_moment_closed(3, 10**12)", 10**12, "about 10^23.1"),
+    ("lemma_rhs((HalfInteger(1),) * 3, 10**12)", 10**12, "about 10^23.1"),
+    # Just past the limit, 2^33 = isqrt(8 maxsize + 7) + 1: the oracle's
+    # odd order is refused where the closed route is.
+    ("rwa_moment_closed(3, 2**33)", 2**33, "9223372036854775808"),
+    ("rwa_moment_oracle(3, 2**34 + 1)", 2**33, "9223372036854775808"),
+    # A NumPy degree is read as an exact int: its square in int64 wraps
+    # to 7.8 10^18, within the limit.
+    ("lemma_lhs((HalfInteger(1),), np.int64(10**10))", 10**10, "12500000000000000000"),
+]
+
+
 @pytest.mark.parametrize(
-    "call, least",
-    [
-        ("lemma_lhs((HalfInteger(1),) * 3, 10**12)", "10^23.1"),
-        ("lemma_rows((HalfInteger(1), HalfInteger(2)), 10**12)", "10^23.1"),
-        ("moment_rows(RwaSpec(3), 10**12)", "10^23.1"),
-        ("rwa_moment_oracle(3, 2 * 10**12)", "10^23.1"),
-        # The literal route's C(i, i/2) take about i bits at even i: r^2/32 bytes.
-        ("rwa_moment_oracle(3, 10**12, literal_parity=True)", "10^22.5"),
-    ],
+    "call, degree, least", _LIBRARY_REFUSALS, ids=[f"{call}-{least.removeprefix('about ')}" for call, _, least in _LIBRARY_REFUSALS]
 )
-def test_series_no_array_holds_is_refused_before_it_is_built(call, least):
+def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least):
     # Run in a child process with its address space capped at 2 GiB, so that
     # a series built despite the rule fails there, not on the host.
     code = (
+        "import numpy as np\n"
         "from rwa_semicircle.exactmath import HalfInteger\n"
-        "from rwa_semicircle.moments import lemma_lhs, lemma_rows, moment_rows, rwa_moment_oracle\n"
+        "from rwa_semicircle.moments import (\n"
+        "    lemma_lhs, lemma_rhs, lemma_rows, moment_rows, psc_moment, rwa_moment_closed, rwa_moment_oracle,\n"
+        ")\n"
         "from rwa_semicircle.rwa import RwaSpec\n"
         f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
     )
@@ -416,7 +433,7 @@ def test_series_no_array_holds_is_refused_before_it_is_built(call, least):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (
-        f"a series of degree {10**12} holds at least about {least} bytes, "
+        f"a series of degree {degree} holds at least {least} bytes, "
         f"beyond NumPy's array limit of {np.iinfo(np.intp).max}\n"
     )
 
@@ -424,10 +441,29 @@ def test_series_no_array_holds_is_refused_before_it_is_built(call, least):
 def test_largest_series_degree_is_about_8_6e9():
     limit = np.iinfo(np.intp).max
     largest = math.isqrt(8 * limit + 7)
-    moments._check_series_bytes(largest, largest * largest // 8)
+    assert moments.check_degree(largest) == largest
     with pytest.raises(ValueError, match=f"degree {largest + 1} holds"):
-        moments._check_series_bytes(largest + 1, (largest + 1) ** 2 // 8)
+        moments.check_degree(largest + 1)
     assert 8.5e9 < largest < 8.7e9
+    # The oracle serves both orders of the last degree, 2k and 2k + 1.
+    assert rwa_moment_oracle(3, 2 * largest + 1) == 0
+
+
+def test_a_numpy_degree_gives_the_value_of_its_int():
+    # Kept as an int64, degree 40 would overflow in 4^r and 2^r.
+    params = (HalfInteger(1), HalfInteger(3))
+    for call in (
+        lambda r: lemma_lhs(params, r),
+        lambda r: lemma_rhs(params, r),
+        lambda r: lemma_rows(params, r),
+        lambda r: moment_rows(RwaSpec(3), r),
+        lambda r: psc_moment(1, r),
+        lambda r: rwa_moment_closed(3, r),
+        lambda r: rwa_moment_oracle(3, 2 * r),
+        lambda r: rwa_moment_oracle(3, 2 * r, literal_parity=True),
+        lambda r: moments.table_product_count(params, r),
+    ):
+        assert call(np.int64(40)) == call(40)
 
 
 def _differences(values: list, order: int) -> list:

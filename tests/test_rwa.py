@@ -305,6 +305,10 @@ class TestSupportAndHooks:
         batch = rwa_batch(RwaSpec(3), 10, seed=1, shards=np.int64(2))
         assert batch.envelope_bytes() == rwa_batch(RwaSpec(3), 10, seed=1, shards=2).envelope_bytes()
 
+    def test_seed_is_recorded_as_the_int_it_reads(self):
+        batch = rwa_batch(RwaSpec(3), 10, np.int64(1))
+        assert batch.envelope_bytes() == rwa_batch(RwaSpec(3), 10, 1).envelope_bytes()
+
     def test_count_beyond_numpy_index_range_is_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew from a stream for a batch no array can hold")
