@@ -91,10 +91,10 @@ def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fr
 
 def check_degree(value: int, name: str = "r", *, order: bool = False) -> int:
     """The exact layer's one degree rule: `value` (called `name`) read as an
-    exact int, as `check_size` reads a dimension, and returned if it is >= 0
-    and its series fits `check_size`'s limit: T_a[i] >= C(2i, i) takes about 2i
-    bits, so a series of degree r holds at least about r^2/8 bytes.  With
-    `order`, value is a moment order, of a series of degree value // 2."""
+    exact int, as `check_size` reads a dimension, and returned if >= 0 and
+    its series fits `check_size`'s limit: at a >= 1/2, T_a[i] >= C(2i, i) >=
+    4^i / (2 sqrt(i)) takes about 2i bits, so a series of degree r holds at
+    least about r^2/8 bytes.  With `order`, value is a moment order of degree value // 2."""
     value = index(value)  # by name, not through `operator`, whose `mul` calls a test may count
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {magnitude(value)}")
