@@ -568,6 +568,10 @@ _HUGE = "400000000000000000"
         # Counted in closed form: 15 C(8 10^9 + 2, 2) integer products, given
         # as a power of ten, at a degree just below the exact layer's limit.
         (["moment", "--n", "1001", "--k-max", "8000000000"], "moment_rows", "about 10^20.7"),
+        (["verify", "--n", "1001", "--count", "1000", "--k-max", "8000000000"], "run_verification", "about 10^20.7"),
+        # 16001 distinct parts take 16000 products: 16000 C(8 10^9 + 2, 2).
+        (["lemma-check", "--params", ",".join(f"{k}/2" for k in range(1, 16002)), "--r-max", "8000000000"],
+         "lemma_rows", "about 10^23.7"),
     ],
 )
 def test_warning_weighs_each_composition_by_its_parts(argv, walker, count, monkeypatch, capsys):
