@@ -40,8 +40,8 @@ from .verify import MIN_SAMPLE_COUNT, VerifyConfig, run_verification
 __all__ = ["build_parser", "main"]
 
 # Integer products above which an exact table warns: tables of 10^7 took
-# 13 s (moment --n 1001 --k-max 1153) to 85 s (--n 3 --k-max 3160, where
-# the rows' Fractions are widest) in-process on a 2-vCPU VM.
+# 11 s (moment --n 1001 --k-max 1153) to 67 s (--n 3 --k-max 3160, where
+# the series' integers are widest) in-process on a 2-vCPU VM.
 _TERM_WARN_LIMIT = 10_000_000
 _MIN_BINS = 10  # the fewest histogram bins plot-data accepts
 

@@ -123,8 +123,11 @@ class PowerSemicircle:
 
     def __post_init__(self) -> None:
         # lam is compared as given, with no float conversion, so an exponent
-        # beyond the float range meets this rule too.
-        if not (0 <= self.lam <= _WALLIS_MAX_P / 2 and (2 * self.lam) % 1 == 0):
+        # beyond the float range meets this rule too; 2 lam is compared with
+        # the int bound, as a Fraction compares with a float only through a
+        # second Fraction.
+        twice = 2 * self.lam
+        if not (0 <= twice <= _WALLIS_MAX_P and twice % 1 == 0):
             raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={magnitude(self.lam)}")
         # The scale is checked as the float every sampler and density uses,
         # so an int beyond the float range fails here, not at the first draw;

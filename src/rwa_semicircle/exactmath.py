@@ -3,7 +3,8 @@
 Everything in this module is computed with :class:`fractions.Fraction` (or
 plain integers), so results are exact and hashable.  Floating point never
 enters: ratios of gamma functions at half-integer arguments reduce to finite
-products, which is what :func:`rising_gamma_ratio` exploits.
+products, which is what :func:`rising_parts` forms as one integer numerator
+over one integer denominator.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "compositions",
     "multinomial",
     "rising_gamma_ratio",
+    "rising_parts",
 ]
 
 # A composition of r into n parts: an ordered tuple of n non-negative ints
@@ -62,19 +64,27 @@ class HalfInteger:
         return rational_str(Fraction(self.twice_value, 2))
 
 
+def rising_parts(p: int, d: int, m: int) -> tuple[int, int]:
+    """The rising factorial (p/d)_m = Gamma(p/d + m) / Gamma(p/d) as integer
+    parts: the numerator p (p + d) ... (p + (m-1) d) and the denominator d^m,
+    not reduced.  q + j = (p + j d) / d, so the whole product has one integer
+    numerator; a caller forms one Fraction of the parts, or multiplies them on
+    as integers.  m >= 0 is read by the caller."""
+    return math.prod(range(p, p + m * d, d)), d**m
+
+
 def rising_gamma_ratio(q: Fraction | int, m: int) -> Fraction:
     """Gamma(q + m) / Gamma(q) as an exact rational, for integer m >= 0.
 
-    This is the rising factorial q (q+1) ... (q+m-1); the gamma pieces (and
-    any sqrt(pi) hiding in half-integer values) cancel termwise, so the
-    quotient is rational even though neither gamma value is.
+    This is the rising factorial q (q+1) ... (q+m-1), one Fraction of
+    :func:`rising_parts`; the gamma pieces (and any sqrt(pi) hiding in
+    half-integer values) cancel termwise, so the quotient is rational even
+    though neither gamma value is.
     """
     if m < 0:
         raise ValueError(f"rising factorial needs m >= 0, got {m}")
     base = Fraction(q)
-    p, d = base.numerator, base.denominator
-    # q + j = (p + j d) / d, so the whole product has one integer numerator.
-    return Fraction(math.prod(range(p, p + m * d, d)), d**m)
+    return Fraction(*rising_parts(base.numerator, base.denominator, m))
 
 
 def multinomial(r: int, parts: Sequence[int]) -> int:

@@ -10,14 +10,21 @@ share only the mixing constant, and a fault there fails that check; a fault
 in the composition kernel makes the routes disagree (a ``NO`` row in
 `rwa moment`, a failed identity in `rwa lemma-check`).
 
-The composition sum is formed without a walk: its terms, products of one
-integer per part, are grouped by degree, so the sum is the degree-r
-coefficient of a product of integer series cut at degree r.  Every term is
-still multiplied out, and nothing uses the closed side's (1-t)^(-sum a_j).
-A table, :func:`moment_rows` for k = 0..k_max or :func:`lemma_rows` for
-r = 0..r_max, forms that product once, cut at its last degree, and reads
-each row off it; :func:`table_product_count` counts its integer products.
-Every route reads its degree through one rule, :func:`check_degree`.
+Every exact value is one integer numerator over one integer denominator,
+products of integer progressions, factorials and the composition sum, and
+becomes one Fraction when it is returned; the closed route compares its two
+forms by cross-multiplying those integers.  The composition sum is formed
+without a walk: its terms, products of one integer per part, are grouped by
+degree, so the sum is the degree-r coefficient of a product of integer
+series cut at degree r.  Every term is still multiplied out, and nothing
+uses the closed side's (1-t)^(-sum a_j).  A table, :func:`moment_rows` for
+k = 0..k_max or :func:`lemma_rows` for r = 0..r_max, forms that product
+once, cut at its last degree, and reads each row off it; its factorials,
+mixing constants, closed sides and laws are running products from one row
+to the next.  :func:`table_product_count` counts the series' integer
+products.  Every public route reads each argument once, its degree through
+one rule, :func:`check_degree`, and the private helpers take degrees that
+are already read.
 
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` sets
 them beside one :func:`empirical_moment` pass over a batch.
@@ -37,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import PowerSemicircle
-from .exactmath import HalfInteger, composition_count, rising_gamma_ratio
+from .exactmath import HalfInteger, composition_count, rising_parts
 from .render import magnitude, rational_json, rational_str
 from .rwa import RwaSpec, SampleBatch
 
@@ -71,22 +78,37 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     v_2(i!) < i; at integer a, T_a[i] is 4^i times a binomial.  The integer
     sum of prod_j T_(a_j)[i_j] is the degree-r coefficient of prod_j
     (sum_i T_(a_j)[i] t^i), which :func:`_series_coefficient` forms with one
-    table per distinct parameter.  :func:`_lemma_factors` checks the list and r.
+    table per distinct parameter (:func:`_lemma_factors`).
     """
-    factors, r = _lemma_factors(params, r)
-    return Fraction(_series_coefficient(factors, r) * math.factorial(r), 4**r)
+    if not params:
+        raise ValueError("need at least one part, got n=0")
+    r = check_degree(r)
+    return Fraction(_series_coefficient(_lemma_factors(params, r), r) * math.factorial(r), 4**r)
 
 
-def _lemma_column(params: Sequence[HalfInteger], r_max: int) -> list[Fraction]:
-    """:func:`lemma_lhs` at r = 0..r_max, read off one product cut at degree r_max."""
-    factors, r_max = _lemma_factors(params, r_max)
-    totals = _series_coefficient(factors, r_max, whole=True)
-    return [Fraction(math.factorial(r) * total, 4**r) for r, total in enumerate(totals)]
+def _lemma_column(params: Sequence[HalfInteger], r_max: int) -> list[int]:
+    """The numerators of :func:`lemma_lhs` over 4^r at r = 0..r_max: r! times
+    each coefficient of one product cut at degree r_max, r! a running product."""
+    column, factorial = [], 1
+    for r, total in enumerate(_series_coefficient(_lemma_factors(params, r_max), r_max, whole=True)):
+        factorial *= r or 1
+        column.append(factorial * total)
+    return column
 
 
 def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
-    """The identity table r = 0..r_max: (r, :func:`lemma_lhs`, :func:`lemma_rhs`)."""
-    return tuple((r, lhs, lemma_rhs(params, r)) for r, lhs in enumerate(_lemma_column(params, r_max)))
+    """The identity table r = 0..r_max: (r, :func:`lemma_lhs`, :func:`lemma_rhs`),
+    the closed side (A)_r = 2A (2A + 2) ... (2A + 2r - 2) / 2^r as a running
+    product, A = sum a_j."""
+    if not params:
+        raise ValueError("need at least one part, got n=0")
+    r_max = check_degree(r_max)
+    twice = sum(p.twice_value for p in params)
+    rows, rising = [], 1
+    for r, lhs in enumerate(_lemma_column(params, r_max)):
+        rows.append((r, Fraction(lhs, 4**r), Fraction(rising, 2**r)))
+        rising *= twice + 2 * r
+    return tuple(rows)
 
 
 def check_degree(value: int, name: str = "r", *, order: bool = False) -> int:
@@ -107,18 +129,17 @@ def check_degree(value: int, name: str = "r", *, order: bool = False) -> int:
     return value
 
 
-def _lemma_factors(params: Sequence[HalfInteger], r: int) -> tuple[list[tuple[list[int], int]], int]:
-    """(T_a cut at degree r, how often a occurs) for each distinct a in params, and r as read."""
-    if not params:
-        raise ValueError("need at least one part, got n=0")
-    r = check_degree(r)
-    factors = []
-    for a, count in Counter(params).items():
-        table = [1]
-        for i in range(1, r + 1):
-            table.append(table[-1] * 2 * (a.twice_value + 2 * i - 2) // i)
-        factors.append((table, count))
-    return factors, r
+def _lemma_factors(params: Sequence[HalfInteger], r: int) -> list[tuple[list[int], int]]:
+    """(T_a cut at degree r, how often a occurs) for each distinct a in params."""
+    return [(_binomial_table(a.twice_value, r), count) for a, count in Counter(params).items()]
+
+
+def _binomial_table(twice: int, r: int) -> list[int]:
+    """T_a[i] = 4^i C(a + i - 1, i) for i = 0..r, at a = twice / 2."""
+    table = [1]
+    for i in range(1, r + 1):
+        table.append(table[-1] * 2 * (twice + 2 * i - 2) // i)
+    return table
 
 
 def _series_coefficient(factors: Iterable[tuple[list[int], int]], r: int, *, whole: bool = False):
@@ -172,40 +193,56 @@ def _truncated_product(left: list[int], right: list[int], r: int) -> list[int]:
 
 
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
-    """Closed side of the same identity: Gamma(A + r)/Gamma(A), A = sum a_j."""
+    """Closed side of the same identity: Gamma(A + r)/Gamma(A), A = sum a_j,
+    one Fraction of :func:`~rwa_semicircle.exactmath.rising_parts`."""
     r = check_degree(r)
     if not params:
         raise ValueError("need at least one Dirichlet parameter")
-    return rising_gamma_ratio(Fraction(sum(p.twice_value for p in params), 2), r)
+    return Fraction(*rising_parts(sum(p.twice_value for p in params), 2, r))
 
 
-def _mixing(n: int, k: int) -> Fraction:
-    """(2k)! (n-1)! / ((2k+n-1)! k!), which turns either side of the lemma at
-    n parameters 1/2 and r = k into E S^(2k): the lemma's term at h is k!
-    times the arcsine moments prod_j C(2h_j, h_j) / 4^(h_j), and multinomial
-    times flat Dirichlet moment is (2k)! (n-1)! / (2k+n-1)! at every 2h."""
-    return Fraction(
-        math.factorial(2 * k) * math.factorial(n - 1),
-        math.factorial(2 * k + n - 1) * math.factorial(k),
-    )
+def _mixing(n: int, k: int) -> tuple[int, int]:
+    """(2k)! (n-1)! / ((2k+n-1)! k!) as integer parts, not reduced:
+    (k+1) (k+2) ... (2k) over n (n+1) ... (2k+n-1).  It turns either side of
+    the lemma at n parameters 1/2 and r = k into E S^(2k): the lemma's term
+    at h is k! times the arcsine moments prod_j C(2h_j, h_j) / 4^(h_j), and
+    multinomial times flat Dirichlet moment is (2k)! (n-1)! / (2k+n-1)! at
+    every 2h."""
+    return math.prod(range(k + 1, 2 * k + 1)), math.prod(range(n, 2 * k + n))
+
+
+def _psc_parts(twice_lam: int, k: int) -> tuple[int, int]:
+    """E X^(2k) of the unit power semicircle with exponent twice_lam / 2 as
+    integer parts: (1/2)_k / (lam + 1)_k, whose two rising factorials are each
+    over 2^k, so 1 3 ... (2k-1) over (2 lam + 2) (2 lam + 4) ... (2 lam + 2k)."""
+    return rising_parts(1, 2, k)[0], rising_parts(twice_lam + 2, 2, k)[0]
+
+
+def _checked_law(n: int, k: int, mixed: tuple[int, int], law: Fraction) -> Fraction:
+    """`law`, the law's moment, once the mixing constant times the lemma's
+    closed side, `mixed` as (numerator, denominator), cross-multiplies equal
+    to it; ArithmeticError otherwise."""
+    if mixed[0] * law.denominator != law.numerator * mixed[1]:
+        raise ArithmeticError(
+            f"internal moment forms disagree at n={n}, k={k}: "
+            f"{rational_str(Fraction(*mixed))} vs {rational_str(law)}"
+        )
+    return law
 
 
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
     The law is asked first: :meth:`RwaSpec.target_law` -- the theorem
-    itself -- checks the exponent (n-1)/2 before any factorial.  The mixing
+    itself -- checks the exponent (n-1)/2 before any product.  The mixing
     constant times the lemma's closed side at n parameters 1/2,
-    Gamma(n/2 + k)/Gamma(n/2), must then equal the law's moment.
+    Gamma(n/2 + k)/Gamma(n/2), must then equal the law's moment
+    (:func:`psc_moment`), compared by cross-multiplying their integer parts.
     """
-    law = psc_moment(RwaSpec(n).target_law().lam, k)
-    intermediate = _mixing(n, k) * lemma_rhs((HalfInteger(1),) * n, k)
-    if intermediate != law:
-        raise ArithmeticError(
-            f"internal moment forms disagree at n={n}, k={k}: "
-            f"{rational_str(intermediate)} vs {rational_str(law)}"
-        )
-    return law
+    RwaSpec(n).target_law()
+    k = check_degree(k, "k")
+    (mix_num, mix_den), (rhs_num, rhs_den) = _mixing(n, k), rising_parts(n, 2, k)
+    return _checked_law(n, k, (mix_num * rhs_num, mix_den * rhs_den), Fraction(*_psc_parts(n - 1, k)))
 
 
 def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fraction:
@@ -214,11 +251,14 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     Each composition i of r contributes multinomial(r; i) times the flat
     Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
     prod C(i_j, i_j/2) / 2^(i_j), zero at an odd part.  The first two factors
-    cancel to r! (n-1)! / (r+n-1)!, the same for every composition.
+    cancel to r! (n-1)! / (r+n-1)!, the same for every composition.  The law
+    is asked first, as :func:`rwa_moment_closed` asks it, so the two routes
+    serve the same n.
 
     Default mode: odd r returns 0 outright, and even r = 2k is the mixing
     constant times :func:`lemma_lhs` at n parameters 1/2 and r = k, the sum
-    over the compositions h of k, the halves of the surviving terms.
+    over the compositions h of k, the halves of the surviving terms, the
+    constant's integers applied to the sum's before one Fraction is formed.
 
     literal_parity=True instead sums over every composition of r, with an
     explicit 0 for C(i, i/2) at an odd part i, so that every term with an
@@ -228,12 +268,15 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
 
         E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
     """
-    RwaSpec(n)
+    RwaSpec(n).target_law()
     r = check_degree(r, order=True)
     if not literal_parity:
         if r % 2:
             return Fraction(0)
-        return lemma_lhs((HalfInteger(1),) * n, r // 2) * _mixing(n, r // 2)
+        k = r // 2
+        mix_num, mix_den = _mixing(n, k)
+        total = _series_coefficient([(_binomial_table(1, k), n)], k)
+        return Fraction(mix_num * math.factorial(k) * total, mix_den * 4**k)
     # C(i, i/2) >= 2^i / sqrt(2i) takes about i bits at each even i <= r: r^2/32 bytes in all.
     central = [0 if i % 2 else math.comb(i, i // 2) for i in range(r + 1)]
     total = _series_coefficient([(central, n)], r)
@@ -258,7 +301,7 @@ def psc_moment(lam, k: int) -> Fraction:
     q = Fraction(lam)
     PowerSemicircle(lam=q)
     k = check_degree(k, "k")
-    return rising_gamma_ratio(Fraction(1, 2), k) / rising_gamma_ratio(q + 1, k)
+    return Fraction(*_psc_parts(int(2 * q), k))
 
 
 # Values per leaf of the moment stage's sum tree: each leaf makes its own
@@ -386,19 +429,40 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     spec.target_law()  # before the oracle's series of n parts is built
-    column = _lemma_column((HalfInteger(1),) * spec.n, k_max)
-    square = exact_scale(spec.a) ** 2
+    n, square = spec.n, exact_scale(spec.a) ** 2
+    column = _lemma_column((HalfInteger(1),) * n, k_max)
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
+    # Row k's integer parts, each a running product of its own factors, so
+    # that the closed check multiplies separate columns: the mixing constant
+    # (2k)!/k! over (2k+n-1)!/(n-1)!, the lemma's closed side (n/2)_k as
+    # n (n+2) ... (n+2k-2) over 2^k, the law (1/2)_k / ((n+1)/2)_k as
+    # 1 3 ... (2k-1) over (n+1) (n+3) ... (n+2k-1), and a^(2k).  The check
+    # and the comparison of the routes cross-multiply with the law's reduced
+    # Fraction, and the oracle's parts become a Fraction of their own only
+    # where they differ from it.
+    mix_num = mix_den = rhs_num = law_num = law_den = scale_num = scale_den = 1
     rows = []
     for k, lhs in enumerate(column):
-        unit, scale = rwa_moment_closed(spec.n, k), square**k
-        oracle = _mixing(spec.n, k) * lhs
+        unit = _checked_law(n, k, (mix_num * rhs_num, mix_den * 2**k), Fraction(law_num, law_den))
+        closed = Fraction(unit.numerator * scale_num, unit.denominator * scale_den)
+        oracle_num, oracle_den = mix_num * lhs * scale_num, mix_den * 4**k * scale_den
+        same = oracle_num * closed.denominator == closed.numerator * oracle_den
+        oracle = closed if same else Fraction(oracle_num, oracle_den)
         monte_carlo = {}
         if batch is not None:
             mean, se = estimates[k]
             gap = abs(mean - float(unit))
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+            scale = Fraction(scale_num, scale_den)
             empirical, std_error = (_as_float(Fraction(x) * scale) for x in (mean, se))
             monte_carlo = dict(empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
-        rows.append(MomentReport(spec.n, spec.a, k, closed_form=unit * scale, oracle=oracle * scale, **monte_carlo))
+        rows.append(MomentReport(n, spec.a, k, closed_form=closed, oracle=oracle, **monte_carlo))
+        odd = 2 * k + 1
+        mix_num *= 2 * odd
+        mix_den *= (n + odd - 1) * (n + odd)
+        rhs_num *= n + 2 * k
+        law_num *= odd
+        law_den *= n + odd
+        scale_num *= square.numerator
+        scale_den *= square.denominator
     return tuple(rows)

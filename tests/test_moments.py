@@ -132,6 +132,12 @@ class TestClosedForm:
             with pytest.raises(ValueError, match="p/2"):
                 rwa_moment_closed(n, 0)
 
+    def test_a_fault_in_the_mixing_constant_fails_the_check(self, monkeypatch):
+        mixing = moments._mixing
+        monkeypatch.setattr(moments, "_mixing", lambda n, k: (mixing(n, k)[0] + 1, mixing(n, k)[1]))
+        with pytest.raises(ArithmeticError, match=r"^internal moment forms disagree at n=3, k=2: 13/96 vs 1/8$"):
+            rwa_moment_closed(3, 2)
+
 
 def _convolution_moments(n_max: int, k_max: int) -> dict[int, list[Fraction]]:
     """E S^(2k) for n = 2..n_max and k = 0..k_max by power series.
@@ -278,7 +284,7 @@ class TestSeriesKernel:
         for r in range(_small_r(n) + 1):
             reference = _factor_by_factor_oracle(n, r, compositions(r, n))
             if r % 2 == 0:
-                assert reference == moments._mixing(n, r // 2) * _literal_lemma_sum((H(1),) * n, r // 2)
+                assert reference == Fraction(*moments._mixing(n, r // 2)) * _literal_lemma_sum((H(1),) * n, r // 2)
             for literal_parity in (False, True):
                 assert rwa_moment_oracle(n, r, literal_parity=literal_parity) == reference, (r, literal_parity)
 
@@ -305,7 +311,22 @@ class TestSeriesKernel:
         rows = moment_rows(RwaSpec(n=n, a=2.5), 30)
         assert [row.k for row in rows] == list(range(31))
         for row in rows:
-            assert row.oracle == rwa_moment_oracle(n, 2 * row.k) * exact_scale(2.5) ** (2 * row.k), row.k
+            scale = exact_scale(2.5) ** (2 * row.k)
+            assert row.oracle == rwa_moment_oracle(n, 2 * row.k) * scale, row.k
+            assert row.closed_form == rwa_moment_closed(n, row.k) * scale, row.k
+
+    def test_a_table_makes_no_factorial_per_row(self, monkeypatch):
+        # The table's factorials, the oracle column's r! among them, are
+        # running products, so a longer table calls math.factorial no more.
+        calls = []
+        factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda x: calls.append(x) or factorial(x))
+        counts = []
+        for k_max in (100, 200):
+            calls.clear()
+            moment_rows(RwaSpec(n=3), k_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_a_size_without_target_law_is_refused_before_the_table(self):
         # The oracle's table holds n copies of one parameter; the law is
@@ -322,6 +343,12 @@ class TestSeriesKernel:
             assert [r for r, _, _ in rows] == list(range(13))
             for r, lhs, rhs in rows:
                 assert (lhs, rhs) == (lemma_lhs(params, r), lemma_rhs(params, r)), (params, r)
+
+    @pytest.mark.parametrize("twice", [(1,), (2, 2, 1), (1, 3, 5, 7, 4)])
+    def test_lemma_table_closed_side_is_the_single_value(self, twice):
+        # The table's closed side is a running product from one row to the next.
+        params = tuple(map(H, twice))
+        assert [rhs for _, _, rhs in lemma_rows(params, 60)] == [lemma_rhs(params, r) for r in range(61)]
 
     def test_refusals_keep_their_messages(self):
         for call in (
@@ -411,12 +438,10 @@ _LIBRARY_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "call, degree, least", _LIBRARY_REFUSALS, ids=[f"{call}-{least.removeprefix('about ')}" for call, _, least in _LIBRARY_REFUSALS]
-)
-def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least):
-    # Run in a child process with its address space capped at 2 GiB, so that
-    # a series built despite the rule fails there, not on the host.
+def _run_capped(call: str) -> subprocess.CompletedProcess:
+    """Run `call` in a child process with its address space capped at 2 GiB,
+    so that a series built despite a rule fails there, not on the host; the
+    child prints the text of the ValueError the call raises."""
     code = (
         "import numpy as np\n"
         "from rwa_semicircle.exactmath import HalfInteger\n"
@@ -427,15 +452,33 @@ def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least
         f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(moments.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
     )
+
+
+@pytest.mark.parametrize(
+    "call, degree, least", _LIBRARY_REFUSALS, ids=[f"{call}-{least.removeprefix('about ')}" for call, _, least in _LIBRARY_REFUSALS]
+)
+def test_series_no_array_holds_is_refused_before_it_is_built(call, degree, least):
+    proc = _run_capped(call)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (
         f"a series of degree {degree} holds at least {least} bytes, "
         f"beyond NumPy's array limit of {np.iinfo(np.intp).max}\n"
     )
+
+
+@pytest.mark.parametrize("literal_parity", [False, True])
+@pytest.mark.parametrize("n", [1002, 10**12])
+def test_the_oracle_refuses_the_sizes_the_closed_route_refuses(n, literal_parity):
+    # Both routes ask the target law first: n = 1002 has none (2 lam = 1001),
+    # and at n = 10^12 the oracle would build a series of 10^12 parts.
+    with pytest.raises(ValueError, match=rf"^n={n} has no target law: ") as refused:
+        rwa_moment_closed(n, 1)
+    proc = _run_capped(f"rwa_moment_oracle({n}, {2 + literal_parity}, literal_parity={literal_parity})")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{refused.value}\n")
 
 
 def test_largest_series_degree_is_about_8_6e9():
@@ -490,7 +533,7 @@ class TestClosedFormCertificate:
     @pytest.mark.parametrize("k", range(11))
     def test_k_plus_two_sizes_fix_the_closed_form_at_every_size(self, k):
         sizes = range(2, k + 4)
-        mixed = [math.prod(range(n, n + 2 * k)) * moments._mixing(n, k) * lemma_rhs((H(1),) * n, k) for n in sizes]
+        mixed = [math.prod(range(n, n + 2 * k)) * Fraction(*moments._mixing(n, k)) * lemma_rhs((H(1),) * n, k) for n in sizes]
         law = [math.prod(range(n, n + 2 * k)) * psc_moment(Fraction(n - 1, 2), k) for n in sizes]
         assert mixed == law
         assert _differences(law, k + 1) == [0]
