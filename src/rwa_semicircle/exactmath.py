@@ -10,6 +10,7 @@ over one integer denominator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -43,8 +44,7 @@ class HalfInteger:
     twice_value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_value, int):
-            raise TypeError(f"twice_value must be an int, got {type(self.twice_value).__name__}")
+        object.__setattr__(self, "twice_value", operator.index(self.twice_value))
         if self.twice_value < 1:
             raise ValueError(f"half-integer must be >= 1/2, got {magnitude(self.twice_value)}/2")
 

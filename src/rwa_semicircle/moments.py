@@ -10,21 +10,21 @@ share only the mixing constant, and a fault there fails that check; a fault
 in the composition kernel makes the routes disagree (a ``NO`` row in
 `rwa moment`, a failed identity in `rwa lemma-check`).
 
-Every exact value is one integer numerator over one integer denominator,
-products of integer progressions, factorials and the composition sum, and
-becomes one Fraction when it is returned; the closed route compares its two
-forms by cross-multiplying those integers.  The composition sum is formed
+Every single exact value is one integer numerator over one integer
+denominator, products of integer progressions, factorials and the
+composition sum, and becomes one Fraction when it is returned; the closed
+route compares its two forms by cross-multiplying those integers.  A
+table's factors are running products instead.  The composition sum is formed
 without a walk: its terms, products of one integer per part, are grouped by
 degree, so the sum is the degree-r coefficient of a product of integer
 series cut at degree r.  Every term is still multiplied out, and nothing
-uses the closed side's (1-t)^(-sum a_j).  A table, :func:`moment_rows` for
-k = 0..k_max or :func:`lemma_rows` for r = 0..r_max, forms that product
-once, cut at its last degree, and reads each row off it; its factorials,
-mixing constants, closed sides and laws are running products from one row
-to the next.  :func:`table_product_count` counts the series' integer
-products.  Every public route reads each argument once, its degree through
-one rule, :func:`check_degree`, and the private helpers take degrees that
-are already read.
+uses the closed side's (1-t)^(-sum a_j).  The identity table
+:func:`lemma_rows` forms that product once, cut at r_max, and reads each row
+off it; :func:`moment_rows` reads that table at n parameters 1/2 and
+multiplies each row by the mixing constant, checked against the law.
+:func:`table_product_count` counts the series' integer products.  Every
+public route reads each argument once, its degree through one rule,
+:func:`check_degree`, and the private helpers take degrees already read.
 
 Both are exact rationals, so "agree" means ``==``.  :func:`moment_rows` sets
 them beside one :func:`empirical_moment` pass over a batch.
@@ -86,28 +86,20 @@ def lemma_lhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     return Fraction(_series_coefficient(_lemma_factors(params, r), r) * math.factorial(r), 4**r)
 
 
-def _lemma_column(params: Sequence[HalfInteger], r_max: int) -> list[int]:
-    """The numerators of :func:`lemma_lhs` over 4^r at r = 0..r_max: r! times
-    each coefficient of one product cut at degree r_max, r! a running product."""
-    column, factorial = [], 1
-    for r, total in enumerate(_series_coefficient(_lemma_factors(params, r_max), r_max, whole=True)):
-        factorial *= r or 1
-        column.append(factorial * total)
-    return column
-
-
 def lemma_rows(params: Sequence[HalfInteger], r_max: int) -> tuple[tuple[int, Fraction, Fraction], ...]:
     """The identity table r = 0..r_max: (r, :func:`lemma_lhs`, :func:`lemma_rhs`),
-    the closed side (A)_r = 2A (2A + 2) ... (2A + 2r - 2) / 2^r as a running
-    product, A = sum a_j."""
+    every composition side r!/4^r times a coefficient of one product cut at
+    degree r_max.  r!/4^r and the closed side (A)_r, A = sum a_j, are running
+    products of Fractions, so each step reduces by a gcd with one small factor."""
     if not params:
         raise ValueError("need at least one part, got n=0")
     r_max = check_degree(r_max)
     twice = sum(p.twice_value for p in params)
-    rows, rising = [], 1
-    for r, lhs in enumerate(_lemma_column(params, r_max)):
-        rows.append((r, Fraction(lhs, 4**r), Fraction(rising, 2**r)))
-        rising *= twice + 2 * r
+    rows, ratio, rising = [], Fraction(1), Fraction(1)
+    for r, total in enumerate(_series_coefficient(_lemma_factors(params, r_max), r_max, whole=True)):
+        rows.append((r, ratio * total, rising))
+        ratio *= Fraction(r + 1, 4)
+        rising *= Fraction(twice + 2 * r, 2)
     return tuple(rows)
 
 
@@ -195,9 +187,9 @@ def _truncated_product(left: list[int], right: list[int], r: int) -> list[int]:
 def lemma_rhs(params: Sequence[HalfInteger], r: int) -> Fraction:
     """Closed side of the same identity: Gamma(A + r)/Gamma(A), A = sum a_j,
     one Fraction of :func:`~rwa_semicircle.exactmath.rising_parts`."""
-    r = check_degree(r)
     if not params:
-        raise ValueError("need at least one Dirichlet parameter")
+        raise ValueError("need at least one part, got n=0")
+    r = check_degree(r)
     return Fraction(*rising_parts(sum(p.twice_value for p in params), 2, r))
 
 
@@ -418,8 +410,8 @@ def _as_float(value: Fraction) -> float | None:
 
 
 def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> tuple[MomentReport, ...]:
-    """The moment table k = 0..k_max: both exact routes, the oracle's rows read
-    off one power cut at degree k_max, times the exact a^(2k) of
+    """The moment table k = 0..k_max: both exact routes, read off the rows of
+    :func:`lemma_rows` at n parameters 1/2, times the exact a^(2k) of
     :func:`exact_scale`, plus one :func:`empirical_moment` pass over `batch`
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
@@ -430,22 +422,22 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
     spec.target_law()  # before the oracle's series of n parts is built
     n, square = spec.n, exact_scale(spec.a) ** 2
-    column = _lemma_column((HalfInteger(1),) * n, k_max)
+    identity = lemma_rows((HalfInteger(1),) * n, k_max)
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
-    # Row k's integer parts, each a running product of its own factors, so
-    # that the closed check multiplies separate columns: the mixing constant
-    # (2k)!/k! over (2k+n-1)!/(n-1)!, the lemma's closed side (n/2)_k as
-    # n (n+2) ... (n+2k-2) over 2^k, the law (1/2)_k / ((n+1)/2)_k as
-    # 1 3 ... (2k-1) over (n+1) (n+3) ... (n+2k-1), and a^(2k).  The check
-    # and the comparison of the routes cross-multiply with the law's reduced
-    # Fraction, and the oracle's parts become a Fraction of their own only
-    # where they differ from it.
-    mix_num = mix_den = rhs_num = law_num = law_den = scale_num = scale_den = 1
+    # Running products: the mixing constant's integer parts (2k)!/k! over
+    # (2k+n-1)!/(n-1)!, and the Fractions of the law (1/2)_k / ((n+1)/2)_k,
+    # times (2k+1)/(n+2k+1) per row, and of a^(2k).  The closed check
+    # multiplies the mixing column by the row's closed side, and the oracle
+    # is it times the row's composition side; each cross-multiplies with the
+    # law, and the oracle's parts become a Fraction of their own only where
+    # they differ from it.
+    mix_num = mix_den = 1
+    law = scale = Fraction(1)
     rows = []
-    for k, lhs in enumerate(column):
-        unit = _checked_law(n, k, (mix_num * rhs_num, mix_den * 2**k), Fraction(law_num, law_den))
-        closed = Fraction(unit.numerator * scale_num, unit.denominator * scale_den)
-        oracle_num, oracle_den = mix_num * lhs * scale_num, mix_den * 4**k * scale_den
+    for k, lhs, rhs in identity:
+        unit = _checked_law(n, k, (mix_num * rhs.numerator, mix_den * rhs.denominator), law)
+        closed = unit * scale
+        oracle_num, oracle_den = mix_num * lhs.numerator * scale.numerator, mix_den * lhs.denominator * scale.denominator
         same = oracle_num * closed.denominator == closed.numerator * oracle_den
         oracle = closed if same else Fraction(oracle_num, oracle_den)
         monte_carlo = {}
@@ -453,16 +445,12 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
             mean, se = estimates[k]
             gap = abs(mean - float(unit))
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
-            scale = Fraction(scale_num, scale_den)
             empirical, std_error = (_as_float(Fraction(x) * scale) for x in (mean, se))
             monte_carlo = dict(empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)
         rows.append(MomentReport(n, spec.a, k, closed_form=closed, oracle=oracle, **monte_carlo))
         odd = 2 * k + 1
         mix_num *= 2 * odd
         mix_den *= (n + odd - 1) * (n + odd)
-        rhs_num *= n + 2 * k
-        law_num *= odd
-        law_den *= n + odd
-        scale_num *= square.numerator
-        scale_den *= square.denominator
+        law *= Fraction(odd, n + odd)
+        scale *= square
     return tuple(rows)

@@ -61,9 +61,13 @@ class RwaSpec:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            shown = render.magnitude(self.n) if isinstance(self.n, int) else repr(self.n)
-            raise ValueError(f"need an integer n >= 2, got {shown}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"need an integer n >= 2, got {self.n!r}") from None
+        if n < 2:
+            raise ValueError(f"need an integer n >= 2, got {render.magnitude(n)}")
+        object.__setattr__(self, "n", n)
         Arcsine(a=self.a)
 
     def target_law(self) -> PowerSemicircle:

@@ -423,7 +423,7 @@ def test_an_exception_with_no_text_is_named_by_its_class(monkeypatch, capsys):
     def exhausted(params, r_max):
         raise MemoryError()
 
-    monkeypatch.setattr(moments, "_lemma_column", exhausted)
+    monkeypatch.setattr(moments, "lemma_rows", exhausted)
     assert main(["moment", "--n", "3", "--k-max", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -753,11 +753,11 @@ class TestMomentCommand:
     def test_route_disagreement_is_a_no_row(self, monkeypatch, capsys):
         from rwa_semicircle import moments
 
-        # A composition kernel that is off by one from r = 1 on disagrees
+        # A composition side that is off by one from r = 1 on disagrees
         # with the closed form from order 2 on.
-        column = moments._lemma_column
-        monkeypatch.setattr(moments, "_lemma_column", lambda params, r_max: [
-            lhs + (1 if r >= 1 else 0) for r, lhs in enumerate(column(params, r_max))])
+        table = moments.lemma_rows
+        monkeypatch.setattr(moments, "lemma_rows", lambda params, r_max: [
+            (r, lhs + (1 if r >= 1 else 0), rhs) for r, lhs, rhs in table(params, r_max)])
         argv = ["moment", "--n", "3", "--k-max", "2"]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -768,6 +768,22 @@ class TestMomentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_equal"] is False
         assert [row["consistent"] for row in payload["rows"]] == [True, False, False]
+
+    def test_a_closed_side_off_the_law_is_an_error(self, monkeypatch, capsys):
+        from rwa_semicircle import moments
+
+        # The law check multiplies the mixing constant by the identity
+        # table's closed side: one that is off by one from r = 1 on fails it
+        # at k = 1, in the library and on the command line.
+        table = moments.lemma_rows
+        monkeypatch.setattr(moments, "lemma_rows", lambda params, r_max: [
+            (r, lhs, rhs + (1 if r >= 1 else 0)) for r, lhs, rhs in table(params, r_max)])
+        with pytest.raises(ArithmeticError, match=r"^internal moment forms disagree at n=3, k=1: "):
+            moments.moment_rows(RwaSpec(n=3), 2)
+        assert main(["moment", "--n", "3", "--k-max", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: moment: internal moment forms disagree at n=3, k=1: ")
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +952,11 @@ class TestVerifyConfig:
         given = dict(spec=RwaSpec(3), sample_count=100, seed=5, max_moment_k=2, shards=2)
         cfg = VerifyConfig(**{**given, field: np.int64(given[field])})
         assert render.json_bytes(cfg.to_json_dict()) == render.json_bytes(VerifyConfig(**given).to_json_dict())
+
+    def test_records_the_size_as_the_int_it_reads(self):
+        cfg = VerifyConfig(spec=RwaSpec(np.int64(3)), sample_count=100)
+        assert render.json_bytes(cfg.to_json_dict()) == render.json_bytes(
+            VerifyConfig(spec=RwaSpec(3), sample_count=100).to_json_dict())
 
     @pytest.mark.parametrize("shards", [0, 101])
     def test_rejects_shards_outside_one_to_count(self, shards):
@@ -1166,9 +1187,9 @@ class TestVerifyCommand:
 
         # The Monte Carlo checks pass; only the two exact routes disagree,
         # from order 2 on.
-        column = moments._lemma_column
-        monkeypatch.setattr(moments, "_lemma_column", lambda params, r_max: [
-            lhs + (1 if r >= 1 else 0) for r, lhs in enumerate(column(params, r_max))])
+        table = moments.lemma_rows
+        monkeypatch.setattr(moments, "lemma_rows", lambda params, r_max: [
+            (r, lhs + (1 if r >= 1 else 0), rhs) for r, lhs, rhs in table(params, r_max)])
         report = tmp_path / "v.json"
         assert main(["verify", "--n", "3", "--count", "2000", "--seed", "7", "--json", str(report)]) == 1
         out = capsys.readouterr().out

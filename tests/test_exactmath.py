@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rwa_semicircle.exactmath import (
@@ -28,6 +29,10 @@ class TestHalfInteger:
     def test_value_and_str(self):
         assert str(HalfInteger(3)) == "3/2"
         assert str(HalfInteger(4)) == "2"
+
+    def test_reads_a_numpy_int_as_its_int(self):
+        value = HalfInteger(np.int64(3))
+        assert type(value.twice_value) is int and value == HalfInteger(3) and str(value) == "3/2"
 
     def test_rejects_below_one_half(self):
         with pytest.raises(ValueError):

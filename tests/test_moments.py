@@ -358,11 +358,11 @@ class TestSeriesKernel:
         ):
             with pytest.raises(ValueError, match=r"^r must be >= 0, got -1$"):
                 call()
-        for r in (2, -1):
-            with pytest.raises(ValueError, match=r"^need at least one part, got n=0$"):
-                lemma_lhs((), r)
-        with pytest.raises(ValueError, match=r"^need at least one Dirichlet parameter$"):
-            lemma_rhs((), 3)
+        # An empty list is refused before its degree is read, in one text.
+        for route in (lemma_lhs, lemma_rhs, lemma_rows):
+            for r in (2, -1):
+                with pytest.raises(ValueError, match=r"^need at least one part, got n=0$"):
+                    route((), r)
 
     def test_the_runtime_path_walks_no_composition(self, monkeypatch, tmp_path):
         from rwa_semicircle import exactmath
@@ -507,6 +507,15 @@ def test_a_numpy_degree_gives_the_value_of_its_int():
         lambda r: moments.table_product_count(params, r),
     ):
         assert call(np.int64(40)) == call(40)
+
+
+def test_a_numpy_size_gives_the_value_of_its_int():
+    # RwaSpec reads n with operator.index, as the degree rule reads a degree.
+    for n in (3, 1001):
+        assert rwa_moment_closed(np.int64(n), 20) == rwa_moment_closed(n, 20)
+        assert rwa_moment_oracle(np.int64(n), 40) == rwa_moment_oracle(n, 40)
+        assert rwa_moment_oracle(np.int64(n), 40, literal_parity=True) == rwa_moment_oracle(n, 40, literal_parity=True)
+    assert moment_rows(RwaSpec(np.int64(3)), 20) == moment_rows(RwaSpec(3), 20)
 
 
 def _differences(values: list, order: int) -> list:

@@ -305,6 +305,11 @@ class TestSupportAndHooks:
         batch = rwa_batch(RwaSpec(3), 10, seed=1, shards=np.int64(2))
         assert batch.envelope_bytes() == rwa_batch(RwaSpec(3), 10, seed=1, shards=2).envelope_bytes()
 
+    def test_size_is_recorded_as_the_int_it_reads(self):
+        spec = RwaSpec(np.int64(3))
+        assert type(spec.n) is int and spec == RwaSpec(3)
+        assert rwa_batch(spec, 10, 1).envelope_bytes() == rwa_batch(RwaSpec(3), 10, 1).envelope_bytes()
+
     def test_seed_is_recorded_as_the_int_it_reads(self):
         batch = rwa_batch(RwaSpec(3), 10, np.int64(1))
         assert batch.envelope_bytes() == rwa_batch(RwaSpec(3), 10, 1).envelope_bytes()
