@@ -428,9 +428,9 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     # (2k+n-1)!/(n-1)!, and the Fractions of the law (1/2)_k / ((n+1)/2)_k,
     # times (2k+1)/(n+2k+1) per row, and of a^(2k).  The closed check
     # multiplies the mixing column by the row's closed side, and the oracle
-    # is it times the row's composition side; each cross-multiplies with the
-    # law, and the oracle's parts become a Fraction of their own only where
-    # they differ from it.
+    # multiplies it by the row's composition side; each cross-multiplies with
+    # the law, and the oracle's parts become a Fraction of their own only
+    # where they differ from it.
     mix_num = mix_den = 1
     law = scale = Fraction(1)
     rows = []
