@@ -140,14 +140,9 @@ def _write_stdout(chunk: bytes) -> None:
         os.close(devnull)
 
 
-def _report(as_json: bool, payload: dict, lines: list[str], all_equal: bool) -> int:
-    """Write one exact table: `payload` and its verdict `all_equal` as JSON,
-    or else the text `lines`; exit 0 when every row agrees."""
-    if as_json:
-        _emit([json_bytes({**payload, "all_equal": all_equal})], None)
-    else:
-        _emit([("\n".join(lines) + "\n").encode("ascii")], None)
-    return 0 if all_equal else 1
+def _emit_text(lines: Iterable[str]) -> None:
+    """Write a text report to stdout, each of `lines` ended by LF."""
+    _emit([("\n".join(lines) + "\n").encode("ascii")], None)
 
 
 # ---------------------------------------------------------------------------
@@ -159,37 +154,36 @@ def _cmd_moment(args: argparse.Namespace) -> int:
     spec.target_law()
     _warn_long_table((HalfInteger(1),) * args.n, args.k_max)
     rows = moment_rows(spec, args.k_max)
-    payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows]}
-    lines = [
-        f"moments of the weighted average: n = {args.n}, a = {args.a:g}",
-        f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.k:>3} {rational_str(row.closed_form):>16} {rational_str(row.oracle):>16} "
-            f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
-        )
-    return _report(args.json, payload, lines, all(row.consistent for row in rows))
+    all_equal = all(row.consistent for row in rows)
+    if args.json:
+        payload = {"n": args.n, "a": args.a, "rows": [row.to_json_dict() for row in rows], "all_equal": all_equal}
+        _emit([json_bytes(payload)], None)
+    else:
+        _emit_text([
+            f"moments of the weighted average: n = {args.n}, a = {args.a:g}",
+            f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal",
+            *(f"{row.k:>3} {rational_str(row.closed_form):>16} {rational_str(row.oracle):>16} "
+              f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}" for row in rows),
+        ])
+    return 0 if all_equal else 1
 
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
     _warn_long_table(params, args.r_max)
     rows = lemma_rows(params, args.r_max)
-    payload = {
-        "params": [str(p) for p in params],
-        "rows": [
-            {"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs}
-            for r, lhs, rhs in rows
-        ],
-    }
-    lines = [
-        f"identity check for params = [{', '.join(str(p) for p in params)}]",
-        f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal",
-    ]
-    for r, lhs, rhs in rows:
-        lines.append(f"{r:>3} {rational_str(lhs):>20} {rational_str(rhs):>20} {'yes' if lhs == rhs else 'NO'}")
-    return _report(args.json, payload, lines, all(lhs == rhs for _, lhs, rhs in rows))
+    all_equal = all(lhs == rhs for _, lhs, rhs in rows)
+    if args.json:
+        json_rows = [{"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs} for r, lhs, rhs in rows]
+        _emit([json_bytes({"params": [str(p) for p in params], "rows": json_rows, "all_equal": all_equal})], None)
+    else:
+        _emit_text([
+            f"identity check for params = [{', '.join(str(p) for p in params)}]",
+            f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal",
+            *(f"{r:>3} {rational_str(lhs):>20} {rational_str(rhs):>20} {'yes' if lhs == rhs else 'NO'}"
+              for r, lhs, rhs in rows),
+        ])
+    return 0 if all_equal else 1
 
 
 def _cmd_sample_table(args: argparse.Namespace) -> int:
@@ -239,7 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"(z = {row.z:.2f} vs {BAND_Z})"
         )
     lines.append(f"verify: {'PASS' if outcome.overall_pass else 'FAIL'}")
-    _emit([("\n".join(lines) + "\n").encode("ascii")], None)
+    _emit_text(lines)
 
     if args.json is not None:
         _emit([json_bytes(outcome.to_json_dict())], args.json)

@@ -46,7 +46,7 @@ class HalfInteger:
     def __post_init__(self) -> None:
         object.__setattr__(self, "twice_value", operator.index(self.twice_value))
         if self.twice_value < 1:
-            raise ValueError(f"half-integer must be >= 1/2, got {magnitude(self.twice_value)}/2")
+            raise ValueError(f"half-integer must be >= 1/2, got {magnitude(Fraction(self.twice_value, 2))}")
 
     @classmethod
     def parse(cls, text: str) -> "HalfInteger":

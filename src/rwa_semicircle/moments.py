@@ -171,6 +171,8 @@ def table_product_count(params: Sequence[HalfInteger], degree: int) -> int:
     occurs c times is squared bit_length(c) - 2 times (never below 0) and leaves
     popcount(c) + 1 series (1 at c = 1), s series in all take s - 1 products,
     and each squaring and product takes C(degree + 2, 2) integer products."""
+    if not params:
+        raise ValueError("need at least one part, got n=0")
     degree = check_degree(degree, "degree")
     counts = Counter(params).values()
     squarings = sum(max(c.bit_length() - 2, 0) for c in counts)

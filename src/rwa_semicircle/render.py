@@ -25,7 +25,7 @@ import hashlib
 import itertools
 import json
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -112,10 +112,12 @@ def rational_str(q: int | Fraction) -> str:
 
 
 def decimal_str(q: Fraction, digits: int = 30) -> str:
-    """Decimal rendering of an exact rational to `digits` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    """Decimal rendering of an exact rational to `digits` significant digits,
+    rounded half-even at any exponent, in one fixed context: the calling
+    thread's decimal context changes no byte and raises nothing here."""
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0,
+                      traps=[InvalidOperation, DivisionByZero, Overflow])
+    return context.to_sci_string(context.divide(Decimal(q.numerator), Decimal(q.denominator)))
 
 
 def magnitude(x) -> str:

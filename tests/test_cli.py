@@ -198,6 +198,8 @@ class TestUsageErrors:
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
              "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
              "fit in one NumPy array, got '4611686018427387904'"),
+            (["lemma-check", "--params", "0,1", "--r-max", "3"],
+             "rwa lemma-check: error: argument --params: half-integer must be >= 1/2, got 0"),
             # An alpha in (0, 1) whose half rounds to 0 names alpha, not the log.
             (["verify", "--n", "3", "--count", "1000", "--seed", "1", "--alpha", "5e-324"],
              "rwa: error: verify: alpha must be at least 1e-323, so that alpha / 2 is a positive float, got 5e-324"),
@@ -642,6 +644,30 @@ def test_json_rows_and_rationals_share_one_form(capsys):
     row = json.loads(capsys.readouterr().out)["rows"][2]
     assert row["lhs"] == {"num": "12", "den": "1", "decimal": "12"}
     assert row["rhs"] == row["lhs"]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv", [["moment", "--n", "4", "--k-max", "3"], ["lemma-check", "--params", "1/2,1,3/2", "--r-max", "4"]]
+)
+def test_an_exact_table_renders_only_the_form_it_prints(argv, as_json, monkeypatch, capsysbinary):
+    # The bytes are those the golden digests pin for an unpatched run.
+    argv = [*argv, "--json"] if as_json else argv
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+
+    def unprinted(*args, **kwargs):
+        raise AssertionError("rendered the form this run does not print")
+
+    from rwa_semicircle import cli
+
+    names = ["rational_str", "decimal_str"] if as_json else ["rational_json"]
+    for name in names:
+        monkeypatch.setattr(cli, name, unprinted)
+    if not as_json:
+        monkeypatch.setattr(moments, "rational_json", unprinted)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == printed
 
 
 # ---------------------------------------------------------------------------

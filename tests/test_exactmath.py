@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,13 @@ class TestHalfInteger:
             HalfInteger(0)
         with pytest.raises(TypeError):
             HalfInteger(1.5)
+
+    @pytest.mark.parametrize(
+        "twice, value", [(0, "0"), (-6, "-3"), (-1, "-1/2"), (-2 * 10**30, "about -10^30.0")]
+    )
+    def test_refusal_names_the_value_as_a_reduced_rational(self, twice, value):
+        with pytest.raises(ValueError, match=rf"^half-integer must be >= 1/2, got {re.escape(value)}$"):
+            HalfInteger(twice)
 
 
 class TestRisingGammaRatio:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from decimal import ROUND_DOWN, Inexact, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +54,17 @@ def test_verify_json_digest(a, expected):
     cfg = VerifyConfig(spec=RwaSpec(n=4, a=a), sample_count=5_000, seed=1234, max_moment_k=3)
     text = json.dumps(run_verification(cfg).to_json_dict(), indent=2, sort_keys=True) + "\n"
     _check(hashlib.sha256(text.encode("ascii")).hexdigest(), expected, f"verify JSON n=4 a={a}")
+
+
+def test_decimal_readings_ignore_the_callers_decimal_context():
+    # Every `decimal` reading is made in one fixed context, so a caller's
+    # rounding, capitals, exponent limit or traps change no byte.
+    with localcontext() as ctx:
+        ctx.rounding, ctx.capitals, ctx.Emax = ROUND_DOWN, 0, 10
+        ctx.traps[Inexact] = True
+        assert render.decimal_str(Fraction(2, 3)) == "0.666666666666666666666666666667"
+        assert render.decimal_str(Fraction(10**40, 3)) == "3.33333333333333333333333333333E+39"
+        test_verify_json_digest(2.5, "40863207dd570080d3ce04b22082c2318af651459382a9ebadc93c772b552124")
 
 
 def test_verify_json_digest_across_ks_blocks():

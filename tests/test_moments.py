@@ -359,7 +359,7 @@ class TestSeriesKernel:
             with pytest.raises(ValueError, match=r"^r must be >= 0, got -1$"):
                 call()
         # An empty list is refused before its degree is read, in one text.
-        for route in (lemma_lhs, lemma_rhs, lemma_rows):
+        for route in (lemma_lhs, lemma_rhs, lemma_rows, moments.table_product_count):
             for r in (2, -1):
                 with pytest.raises(ValueError, match=r"^need at least one part, got n=0$"):
                     route((), r)
