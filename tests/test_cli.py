@@ -661,11 +661,9 @@ def test_an_exact_table_renders_only_the_form_it_prints(argv, as_json, monkeypat
 
     from rwa_semicircle import cli
 
-    names = ["rational_str", "decimal_str"] if as_json else ["rational_json"]
-    for name in names:
-        monkeypatch.setattr(cli, name, unprinted)
-    if not as_json:
-        monkeypatch.setattr(moments, "rational_json", unprinted)
+    unused = [(cli, "rational_str"), (cli, "decimal_str")] if as_json else [(cli, "rational_json"), (moments, "rational_json")]
+    for module, name in unused:
+        monkeypatch.setattr(module, name, unprinted)
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == printed
 
