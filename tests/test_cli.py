@@ -198,8 +198,6 @@ class TestUsageErrors:
             (["plot-data", "--n", "3", "--count", "100", "--seed", "1", "--bins", "4611686018427387904"],
              "rwa plot-data: error: argument --bins: expected a bin count whose bins + 1 float64 edges "
              "fit in one NumPy array, got '4611686018427387904'"),
-            (["lemma-check", "--params", "0,1", "--r-max", "3"],
-             "rwa lemma-check: error: argument --params: half-integer must be >= 1/2, got 0"),
             # An alpha in (0, 1) whose half rounds to 0 names alpha, not the log.
             (["verify", "--n", "3", "--count", "1000", "--seed", "1", "--alpha", "5e-324"],
              "rwa: error: verify: alpha must be at least 1e-323, so that alpha / 2 is a positive float, got 5e-324"),
@@ -208,6 +206,8 @@ class TestUsageErrors:
             (["verify", "--n", "3", "--count", "100000", "--seed", "1", "--a", "1e-322"],
              "rwa: error: verify: scale must be positive and finite, at least the smallest normal float "
              "2.2250738585072014e-308, got a=1e-322"),
+            (["lemma-check", "--params", "0,1", "--r-max", "3"],
+             "rwa lemma-check: error: argument --params: half-integer must be >= 1/2, got 0"),
         ],
     )
     def test_bounded_argument_message(self, argv, message, capsys):
