@@ -162,8 +162,9 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit_text([
             f"moments of the weighted average: n = {args.n}, a = {args.a:g}",
             f"{'k':>3} {'closed form':>16} {'oracle':>16} {'decimal':>32} equal",
-            *(f"{row.k:>3} {rational_str(row.closed_form):>16} {rational_str(row.oracle):>16} "
-              f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}" for row in rows),
+            *(f"{row.k:>3} {closed:>16} {closed if row.consistent else rational_str(row.oracle):>16} "
+              f"{decimal_str(row.closed_form):>32} {'yes' if row.consistent else 'NO'}"
+              for row in rows for closed in [rational_str(row.closed_form)]),
         ])
     return 0 if all_equal else 1
 
@@ -171,17 +172,18 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
     params = args.params
     _warn_long_table(params, args.r_max)
-    rows = lemma_rows(params, args.r_max)
-    all_equal = all(lhs == rhs for _, lhs, rhs in rows)
+    render = rational_json if args.json else rational_str
+    rows = [(r, text, text if lhs == rhs else render(rhs), lhs == rhs)
+            for r, lhs, rhs in lemma_rows(params, args.r_max) for text in [render(lhs)]]
+    all_equal = all(equal for *_, equal in rows)
     if args.json:
-        json_rows = [{"r": r, "lhs": rational_json(lhs), "rhs": rational_json(rhs), "equal": lhs == rhs} for r, lhs, rhs in rows]
+        json_rows = [{"r": r, "lhs": lhs, "rhs": rhs, "equal": equal} for r, lhs, rhs, equal in rows]
         _emit([json_bytes({"params": [str(p) for p in params], "rows": json_rows, "all_equal": all_equal})], None)
     else:
         _emit_text([
             f"identity check for params = [{', '.join(str(p) for p in params)}]",
             f"{'r':>3} {'composition sum':>20} {'gamma ratio':>20} equal",
-            *(f"{r:>3} {rational_str(lhs):>20} {rational_str(rhs):>20} {'yes' if lhs == rhs else 'NO'}"
-              for r, lhs, rhs in rows),
+            *(f"{r:>3} {lhs:>20} {rhs:>20} {'yes' if equal else 'NO'}" for r, lhs, rhs, equal in rows),
         ])
     return 0 if all_equal else 1
 

@@ -290,12 +290,11 @@ def psc_moment(lam, k: int) -> Fraction:
     """E X^(2k) of the unit-scale power semicircle with exponent lam.
 
     lam must be p/2 for an integer p in 0..1000, the rule `PowerSemicircle`
-    checks; the moment is rising(1/2, k) / rising(lam + 1, k).
+    checks on lam as given; the moment is rising(1/2, k) / rising(lam + 1, k).
     """
-    q = Fraction(lam)
-    PowerSemicircle(lam=q)
+    PowerSemicircle(lam=lam)
     k = check_degree(k, "k")
-    return Fraction(*_psc_parts(int(2 * q), k))
+    return Fraction(*_psc_parts(int(2 * Fraction(lam)), k))
 
 
 # Values per leaf of the moment stage's sum tree: each leaf makes its own
@@ -387,13 +386,14 @@ class MomentReport:
         return self.consistent and self.within_band()
 
     def to_json_dict(self) -> dict:
+        closed_form = rational_json(self.closed_form)
         out = {
             "n": self.n,
             "a": self.a,
             "k": self.k,
             "order": 2 * self.k,
-            "closed_form": rational_json(self.closed_form),
-            "oracle": rational_json(self.oracle),
+            "closed_form": closed_form,
+            "oracle": closed_form if self.consistent else rational_json(self.oracle),
             "consistent": self.consistent,
         }
         if self.mc_count is not None:
@@ -418,7 +418,8 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     (drawn at `spec`) in the unit variable values / a, if a batch is given.  z
     is taken against the unit moment, so a cannot move it; mean and standard
     error are the unit ones times a^(2k), rounded once, and each is None
-    where that does not fit in a float."""
+    where that does not fit in a float.  Where a lemma row's sides agree, its
+    oracle is the closed value's own Fraction."""
     k_max = check_degree(k_max, "k_max")
     if batch is not None and batch.spec != spec:
         raise ValueError(f"batch was drawn at {batch.spec}, not at {spec}")
@@ -428,24 +429,18 @@ def moment_rows(spec: RwaSpec, k_max: int, batch: SampleBatch | None = None) -> 
     estimates = empirical_moment(batch.values, k_max, spec.a) if batch is not None else ()
     # Running products: the mixing constant's integer parts (2k)!/k! over
     # (2k+n-1)!/(n-1)!, and the Fractions of the law (1/2)_k / ((n+1)/2)_k,
-    # times (2k+1)/(n+2k+1) per row, and of a^(2k).  The closed check
-    # multiplies the mixing column by the row's closed side, and the oracle
-    # multiplies it by the row's composition side; each cross-multiplies with
-    # the law, and the oracle's parts become a Fraction of their own only
-    # where they differ from it.
+    # times (2k+1)/(n+2k+1) per row, and of a^(2k).  As the mixing constant
+    # and a^(2k) are positive, the oracle is the checked closed value iff lhs == rhs.
     mix_num = mix_den = 1
     law = scale = Fraction(1)
     rows = []
     for k, lhs, rhs in identity:
-        unit = _checked_law(n, k, (mix_num * rhs.numerator, mix_den * rhs.denominator), law)
-        closed = unit * scale
-        oracle_num, oracle_den = mix_num * lhs.numerator * scale.numerator, mix_den * lhs.denominator * scale.denominator
-        same = oracle_num * closed.denominator == closed.numerator * oracle_den
-        oracle = closed if same else Fraction(oracle_num, oracle_den)
+        closed = _checked_law(n, k, (mix_num * rhs.numerator, mix_den * rhs.denominator), law) * scale
+        oracle = closed if lhs == rhs else Fraction(mix_num, mix_den) * lhs * scale
         monte_carlo = {}
         if batch is not None:
             mean, se = estimates[k]
-            gap = abs(mean - float(unit))
+            gap = abs(mean - float(law))
             z = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
             empirical, std_error = (_as_float(Fraction(x) * scale) for x in (mean, se))
             monte_carlo = dict(empirical=empirical, std_error=std_error, mc_count=batch.values.size, seed=batch.seed, z=z)

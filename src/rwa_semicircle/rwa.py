@@ -69,6 +69,7 @@ class RwaSpec:
             raise ValueError(f"need an integer n >= 2, got {render.magnitude(n)}")
         object.__setattr__(self, "n", n)
         Arcsine(a=self.a)
+        object.__setattr__(self, "a", float(self.a))
 
     def target_law(self) -> PowerSemicircle:
         """The law the theorem gives the average: exponent (n - 1)/2, as an

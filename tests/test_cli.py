@@ -651,7 +651,9 @@ def test_json_rows_and_rationals_share_one_form(capsys):
     "argv", [["moment", "--n", "4", "--k-max", "3"], ["lemma-check", "--params", "1/2,1,3/2", "--r-max", "4"]]
 )
 def test_an_exact_table_renders_only_the_form_it_prints(argv, as_json, monkeypatch, capsysbinary):
-    # The bytes are those the golden digests pin for an unpatched run.
+    # The bytes are those the golden digests pin for an unpatched run.  Every
+    # row agrees, so each renders its one value once, in the printed form only.
+    rows = int(argv[-1]) + 1
     argv = [*argv, "--json"] if as_json else argv
     assert main(argv) == 0
     printed = capsysbinary.readouterr().out
@@ -659,13 +661,26 @@ def test_an_exact_table_renders_only_the_form_it_prints(argv, as_json, monkeypat
     def unprinted(*args, **kwargs):
         raise AssertionError("rendered the form this run does not print")
 
+    rendered = []
+
+    def counted(render):
+        def count(value):
+            rendered.append(value)
+            return render(value)
+
+        return count
+
     from rwa_semicircle import cli
 
     unused = [(cli, "rational_str"), (cli, "decimal_str")] if as_json else [(cli, "rational_json"), (moments, "rational_json")]
+    used = [(cli, "rational_json"), (moments, "rational_json")] if as_json else [(cli, "rational_str")]
     for module, name in unused:
         monkeypatch.setattr(module, name, unprinted)
+    for module, name in used:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == printed
+    assert len(rendered) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +803,16 @@ class TestMomentCommand:
         assert captured.err == ""
         rows = [ln for ln in captured.out.splitlines() if ln.strip()][2:]
         assert [row.split()[-1] for row in rows] == ["yes", "NO", "NO"]
+        # A differing row prints the oracle's own value: the closed form plus
+        # the mixing constant that the extra one is multiplied by.
+        closed = [rwa_moment_closed(3, k) for k in range(3)]
+        oracle = [closed[0]] + [closed[k] + Fraction(*moments._mixing(3, k)) for k in (1, 2)]
+        assert [row.split()[1:3] for row in rows] == [[render.rational_str(c), render.rational_str(o)] for c, o in zip(closed, oracle)]
         assert main([*argv, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_equal"] is False
         assert [row["consistent"] for row in payload["rows"]] == [True, False, False]
+        assert [row["oracle"] for row in payload["rows"]] == [render.rational_json(o) for o in oracle]
 
     def test_a_closed_side_off_the_law_is_an_error(self, monkeypatch, capsys):
         from rwa_semicircle import moments
@@ -826,6 +847,25 @@ class TestLemmaCheckCommand:
         assert main(["lemma-check", "--params", "2", "--r-max", "0"]) == 0
         rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()][2:]
         assert rows[0].split()[:3] == ["0", "1", "1"]
+
+    def test_a_failed_identity_prints_both_sides(self, monkeypatch, capsys):
+        from rwa_semicircle import cli
+
+        # A composition side off by one from r = 1 on: those rows print the
+        # gamma ratio's own value beside it, in both forms.
+        table = cli.lemma_rows
+        monkeypatch.setattr(cli, "lemma_rows", lambda params, r_max: [
+            (r, lhs + (1 if r >= 1 else 0), rhs) for r, lhs, rhs in table(params, r_max)])
+        argv = ["lemma-check", "--params", "1/2,1", "--r-max", "2"]
+        expected = table((HalfInteger.parse("1/2"), HalfInteger.parse("1")), 2)
+        assert main(argv) == 1
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.strip()][2:]
+        assert rows == [[str(r), render.rational_str(lhs + (r >= 1)), render.rational_str(rhs), "NO" if r else "yes"]
+                        for r, lhs, rhs in expected]
+        assert main([*argv, "--json"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["lhs"], row["rhs"]) for row in rows] == [
+            (render.rational_json(lhs + (r >= 1)), render.rational_json(rhs)) for r, lhs, rhs in expected]
 
     def test_json_payload(self, capsys):
         assert main(["lemma-check", "--params", "1/2,5/2", "--r-max", "3", "--json"]) == 0

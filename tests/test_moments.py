@@ -579,7 +579,7 @@ class TestPscMoment:
             psc_moment(501, 0)
         with pytest.raises(ValueError, match="p/2"):
             psc_moment(Fraction(1001, 2), 0)
-        for lam in (10**400, Fraction(10**400)):
+        for lam in (10**400, Fraction(10**400), math.inf, math.nan):
             with pytest.raises(ValueError, match="p/2"):
                 psc_moment(lam, 0)
 
