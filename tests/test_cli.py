@@ -807,7 +807,8 @@ class TestMomentCommand:
         # the mixing constant that the extra one is multiplied by.
         closed = [rwa_moment_closed(3, k) for k in range(3)]
         oracle = [closed[0]] + [closed[k] + Fraction(*moments._mixing(3, k)) for k in (1, 2)]
-        assert [row.split()[1:3] for row in rows] == [[render.rational_str(c), render.rational_str(o)] for c, o in zip(closed, oracle)]
+        assert [row.split()[1:3] for row in rows] == [
+            [render.rational_str(c), render.rational_str(o)] for c, o in zip(closed, oracle)]
         assert main([*argv, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_equal"] is False

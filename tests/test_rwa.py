@@ -314,12 +314,14 @@ class TestSupportAndHooks:
     def test_scale_is_recorded_as_the_float_it_checks(self):
         from rwa_semicircle.moments import moment_rows
 
+        def table_json(spec):
+            return render.json_bytes([row.to_json_dict() for row in moment_rows(spec, 2)])
+
         for a, checked in ((np.float32(0.5), 0.5), (2, 2.0), (True, 1.0), (Fraction(1, 2), 0.5)):
             spec = RwaSpec(3, a)
             assert type(spec.a) is float and spec == RwaSpec(3, checked)
             assert rwa_batch(spec, 4, 1).envelope_bytes() == rwa_batch(RwaSpec(3, checked), 4, 1).envelope_bytes()
-            rows = [row.to_json_dict() for row in moment_rows(spec, 2)]
-            assert render.json_bytes(rows) == render.json_bytes([row.to_json_dict() for row in moment_rows(RwaSpec(3, checked), 2)])
+            assert table_json(spec) == table_json(RwaSpec(3, checked))
 
     def test_seed_is_recorded_as_the_int_it_reads(self):
         batch = rwa_batch(RwaSpec(3), 10, np.int64(1))
