@@ -17,12 +17,13 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .render import magnitude
 
-__all__ = ["Arcsine", "PowerSemicircle", "check_size", "sample_spacings"]
+__all__ = ["Arcsine", "PowerSemicircle", "check_exponent", "check_size", "sample_spacings"]
 
 
 # Largest p = 2*lam that `PowerSemicircle` accepts.  The Wallis form of its
@@ -46,6 +47,19 @@ def check_size(size) -> None:
             f"count={magnitude(count)} draws of n={magnitude(n)} values are "
             f"{magnitude(8 * count * n)} bytes, beyond NumPy's array limit of {limit}"
         )
+
+
+def check_exponent(twice, lam=None) -> int:
+    """The family's one exponent rule: `twice` = 2 lam must be an integer p
+    in 0..1000, and p is returned as an int.  `twice` is compared as given,
+    with no float conversion, so an exponent beyond the float range meets
+    the rule too, and with the int bound, as a Fraction compares with a
+    float only through a second Fraction.  The refusal names `lam`, or the
+    Fraction twice / 2 when no lam is given, formed only then."""
+    if not (0 <= twice <= _WALLIS_MAX_P and twice % 1 == 0):
+        lam = Fraction(twice, 2) if lam is None else lam
+        raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={magnitude(lam)}")
+    return int(twice)
 
 
 def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -122,13 +136,7 @@ class PowerSemicircle:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        # lam is compared as given, with no float conversion, so an exponent
-        # beyond the float range meets this rule too; 2 lam is compared with
-        # the int bound, as a Fraction compares with a float only through a
-        # second Fraction.
-        twice = 2 * self.lam
-        if not (0 <= twice <= _WALLIS_MAX_P and twice % 1 == 0):
-            raise ValueError(f"exponent must be p/2 for an integer p in 0..{_WALLIS_MAX_P}, got lam={magnitude(self.lam)}")
+        check_exponent(2 * self.lam, self.lam)
         # The scale is checked as the float every sampler and density uses,
         # so an int beyond the float range fails here, not at the first draw;
         # it is compared as given first, so a non-number still raises TypeError.

@@ -43,10 +43,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import PowerSemicircle
+from .distributions import check_exponent
 from .exactmath import HalfInteger, composition_count, rising_parts
 from .render import magnitude, rational_json, rational_str
-from .rwa import RwaSpec, SampleBatch
+from .rwa import RwaSpec, SampleBatch, target_exponent
 
 __all__ = [
     "BAND_Z",
@@ -227,13 +227,15 @@ def _checked_law(n: int, k: int, mixed: tuple[int, int], law: Fraction) -> Fract
 def rwa_moment_closed(n: int, k: int) -> Fraction:
     """E S^(2k) for the weighted average of n unit arcsine variables.
 
-    The law is asked first: :meth:`RwaSpec.target_law` -- the theorem
-    itself -- checks the exponent (n-1)/2 before any product.  The mixing
-    constant times the lemma's closed side at n parameters 1/2,
-    Gamma(n/2 + k)/Gamma(n/2), must then equal the law's moment
-    (:func:`psc_moment`), compared by cross-multiplying their integer parts.
+    The law is asked first: :func:`~rwa_semicircle.rwa.target_exponent` --
+    the theorem itself -- reads n by `RwaSpec`'s size rule and checks the
+    exponent p = n - 1 = 2 lam by the family's exponent rule before any
+    product, as integers, with no law object built.  The mixing constant
+    times the lemma's closed side at n parameters 1/2, Gamma(n/2 + k)/Gamma(n/2),
+    must then equal the law's moment (:func:`psc_moment`), compared by
+    cross-multiplying their integer parts.
     """
-    RwaSpec(n).target_law()
+    n = target_exponent(n) + 1
     k = check_degree(k, "k")
     (mix_num, mix_den), (rhs_num, rhs_den) = _mixing(n, k), rising_parts(n, 2, k)
     return _checked_law(n, k, (mix_num * rhs_num, mix_den * rhs_den), Fraction(*_psc_parts(n - 1, k)))
@@ -246,8 +248,9 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
     Dirichlet moment (n-1)! prod i_j! / (r+n-1)! times the arcsine moments
     prod C(i_j, i_j/2) / 2^(i_j), zero at an odd part.  The first two factors
     cancel to r! (n-1)! / (r+n-1)!, the same for every composition.  The law
-    is asked first, as :func:`rwa_moment_closed` asks it, so the two routes
-    serve the same n.
+    is asked first, in both modes, by the same integer rule
+    :func:`rwa_moment_closed` asks (no law object is built), so the two
+    routes serve the same n.
 
     Default mode: odd r returns 0 outright, and even r = 2k is the mixing
     constant times :func:`lemma_lhs` at n parameters 1/2 and r = k, the sum
@@ -262,7 +265,7 @@ def rwa_moment_oracle(n: int, r: int, *, literal_parity: bool = False) -> Fracti
 
         E S^r = r! (n-1)! / ((r+n-1)! 2^r) * sum_i prod_j C(i_j, i_j/2).
     """
-    RwaSpec(n).target_law()
+    n = target_exponent(n) + 1
     r = check_degree(r, order=True)
     if not literal_parity:
         if r % 2:
@@ -289,12 +292,14 @@ def oracle_term_count(n: int, r: int, *, literal_parity: bool = False) -> int:
 def psc_moment(lam, k: int) -> Fraction:
     """E X^(2k) of the unit-scale power semicircle with exponent lam.
 
-    lam must be p/2 for an integer p in 0..1000, the rule `PowerSemicircle`
-    checks on lam as given; the moment is rising(1/2, k) / rising(lam + 1, k).
+    lam must be p/2 for an integer p in 0..1000: 2 lam is read by the
+    family's exponent rule, `check_exponent`, as `PowerSemicircle` reads it,
+    and its int p is used, with no law object built; the moment is
+    rising(1/2, k) / rising(lam + 1, k).
     """
-    PowerSemicircle(lam=lam)
+    p = check_exponent(2 * lam, lam)
     k = check_degree(k, "k")
-    return Fraction(*_psc_parts(int(2 * Fraction(lam)), k))
+    return Fraction(*_psc_parts(p, k))
 
 
 # Values per leaf of the moment stage's sum tree: each leaf makes its own

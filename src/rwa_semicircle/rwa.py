@@ -39,9 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from . import render
-from .distributions import Arcsine, PowerSemicircle, check_size, sample_spacings
+from .distributions import Arcsine, PowerSemicircle, check_exponent, check_size, sample_spacings
 
-__all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
+__all__ = ["RwaSpec", "SampleBatch", "check_n", "check_shards", "rwa_batch", "target_exponent"]
 
 # Values (rows times n) per chunk: the unit of work of one worker, and with
 # it the size of each temporary array the draw makes (1 MB of float64).  The
@@ -53,6 +53,30 @@ __all__ = ["RwaSpec", "SampleBatch", "check_shards", "rwa_batch"]
 _CHUNK_VALUES = 1 << 17
 
 
+def check_n(n) -> int:
+    """The one size rule of the weighted average: `n` read as an exact int
+    with `operator.index`, and at least 2."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise ValueError(f"need an integer n >= 2, got {n!r}") from None
+    if value < 2:
+        raise ValueError(f"need an integer n >= 2, got {render.magnitude(value)}")
+    return value
+
+
+def target_exponent(n) -> int:
+    """p = 2 lam = n - 1, the exponent of the law the theorem gives the
+    average of n variables, as an int: n read by `check_n` and p checked by
+    the exponent rule `check_exponent`, with no law object built.  A size
+    with no such law is refused as "n=... has no target law: ..."."""
+    n = check_n(n)
+    try:
+        return check_exponent(n - 1)
+    except ValueError as exc:
+        raise ValueError(f"n={render.magnitude(n)} has no target law: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RwaSpec:
     """Problem size for the weighted average: n variables, arcsine scale a."""
@@ -61,23 +85,15 @@ class RwaSpec:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"need an integer n >= 2, got {self.n!r}") from None
-        if n < 2:
-            raise ValueError(f"need an integer n >= 2, got {render.magnitude(n)}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_n(self.n))
         Arcsine(a=self.a)
         object.__setattr__(self, "a", float(self.a))
 
     def target_law(self) -> PowerSemicircle:
         """The law the theorem gives the average: exponent (n - 1)/2, as an
-        exact rational, and scale a."""
-        try:
-            return PowerSemicircle(lam=Fraction(self.n - 1, 2), a=self.a)
-        except ValueError as exc:
-            raise ValueError(f"n={render.magnitude(self.n)} has no target law: {exc}") from exc
+        exact rational checked by `target_exponent`, and scale a.  The exact
+        routes ask `target_exponent` itself and build no law."""
+        return PowerSemicircle(lam=Fraction(target_exponent(self.n), 2), a=self.a)
 
 
 def _stream(seed: int, shard_index: int, offset: int) -> np.random.Generator:

@@ -63,6 +63,66 @@ def test_a_pair_missing_a_metric_is_skipped_for_it():
     assert "absent" not in s
 
 
+def test_a_claim_holds_at_nine_wins_in_ten_and_a_gain_beyond_the_parent_iqr():
+    parent = [10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.1]
+    nine = [9.0] * 9 + [10.3]
+    s = bench_pairs.summarize(_pairs(parent, nine), {"m": "lower"})["m"]
+    assert (s["change_won"], s["gain_beyond_parent_iqr"], s["claim_holds"]) == (9, True, True)
+    # Eight wins and a tie: the tie counts for neither side.
+    eight = [9.0] * 8 + [10.2, 10.3]
+    s = bench_pairs.summarize(_pairs(parent, eight), {"m": "lower"})["m"]
+    assert (s["change_won"], s["gain_beyond_parent_iqr"], s["claim_holds"]) == (8, True, False)
+    # Ten wins by less than the parent's spread.
+    s = bench_pairs.summarize(_pairs(parent, [p - 0.01 for p in parent]), {"m": "lower"})["m"]
+    assert (s["change_won"], s["gain_beyond_parent_iqr"], s["claim_holds"]) == (10, False, False)
+
+
+def test_worse_beyond_bound_is_relative_to_the_parent_median():
+    # Parent median 2.0 and bound 0.25: worse by more than 0.5 is beyond it.
+    parent = [1.9, 2.0, 2.1]
+    for change, direction, beyond in (
+        ([2.4, 2.5, 2.6], "lower", False),
+        ([2.5, 2.6, 2.7], "lower", True),
+        ([1.5, 1.6, 1.7], "higher", False),
+        ([1.4, 1.4, 1.5], "higher", True),
+        ([0.1, 0.1, 0.1], "lower", False),
+    ):
+        s = bench_pairs.summarize(_pairs(parent, change), {"m": direction}, {"m": 0.25})["m"]
+        assert s["worse_beyond_bound"] is beyond, (change, direction)
+    # A metric without a bound is not judged against one.
+    assert bench_pairs.summarize(_pairs(parent, [9.0] * 3), {"m": "lower"})["m"]["worse_beyond_bound"] is None
+
+
+def test_the_record_and_the_table_carry_the_claim_and_the_bound(tmp_path, monkeypatch, capsys):
+    bench = {
+        "run_seconds": 1,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "fast", "better": "lower", "bound": 0.25}, {"name": "slow", "better": "lower", "bound": 0.25}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(bench_pairs.json.dumps(bench))
+
+    def run(root, workload, seed, seconds):
+        change = root.name == "change"
+        return {"fast": (1.0 if change else 2.0) + seed / 100, "slow": (3.0 if change else 2.0) + seed / 100}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: f"sha-{args[-1]}")
+    monkeypatch.setattr(bench_pairs, "_extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main(["--parent", "P", "--workload", "w", "--pairs", "10"]) == 0
+    (record,) = bench_pairs.json.loads((tmp_path / "BENCH_w.json").read_text())
+    summary = record["summary"]
+    assert (summary["fast"]["claim_holds"], summary["fast"]["worse_beyond_bound"]) == (True, False)
+    assert (summary["slow"]["claim_holds"], summary["slow"]["worse_beyond_bound"]) == (False, True)
+    lines = capsys.readouterr().out.splitlines()
+    (header,) = [line for line in lines if line.startswith("metric")]
+    assert header.endswith("beyond IQR  claim holds  worse beyond bound")
+    (fast,) = [line for line in lines if line.startswith("fast ")]
+    (slow,) = [line for line in lines if line.startswith("slow ")]
+    assert fast.split()[-3:] == ["True", "True", "False"]
+    assert slow.split()[-3:] == ["False", "False", "True"]
+
+
 def test_both_sides_are_revisions_run_for_the_benchmark_length(tmp_path, monkeypatch):
     # The run length is BENCHMARK.json's, never an option; each side is a
     # revision extracted on its own, and the record names both exactly.

@@ -29,6 +29,7 @@ from rwa_semicircle.moments import (
     rwa_moment_closed,
     rwa_moment_oracle,
 )
+from rwa_semicircle.distributions import PowerSemicircle
 from rwa_semicircle.render import decimal_str
 from rwa_semicircle.rwa import RwaSpec, rwa_batch
 
@@ -481,6 +482,58 @@ def test_the_oracle_refuses_the_sizes_the_closed_route_refuses(n, literal_parity
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{refused.value}\n")
 
 
+# Sizes with no target law, each with the text a child process is given.
+_BAD_SIZES = [
+    (1, "1"), (0, "0"), (-5, "-5"), (True, "True"), (2.0, "2.0"), ("3", "'3'"), (None, "None"),
+    (np.int64(1002), "np.int64(1002)"), (1002, "1002"), (10**400, "10**400"),
+]
+_SINGLE_VALUE_ROUTES = [
+    ("rwa_moment_closed({}, 1)", lambda n: rwa_moment_closed(n, 1)),
+    ("rwa_moment_oracle({}, 2)", lambda n: rwa_moment_oracle(n, 2)),
+    ("rwa_moment_oracle({}, 3, literal_parity=True)", lambda n: rwa_moment_oracle(n, 3, literal_parity=True)),
+]
+
+
+@pytest.mark.parametrize("n, source", _BAD_SIZES, ids=[source for _, source in _BAD_SIZES])
+def test_each_single_value_route_refuses_a_size_as_the_target_law_does(n, source):
+    # The routes ask the rule on the int, with no RwaSpec and no law built;
+    # the refusal must still be RwaSpec(n).target_law()'s, type and text.
+    with pytest.raises(Exception) as law:
+        RwaSpec(n).target_law()
+    for call, route in _SINGLE_VALUE_ROUTES:
+        if isinstance(n, int) and n > 10**6:
+            # Past the rule, the oracle would build a series of n parts.
+            assert law.type is ValueError
+            proc = _run_capped(call.format(source))
+            assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{law.value}\n"), call
+        else:
+            with pytest.raises(Exception) as refused:
+                route(n)
+            assert (type(refused.value), str(refused.value)) == (law.type, str(law.value)), call
+
+
+def test_the_single_value_routes_build_no_law_object(monkeypatch):
+    built = []
+    for cls in (PowerSemicircle, RwaSpec):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    # The count sees a law when one is built: a spec, its Arcsine, its law.
+    assert RwaSpec(5).target_law().lam == 2
+    assert built == ["RwaSpec", "PowerSemicircle", "PowerSemicircle"]
+    built.clear()
+    values = (
+        rwa_moment_closed(5, 3),
+        rwa_moment_oracle(5, 6),
+        rwa_moment_oracle(5, 7, literal_parity=True),
+        psc_moment(2, 3),
+    )
+    assert built == []
+    assert values == (psc_moment(2, 3), psc_moment(2, 3), 0, Fraction(1 * 3 * 5, 6 * 8 * 10))
+
+
 def test_largest_series_degree_is_about_8_6e9():
     limit = np.iinfo(np.intp).max
     largest = math.isqrt(8 * limit + 7)
@@ -582,6 +635,27 @@ class TestPscMoment:
         for lam in (10**400, Fraction(10**400), math.inf, math.nan):
             with pytest.raises(ValueError, match="p/2"):
                 psc_moment(lam, 0)
+
+
+    @pytest.mark.parametrize(
+        "lam, kind, text",
+        [
+            (0.3, ValueError, "exponent must be p/2 for an integer p in 0..1000, got lam=0.3"),
+            (-1, ValueError, "exponent must be p/2 for an integer p in 0..1000, got lam=-1"),
+            (10**400, ValueError, "exponent must be p/2 for an integer p in 0..1000, got lam=about 10^400.0"),
+            (math.inf, ValueError, "exponent must be p/2 for an integer p in 0..1000, got lam=inf"),
+            (Fraction(1001, 2), ValueError, "exponent must be p/2 for an integer p in 0..1000, got lam=1001/2"),
+            ("1", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+        ],
+        ids=["0.3", "-1", "10**400", "inf", "1001/2", "'1'"],
+    )
+    def test_refuses_an_exponent_as_the_law_does(self, lam, kind, text):
+        # psc_moment reads lam through the family's exponent rule, not
+        # through a PowerSemicircle, and refuses as one would.
+        for build in (lambda: psc_moment(lam, 2), lambda: PowerSemicircle(lam=lam)):
+            with pytest.raises(Exception) as refused:
+                build()
+            assert (type(refused.value), str(refused.value)) == (kind, text)
 
 
 class TestHankelPositivity:

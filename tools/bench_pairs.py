@@ -13,8 +13,11 @@ side would add its own offset to every run of that side.  Pair i runs `perfbench
 for the run length BENCHMARK.json sets, the parent first in even pairs and
 the change first in odd ones, so that a drift of the host over the run falls
 on both sides alike.  For each end-to-end metric of BENCHMARK.json it prints the
-medians and quartiles of both sides and the number of pairs the change won
-(was better in, by the metric's own direction), and appends one record with
+medians and quartiles of both sides, the number of pairs the change won
+(was better in, by the metric's own direction), whether a gain may be
+claimed (at least 9 in 10 pairs won, and a median gain beyond the parent's
+interquartile range) and whether the change's median is worse than the
+parent's by more than the metric's relative bound, and appends one record with
 the revisions, the seeds, every pair and that summary to
 BENCH_<workload>.json in the checkout.
 
@@ -53,12 +56,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median and quartiles, how many pairs the
     change won, and whether its median is better than the parent's by more
-    than the parent's interquartile range.  `better` maps each metric to
-    "lower" or "higher"; a pair where either side lacks the metric is
-    skipped for it."""
+    than the parent's interquartile range.  `claim_holds` is whether a gain
+    may be claimed: the change won at least 9 in 10 pairs (a tie is won by
+    neither side) and its median gain is beyond the parent's IQR.
+    `worse_beyond_bound` is whether the change's median is worse than the
+    parent's by more than the metric's relative bound (from `bounds`) times
+    the parent's median; None for a metric without a bound.  `better` maps
+    each metric to "lower" or "higher"; a pair where either side lacks the
+    metric is skipped for it."""
+    bounds = bounds or {}
     summary = {}
     for name, direction in better.items():
         kept = [p for p in pairs if p["parent"].get(name) is not None and p["change"].get(name) is not None]
@@ -70,13 +79,18 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             q1, median, q3 = quartiles([p[side][name] for p in kept])
             sides[side] = {"q1": q1, "median": median, "q3": q3}
         gain = sign * (sides["change"]["median"] - sides["parent"]["median"])
+        won = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in kept)
+        beyond_iqr = gain > sides["parent"]["q3"] - sides["parent"]["q1"]
+        bound = bounds.get(name)
         summary[name] = {
             "better": direction,
             **sides,
             "pairs": len(kept),
-            "change_won": sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in kept),
+            "change_won": won,
             "median_gain": gain,
-            "gain_beyond_parent_iqr": gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "gain_beyond_parent_iqr": beyond_iqr,
+            "claim_holds": 10 * won >= 9 * len(kept) and beyond_iqr,
+            "worse_beyond_bound": None if bound is None else -gain > bound * sides["parent"]["median"],
         }
     return summary
 
@@ -130,10 +144,12 @@ def _sigterm_unwinds():
 
 
 def _print(summary: dict) -> None:
-    print(f"{'metric':<16} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'won':>7}  beyond IQR")
+    print(f"{'metric':<16} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'won':>7}  "
+          f"{'beyond IQR':<10}  {'claim holds':<11}  worse beyond bound")
     for name, s in summary.items():
         cells = [f"{s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]" for side in SIDES]
-        print(f"{name:<16} {cells[0]:>34} {cells[1]:>34} {s['change_won']:>3}/{s['pairs']:<3}  {s['gain_beyond_parent_iqr']}")
+        print(f"{name:<16} {cells[0]:>34} {cells[1]:>34} {s['change_won']:>3}/{s['pairs']:<3}  "
+              f"{s['gain_beyond_parent_iqr']!s:<10}  {s['claim_holds']!s:<11}  {s['worse_beyond_bound']}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         parser.error(f"--workload must be one of {[w['name'] for w in bench['workloads']]}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     seconds = bench["run_seconds"]
 
     revisions = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
@@ -168,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
                   + "  ".join(f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
                               for name in better if None not in (pair["parent"].get(name), pair["change"].get(name))), flush=True)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     _print(summary)
     record = {
         "workload": args.workload,
