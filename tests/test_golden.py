@@ -36,6 +36,7 @@ def _check(actual: str, expected: str, what: str) -> None:
         (3, 2.5, 1234, 3, "f46c326cf96d5da0393c3f69bf2acb27815bf30f47923bf7467e67c63697588d"),
         (8, 1.0, 7, 2, "5428abdf7a9133848f09bbb12e6744bf6d9b02b5c744d9de5aa4aeffdb9df78b"),
         (64, 0.5, 11, 4, "b428e81173bafb06dd171692ed5a1941f941361302de8a17a80ec125f3fd914b"),
+        (5, 1.0, 5, 2, "e922eb0fd33ce478217d682bbdc141462c66fc7f5aab99ba487832d1ec4662b9"),
     ],
 )
 def test_batch_csv_digest(n, a, seed, shards, expected):
@@ -99,6 +100,24 @@ def test_verify_json_digest_across_ks_blocks():
         # Rows wider than a render block.
         (["sample", "spacings", "--n", "5000", "--count", "3", "--seed", "5"],
          "b8f5a773cad6695cc1c8eabde8fad7f2ea629237d669faee43141c13b3037b02"),
+        # Every row width that sample_spacings sorts with a comparator
+        # network, and the first one past them; pinned at the row sort.
+        (["sample", "spacings", "--n", "5", "--count", "2000", "--seed", "5"],
+         "e931af675c5882e30ff0abc24d6e6c797b84925977589a407b20ad12cdaa37eb"),
+        (["sample", "spacings", "--n", "6", "--count", "2000", "--seed", "5"],
+         "ba971c6f4a17319c32bfd6c66f16aa4a748c822b69e0623f6ba6d1e96fe22644"),
+        (["sample", "spacings", "--n", "7", "--count", "2000", "--seed", "5"],
+         "17307a43ccf542bf3a99a38ad379715e6d055967165aca2669836c7ff18f280c"),
+        (["sample", "spacings", "--n", "8", "--count", "2000", "--seed", "5"],
+         "e48a60ae4ccee019fce3f45d9b010434144e3c3923d97b3f0b4bc8c2bc16e0a9"),
+        (["sample", "spacings", "--n", "9", "--count", "2000", "--seed", "5"],
+         "ac264d4b47701bdd9233029da467788eaba09c959b5ccbf0a031a264fe0a5023"),
+        (["sample", "spacings", "--n", "10", "--count", "2000", "--seed", "5"],
+         "5490be111546dba344de94d22d3072cbf144e60272908685f4b28e965901a6fe"),
+        (["sample", "spacings", "--n", "11", "--count", "2000", "--seed", "5"],
+         "a3532ed448876a4b6fc8ee48eeae7b010093a67862c59329083aaf6801ed3bc8"),
+        (["sample", "spacings", "--n", "12", "--count", "2000", "--seed", "5"],
+         "58da4e53ca4a4f2ef7489ba72db0fc63fd756b8d62ec85a8a5d46e7968d2c7c8"),
     ],
 )
 def test_cli_artifact_digest(argv, expected, tmp_path):
