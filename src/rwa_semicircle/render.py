@@ -94,12 +94,11 @@ def json_bytes(payload) -> bytes:
 
 def rational_json(q: Fraction) -> dict:
     """An exact rational as JSON: numerator and denominator as strings (no
-    precision limit) plus a 30-digit decimal reading."""
-    return {
-        "num": rational_str(q.numerator),
-        "den": rational_str(q.denominator),
-        "decimal": decimal_str(q),
-    }
+    precision limit) plus a 30-digit decimal reading.  Each integer is
+    converted to `Decimal` once, for its text and for the reading: at 25,000
+    digits one conversion costs as much as the rest of the rendering."""
+    num, den = Decimal(q.numerator), Decimal(q.denominator)
+    return {"num": str(num), "den": str(den), "decimal": _reading(num, den)}
 
 
 def rational_str(q: int | Fraction) -> str:
@@ -115,9 +114,14 @@ def decimal_str(q: Fraction, digits: int = 30) -> str:
     """Decimal rendering of an exact rational to `digits` significant digits,
     rounded half-even at any exponent, in one fixed context: the calling
     thread's decimal context changes no byte and raises nothing here."""
+    return _reading(Decimal(q.numerator), Decimal(q.denominator), digits)
+
+
+def _reading(num: Decimal, den: Decimal, digits: int = 30) -> str:
+    """num / den to `digits` significant digits, as `decimal_str` reads it."""
     context = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0,
                       traps=[InvalidOperation, DivisionByZero, Overflow])
-    return context.to_sci_string(context.divide(Decimal(q.numerator), Decimal(q.denominator)))
+    return context.to_sci_string(context.divide(num, den))
 
 
 def magnitude(x) -> str:

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from rwa_semicircle.distributions import Arcsine, PowerSemicircle, check_size, sample_spacings
+from rwa_semicircle.distributions import _NETWORK_MAX, _NETWORKS, Arcsine, PowerSemicircle, check_size, sample_spacings
 from rwa_semicircle.gof import ks_critical_one_sample, ks_statistic
 from rwa_semicircle.special import betainc
 
@@ -277,9 +277,18 @@ class _FixedUniforms:
         return self.rows.copy()
 
 
+def _tie_rows(m: int) -> list[list[float]]:
+    """Rows of m uniforms from four values, 0.0 and 1 - 2^-53 among them, so
+    that nearly every row repeats a value; plus the rows of all zeros, of
+    all 1 - 2^-53 and one in descending order."""
+    values = [0.0, 0.25, 0.5, 1.0 - 2.0**-53]
+    rows = np.random.default_rng(m).choice(values, size=(64, m)).tolist()
+    return rows + [[0.0] * m, [values[-1]] * m, sorted(np.linspace(0.0, values[-1], m), reverse=True)]
+
+
 class TestSpacings:
     @pytest.mark.parametrize("size", [0, 1, 777])
-    @pytest.mark.parametrize("n", [*range(2, 13), 64, 1001])
+    @pytest.mark.parametrize("n", [*range(2, _NETWORK_MAX + 4), 64, 1001])
     def test_kernel_matches_the_definition_bit_for_bit(self, n, size):
         got = sample_spacings(n, np.random.default_rng(31), size=size)
         expected = _spacings_by_definition(np.random.default_rng(31).random((size, n - 1)))
@@ -291,13 +300,25 @@ class TestSpacings:
         [
             [[0.0], [0.5], [1.0 - 2.0**-53]],
             [[0.5, 0.5], [0.0, 0.3], [0.3, 0.0], [0.0, 0.0], [0.7, 0.2], [0.2, 0.7]],
+            *(_tie_rows(m) for m in range(3, _NETWORK_MAX + 1)),
         ],
-        ids=["n2", "n3"],
+        ids=[f"n{m + 1}" for m in range(1, _NETWORK_MAX + 1)],
     )
     def test_ties_and_zeros_match_the_definition(self, rows):
         u = np.array(rows)
         got = sample_spacings(u.shape[1] + 1, _FixedUniforms(u), size=len(u))
         assert got.tobytes() == _spacings_by_definition(u).tobytes()
+
+    @pytest.mark.parametrize("m", range(1, _NETWORK_MAX + 1))
+    def test_each_network_sorts_every_row_of_zeros_and_ones(self, m):
+        # The 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator
+        # network that sorts all 2^m rows of 0s and 1s sorts every row of m.
+        rows = np.arange(2**m)[:, None] >> np.arange(m) & 1
+        columns = list(rows.T.copy())
+        for i, j in _NETWORKS[m]:
+            assert 0 <= i < j < m
+            columns[i], columns[j] = np.minimum(columns[i], columns[j]), np.maximum(columns[i], columns[j])
+        assert np.array_equal(np.array(columns).T, np.sort(rows, axis=1))
 
     def test_rows_live_on_the_simplex(self):
         w = sample_spacings(5, np.random.default_rng(42), size=2000)

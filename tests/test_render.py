@@ -219,3 +219,18 @@ def test_rational_text_has_no_digit_limit():
     assert num.startswith("-") and num[1:].isdigit() and den.isdigit()
     payload = render.rational_json(value)
     assert (payload["num"], payload["den"]) == (num, den)
+
+
+def test_rational_json_converts_each_integer_once(monkeypatch):
+    value = Fraction(-(3**20000), 10**4500 + 1)
+    expected = {"num": render.rational_str(value.numerator), "den": render.rational_str(value.denominator),
+                "decimal": render.decimal_str(value)}
+    converted = []
+
+    def counted(number):
+        converted.append(number)
+        return Decimal(number)
+
+    monkeypatch.setattr(render, "Decimal", counted)
+    assert render.rational_json(value) == expected
+    assert [number == value.numerator for number in converted] == [True, False]
