@@ -314,7 +314,7 @@ class TestSpacings:
         # The 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator
         # network that sorts all 2^m rows of 0s and 1s sorts every row of m.
         rows = np.arange(2**m)[:, None] >> np.arange(m) & 1
-        columns = list(rows.T.copy())
+        columns = list(rows.T)
         for i, j in _NETWORKS[m]:
             assert 0 <= i < j < m
             columns[i], columns[j] = np.minimum(columns[i], columns[j]), np.maximum(columns[i], columns[j])
